@@ -73,6 +73,9 @@ pub struct BrookModule {
     /// rejected kernels fold serially through the scalar interpreter.
     /// Empty when the compiling context disabled lane execution.
     pub(crate) simds: Arc<brook_ir::simd::ReduceProgram>,
+    /// IR-verification verdicts, decided once where the module is
+    /// built ([`verify_module_ir`]); launches report a stored failure.
+    pub(crate) ir_rejects: IrRejects,
     /// The certification data produced at compile time (paper §4).
     pub report: ComplianceReport,
     /// Globally unique module identity (backends key compiled-artifact
@@ -111,6 +114,7 @@ pub struct ModuleArtifact {
     lanes: Arc<brook_ir::lanes::LaneProgram>,
     tiers: Arc<brook_ir::tier::TierProgram>,
     simds: Arc<brook_ir::simd::ReduceProgram>,
+    ir_rejects: IrRejects,
     report: ComplianceReport,
     /// Digest of the [`CertConfig`] the artifact was certified under.
     cert_fingerprint: u64,
@@ -394,6 +398,7 @@ impl BrookContext {
         report.simd_reduces = simd_reduce_records(&simds);
         Ok(ModuleArtifact {
             checked: Arc::new(checked),
+            ir_rejects: verify_module_ir(&ir),
             ir: Arc::new(ir),
             lanes: Arc::new(lanes),
             tiers: Arc::new(tiers),
@@ -451,6 +456,7 @@ impl BrookContext {
             lanes: Arc::clone(&artifact.lanes),
             tiers: Arc::clone(&artifact.tiers),
             simds: Arc::clone(&artifact.simds),
+            ir_rejects: Arc::clone(&artifact.ir_rejects),
             report: artifact.report.clone(),
             id: fresh_module_id(),
             context_id: self.context_id,
@@ -477,9 +483,10 @@ impl BrookContext {
         let report = certify(&checked, &self.cert_config);
         Ok(BrookModule {
             checked: Arc::new(checked),
+            ir_rejects: verify_module_ir(&ir),
             ir: Arc::new(ir),
             // Hand-built IR is never lane-planned: it executes through
-            // the scalar interpreter behind the launch-boundary verifier.
+            // the scalar interpreter behind the launch-boundary verdict.
             lanes: Arc::new(brook_ir::lanes::LaneProgram::default()),
             tiers: Arc::new(brook_ir::tier::TierProgram::default()),
             simds: Arc::new(brook_ir::simd::ReduceProgram::default()),
@@ -596,20 +603,17 @@ impl BrookContext {
             .checked
             .program
             .kernel(kernel)
-            .ok_or_else(|| BrookError::Usage(format!("unknown kernel `{kernel}`")))?
-            .clone();
-        let (handle_args, outputs) = classify_call(&kdef, kernel, args, &mut |s| {
+            .ok_or_else(|| BrookError::Usage(format!("unknown kernel `{kernel}`")))?;
+        let (handle_args, outputs) = classify_call(kdef, kernel, args, &mut |s| {
             self.check_stream(s)?;
-            Ok(self.backend.stream_desc(s.index).clone())
+            Ok(self.backend.stream_desc(s.index))
         })?;
-        let bound_args = handle_args
-            .iter()
-            .map(|(n, h)| (n.clone(), h.to_bound()))
-            .collect();
-        // Every backend path executes through the IR: verify it at the
-        // launch boundary so malformed IR (hand-built, corrupted, or a
-        // pass-pipeline escape) is rejected uniformly on all substrates.
-        verify_launch_ir(&module.ir, kernel)?;
+        let bound_args = handle_args.into_iter().map(|(n, h)| (n, h.to_bound())).collect();
+        // Every backend path executes through the IR: report its
+        // build-time verdict at the launch boundary so malformed IR
+        // (hand-built, corrupted, or a pass-pipeline escape) is
+        // rejected uniformly on all substrates.
+        report_ir_verdict(module, kernel)?;
         let launch = KernelLaunch {
             checked: &module.checked,
             ir: &module.ir,
@@ -618,7 +622,7 @@ impl BrookContext {
             module_id: module.id,
             kernel,
             args: bound_args,
-            outputs: outputs.iter().map(|(n, s)| (n.clone(), s.index)).collect(),
+            outputs: outputs.into_iter().map(|(n, s)| (n, s.index)).collect(),
         };
         // The fault-injection / recovery hook: one `Option` check when
         // disarmed; the full ladder (deadlines, retries, failover,
@@ -665,22 +669,22 @@ impl BrookContext {
             .kernel(kernel)
             .and_then(|k| k.params.iter().find(|p| p.kind == ParamKind::Stream))
         {
-            let desc = self.backend.stream_desc(input.index).clone();
-            if desc.width != p.ty.width {
+            let width = self.backend.stream_desc(input.index).width;
+            if width != p.ty.width {
                 return Err(BrookError::Usage(format!(
                     "reduce parameter `{}` has element type {} but the bound stream \
                      holds float{} elements",
                     p.name,
                     p.ty,
-                    if desc.width == 1 {
+                    if width == 1 {
                         String::new()
                     } else {
-                        desc.width.to_string()
+                        width.to_string()
                     }
                 )));
             }
         }
-        verify_launch_ir(&module.ir, kernel)?;
+        report_ir_verdict(module, kernel)?;
         match self.resilience.as_mut() {
             Some(state) => crate::resilience::execute_resilient(
                 &mut self.backend,
@@ -885,14 +889,35 @@ pub(crate) fn simd_reduce_records(simds: &brook_ir::simd::ReduceProgram) -> Vec<
         .collect()
 }
 
-/// Verifies the IR of a kernel about to launch; kernels absent from the
-/// IR (AST fallback) pass through. Shared by the eager path and the
-/// graph executor so no backend can receive malformed IR.
-pub(crate) fn verify_launch_ir(ir: &IrProgram, kernel: &str) -> Result<()> {
-    if let Some(k) = ir.kernel(kernel) {
-        brook_ir::verify::verify(k).map_err(|e| BrookError::Usage(e.to_string()))?;
+/// `(kernel, verifier message)` for every kernel of a module whose IR
+/// failed verification — empty for every module the pipeline builds.
+pub(crate) type IrRejects = Arc<Vec<(String, String)>>;
+
+/// Verifies every kernel of a module's IR, once, where the module is
+/// built. The IR is an immutable `Arc` from then on, so the verdict
+/// holds for every launch.
+pub(crate) fn verify_module_ir(ir: &IrProgram) -> IrRejects {
+    Arc::new(
+        ir.kernels
+            .iter()
+            .filter_map(|k| {
+                brook_ir::verify::verify(k)
+                    .err()
+                    .map(|e| (k.name.clone(), e.to_string()))
+            })
+            .collect(),
+    )
+}
+
+/// Reports the build-time IR-verification failure of a kernel about to
+/// launch, if it has one; kernels absent from the IR (AST fallback)
+/// pass. Shared by the eager path and the graph executor so no backend
+/// can receive malformed IR.
+pub(crate) fn report_ir_verdict(module: &BrookModule, kernel: &str) -> Result<()> {
+    match module.ir_rejects.iter().find(|(k, _)| k == kernel) {
+        Some((_, message)) => Err(BrookError::Usage(message.clone())),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// A classified kernel argument still carrying the *handle* (not a
@@ -994,11 +1019,11 @@ pub(crate) fn convert_scalar(p: &Param, arg: &Arg<'_>) -> Result<Value> {
 /// (the context accepts its own streams, a graph additionally accepts
 /// its virtual ones).
 #[allow(clippy::type_complexity)]
-pub(crate) fn classify_call(
+pub(crate) fn classify_call<'d>(
     kdef: &KernelDef,
     kernel: &str,
     args: &[Arg<'_>],
-    lookup: &mut dyn FnMut(&Stream) -> Result<StreamDesc>,
+    lookup: &mut dyn FnMut(&Stream) -> Result<&'d StreamDesc>,
 ) -> Result<(Vec<(String, HandleArg)>, Vec<(String, Stream)>)> {
     if kdef.is_reduce {
         return Err(BrookError::Usage(format!(
@@ -1040,12 +1065,12 @@ pub(crate) fn classify_call(
     // second output would be written out of bounds, and the GL path
     // would render each output over its own viewport — diverging
     // domains. Enforced uniformly instead.
-    let mut domain_shape: Option<Vec<usize>> = None;
+    let mut domain_shape: Option<&[usize]> = None;
     for (p, a) in kdef.params.iter().zip(args) {
         match (p.kind, a) {
             (ParamKind::Stream, Arg::Stream(s)) => {
                 let desc = lookup(s)?;
-                check_width(p, &desc)?;
+                check_width(p, desc)?;
                 handle_args.push((p.name.clone(), HandleArg::Elem(**s)));
             }
             (ParamKind::Gather { rank }, Arg::Stream(s)) => {
@@ -1064,15 +1089,15 @@ pub(crate) fn classify_call(
                         p.name
                     )));
                 }
-                check_width(p, &desc)?;
+                check_width(p, desc)?;
                 handle_args.push((p.name.clone(), HandleArg::Gather(**s)));
             }
             (ParamKind::OutStream, Arg::Stream(s)) => {
                 let desc = lookup(s)?;
-                check_width(p, &desc)?;
-                match &domain_shape {
-                    None => domain_shape = Some(desc.shape.clone()),
-                    Some(d) if *d != desc.shape => {
+                check_width(p, desc)?;
+                match domain_shape {
+                    None => domain_shape = Some(&desc.shape),
+                    Some(d) if d != desc.shape => {
                         return Err(BrookError::Usage(format!(
                             "output `{}` has shape {:?} but the kernel's output domain \
                              (the first output's shape) is {d:?}: all outputs of one \
@@ -1130,6 +1155,39 @@ mod tests {
     use super::*;
 
     const ADD: &str = "kernel void add(float a<>, float b<>, out float c<>) { c = a + b; }";
+
+    /// An artifact whose IR failed verification when it was built hands
+    /// that verdict to every module adopted from it, on every launch.
+    #[test]
+    fn adopted_artifact_carries_the_ir_verdict() {
+        let mut ctx = BrookContext::cpu();
+        let mut artifact = ctx.compile_artifact(ADD).unwrap();
+        assert!(artifact.ir_rejects.is_empty());
+        let mut ir = (*artifact.ir).clone();
+        for inst in &mut ir.kernels[0].insts {
+            if let brook_ir::Inst::Bin { op, .. } = inst {
+                *op = brook_ir::BinOp::And;
+            }
+        }
+        artifact.ir_rejects = verify_module_ir(&ir);
+        artifact.ir = Arc::new(ir.clone());
+        let want = ctx.module_with_raw_ir(ADD, ir).unwrap().ir_rejects[0].1.clone();
+        assert!(want.contains("IR verification failed"), "{want}");
+        let s: Vec<Stream> = (0..3).map(|_| ctx.stream(&[4]).unwrap()).collect();
+        for _ in 0..2 {
+            let module = ctx.adopt_artifact(&artifact).unwrap();
+            for _ in 0..2 {
+                let err = ctx
+                    .run(
+                        &module,
+                        "add",
+                        &[Arg::Stream(&s[0]), Arg::Stream(&s[1]), Arg::Stream(&s[2])],
+                    )
+                    .unwrap_err();
+                assert!(matches!(&err, BrookError::Usage(m) if *m == want), "{err}");
+            }
+        }
+    }
 
     /// One context per registered backend — every cross-backend test in
     /// this module runs the full matrix.

@@ -18,6 +18,7 @@ use brook_ir::eval::{
     lane_index, swizzle, value_from_slice,
 };
 use brook_ir::interp as ir_interp;
+use brook_ir::lanes::LaneSlabs;
 use brook_lang::ast::*;
 use brook_lang::{CheckedProgram, ReduceOp};
 use glsl_es::Value;
@@ -936,14 +937,16 @@ pub(crate) fn exec_err(e: ir_interp::ExecError) -> BrookError {
 /// Builds the *positional* binding vector for an IR kernel launch.
 /// `launch.args` pairs every parameter in declaration order, which is
 /// exactly the IR's parameter order, so the translation is index-wise.
+/// `launch.outputs` lists the `Out` bindings in that same order, so the
+/// k-th `Out` binding writes output buffer k.
 pub(crate) fn ir_bindings<'a>(
     streams: &'a [(StreamDesc, Vec<f32>)],
     launch_args: &[(String, BoundArg)],
-    out_index_of: &HashMap<&str, usize>,
 ) -> Vec<ir_interp::Binding<'a>> {
+    let mut next_out = 0;
     launch_args
         .iter()
-        .map(|(name, arg)| match arg {
+        .map(|(_, arg)| match arg {
             BoundArg::Elem(i) => {
                 let (desc, data) = &streams[*i];
                 ir_interp::Binding::Elem {
@@ -961,7 +964,10 @@ pub(crate) fn ir_bindings<'a>(
                 }
             }
             BoundArg::Scalar(v) => ir_interp::Binding::Scalar(*v),
-            BoundArg::Out(_) => ir_interp::Binding::Out(out_index_of[name.as_str()]),
+            BoundArg::Out(_) => {
+                next_out += 1;
+                ir_interp::Binding::Out(next_out - 1)
+            }
         })
         .collect()
 }
@@ -981,19 +987,20 @@ where
 {
     // Move output buffers out so the binding vector can borrow the
     // remaining streams immutably.
-    let mut out_bufs: Vec<Vec<f32>> = Vec::with_capacity(launch.outputs.len());
-    let mut out_index_of: HashMap<&str, usize> = HashMap::new();
-    for (name, idx) in &launch.outputs {
-        out_index_of.insert(name.as_str(), out_bufs.len());
-        out_bufs.push(std::mem::take(&mut streams[*idx].1));
-    }
-    let domain_shape = streams
-        .get(launch.outputs[0].1)
-        .map(|(desc, _)| desc.shape.clone())
-        .ok_or_else(|| BrookError::Internal("launch output index out of range of the stream table".into()))?;
-    let result = {
-        let bindings = ir_bindings(streams, &launch.args, &out_index_of);
-        runner(kernel, &bindings, &mut out_bufs, &domain_shape)
+    let mut out_bufs: Vec<Vec<f32>> = launch
+        .outputs
+        .iter()
+        .map(|(_, idx)| std::mem::take(&mut streams[*idx].1))
+        .collect();
+    let domain_idx = launch.outputs[0].1;
+    let result = match streams.get(domain_idx) {
+        Some((desc, _)) => {
+            let bindings = ir_bindings(streams, &launch.args);
+            runner(kernel, &bindings, &mut out_bufs, &desc.shape)
+        }
+        None => Err(BrookError::Internal(
+            "launch output index out of range of the stream table".into(),
+        )),
     };
     for ((_, idx), buf) in launch.outputs.iter().zip(out_bufs) {
         streams[*idx].1 = buf;
@@ -1007,6 +1014,7 @@ where
 /// lane planner did, the scalar interpreter otherwise — bit-identical
 /// every way, by the engines' fallback guarantees.
 pub(crate) fn ir_run_full(
+    slabs: &mut LaneSlabs,
     kernel: &brook_ir::IrKernel,
     lane: Option<&brook_ir::lanes::LaneKernel>,
     tier: Option<&brook_ir::tier::TierKernel>,
@@ -1016,17 +1024,32 @@ pub(crate) fn ir_run_full(
 ) -> Result<()> {
     let (dx, dy, _) = ir_interp::domain_extents(domain_shape);
     let mut slices: Vec<&mut [f32]> = outputs.iter_mut().map(|v| v.as_mut_slice()).collect();
+    let range = 0..dx * dy;
     match (tier, lane) {
-        (Some(tk), Some(lk)) => {
-            brook_ir::tier::run_kernel_range(tk, lk, kernel, bindings, &mut slices, domain_shape, 0..dx * dy)
-                .map_err(exec_err)
+        (Some(tk), Some(lk)) => brook_ir::tier::run_kernel_range_in(
+            slabs,
+            tk,
+            lk,
+            kernel,
+            bindings,
+            &mut slices,
+            domain_shape,
+            range,
+        )
+        .map_err(exec_err),
+        (None, Some(lk)) => brook_ir::lanes::run_kernel_range_in(
+            slabs,
+            lk,
+            kernel,
+            bindings,
+            &mut slices,
+            domain_shape,
+            range,
+        )
+        .map_err(exec_err),
+        _ => {
+            ir_interp::run_kernel_range(kernel, bindings, &mut slices, domain_shape, range).map_err(exec_err)
         }
-        (None, Some(lk)) => {
-            brook_ir::lanes::run_kernel_range(lk, kernel, bindings, &mut slices, domain_shape, 0..dx * dy)
-                .map_err(exec_err)
-        }
-        _ => ir_interp::run_kernel_range(kernel, bindings, &mut slices, domain_shape, 0..dx * dy)
-            .map_err(exec_err),
     }
 }
 
@@ -1045,6 +1068,8 @@ pub(crate) fn ir_run_full(
 pub struct CpuBackend {
     streams: Vec<(StreamDesc, Vec<f32>)>,
     use_ast_walker: bool,
+    /// The slab frame every serial lane/Tier-2 launch reuses.
+    slabs: LaneSlabs,
 }
 
 impl CpuBackend {
@@ -1057,8 +1082,8 @@ impl CpuBackend {
     /// differential oracle the IR interpreter is validated against.
     pub fn ast_walker() -> Self {
         CpuBackend {
-            streams: Vec::new(),
             use_ast_walker: true,
+            ..CpuBackend::default()
         }
     }
 }
@@ -1104,8 +1129,9 @@ impl BackendExecutor for CpuBackend {
                         launch.tiers.kernel(launch.kernel),
                     )
                 };
+                let slabs = &mut self.slabs;
                 return dispatch_ir_on_host(&mut self.streams, launch, kernel, |k, b, outs, domain| {
-                    ir_run_full(k, lane, tier, b, outs, domain)
+                    ir_run_full(slabs, k, lane, tier, b, outs, domain)
                 });
             }
         }

@@ -47,6 +47,8 @@ const MAX_WORKERS: usize = 16;
 pub struct ParallelCpuBackend {
     streams: Vec<(StreamDesc, Vec<f32>)>,
     workers: usize,
+    /// The slab frame launches below the fan-out threshold reuse.
+    slabs: brook_ir::lanes::LaneSlabs,
 }
 
 impl ParallelCpuBackend {
@@ -64,6 +66,7 @@ impl ParallelCpuBackend {
         ParallelCpuBackend {
             streams: Vec::new(),
             workers: workers.max(1),
+            slabs: brook_ir::lanes::LaneSlabs::new(),
         }
     }
 
@@ -330,8 +333,9 @@ impl BackendExecutor for ParallelCpuBackend {
                     run_parallel_ir(k, lane, tier, bindings, outs, domain, workers)
                 })
             } else {
+                let slabs = &mut self.slabs;
                 cpu::dispatch_ir_on_host(&mut self.streams, launch, kernel, |k, bindings, outs, domain| {
-                    cpu::ir_run_full(k, lane, tier, bindings, outs, domain)
+                    cpu::ir_run_full(slabs, k, lane, tier, bindings, outs, domain)
                 })
             }
         } else if self.parallelizable(dx * dy, uniform) {

@@ -79,7 +79,7 @@
 
 use crate::backend::KernelLaunch;
 use crate::context::{
-    classify_call, fresh_owner_id, verify_launch_ir, Arg, BrookContext, BrookModule, HandleArg,
+    classify_call, fresh_owner_id, report_ir_verdict, Arg, BrookContext, BrookModule, HandleArg,
 };
 use crate::error::{BrookError, Result};
 use crate::stream::{Stream, StreamDesc};
@@ -237,7 +237,7 @@ impl<'ctx> BrookGraph<'ctx> {
         })
     }
 
-    fn lookup_desc(&self, s: &Stream) -> Result<StreamDesc> {
+    fn lookup_desc(&self, s: &Stream) -> Result<&StreamDesc> {
         lookup_stream_desc(self.ctx, self.graph_id, &self.virtuals, s)
     }
 
@@ -264,13 +264,12 @@ impl<'ctx> BrookGraph<'ctx> {
             .checked
             .program
             .kernel(kernel)
-            .ok_or_else(|| BrookError::Usage(format!("unknown kernel `{kernel}`")))?
-            .clone();
+            .ok_or_else(|| BrookError::Usage(format!("unknown kernel `{kernel}`")))?;
         let graph_id = self.graph_id;
         let (args, outputs) = {
             let ctx = &*self.ctx;
             let virtuals = &self.virtuals;
-            classify_call(&kdef, kernel, args, &mut |s: &Stream| {
+            classify_call(kdef, kernel, args, &mut |s: &Stream| {
                 lookup_stream_desc(ctx, graph_id, virtuals, s)
             })?
         };
@@ -404,7 +403,7 @@ impl<'ctx> BrookGraph<'ctx> {
                             (n.clone(), h.to_bound())
                         })
                         .collect();
-                    verify_launch_ir(&module.ir, kernel)?;
+                    report_ir_verdict(module, kernel)?;
                     let launch = KernelLaunch {
                         checked: &module.checked,
                         ir: &module.ir,
@@ -427,7 +426,7 @@ impl<'ctx> BrookGraph<'ctx> {
                     input,
                     slot,
                 } => {
-                    verify_launch_ir(&module.ir, kernel)?;
+                    report_ir_verdict(module, kernel)?;
                     reduce_values[*slot] = self.ctx.backend.reduce(
                         &module.checked,
                         &module.ir,
@@ -625,13 +624,13 @@ impl<'ctx> BrookGraph<'ctx> {
         outputs: &[(String, Stream)],
         domain: &StreamDesc,
     ) -> bool {
-        let shape_of = |s: &Stream| self.lookup_desc(s).map(|d| d.shape).ok();
+        let shape_of = |s: &Stream| self.lookup_desc(s).map(|d| &d.shape).ok();
         args.iter().all(|(_, h)| match h {
-            HandleArg::Elem(s) => shape_of(s).is_some_and(|sh| sh == domain.shape),
+            HandleArg::Elem(s) => shape_of(s).is_some_and(|sh| *sh == domain.shape),
             _ => true,
         }) && outputs
             .iter()
-            .all(|(_, s)| shape_of(s).is_some_and(|sh| sh == domain.shape))
+            .all(|(_, s)| shape_of(s).is_some_and(|sh| *sh == domain.shape))
     }
 
     /// Builds the fused IR kernel for `ops[i] → ops[j]` over `inter`,
@@ -729,6 +728,7 @@ impl<'ctx> BrookGraph<'ctx> {
         let source = brook_ir::pretty::print_program(&ir);
         let module = BrookModule {
             checked,
+            ir_rejects: crate::context::verify_module_ir(&ir),
             ir: ir.clone(),
             lanes: Arc::new(lanes),
             tiers: Arc::new(tiers),
@@ -1128,18 +1128,17 @@ fn shift_node(n: &Node, inst_off: u32, reg_off: u32) -> Node {
 /// context's own streams, this graph's virtual streams, anything else
 /// foreign. One implementation serves both record-time classification
 /// and plan-time shape queries, so the two can never disagree.
-fn lookup_stream_desc(
-    ctx: &BrookContext,
+fn lookup_stream_desc<'d>(
+    ctx: &'d BrookContext,
     graph_id: u64,
-    virtuals: &[StreamDesc],
+    virtuals: &'d [StreamDesc],
     s: &Stream,
-) -> Result<StreamDesc> {
+) -> Result<&'d StreamDesc> {
     if s.context_id == ctx.context_id {
-        Ok(ctx.backend.stream_desc(s.index).clone())
+        Ok(ctx.backend.stream_desc(s.index))
     } else if s.context_id == graph_id {
         virtuals
             .get(s.index)
-            .cloned()
             .ok_or_else(|| BrookError::Usage("unknown virtual stream".into()))
     } else {
         Err(BrookError::Usage("stream belongs to a different context".into()))

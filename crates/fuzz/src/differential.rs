@@ -93,11 +93,24 @@ impl std::fmt::Display for CaseFailure {
     }
 }
 
-/// Runs `case` on one backend and returns its output buffers.
-fn run_on(spec: &BackendSpec, case: &FuzzCase) -> Result<Vec<Vec<f32>>, String> {
+/// The case's own inputs, each bound to a stream of the domain's shape.
+fn domain_inputs(case: &FuzzCase) -> Vec<(&[usize], &[f32])> {
+    case.inputs
+        .iter()
+        .map(|data| (case.domain_shape.as_slice(), data.as_slice()))
+        .collect()
+}
+
+/// Runs `case` with `inputs` on one backend and returns its output
+/// buffers.
+fn run_on(
+    spec: &BackendSpec,
+    case: &FuzzCase,
+    inputs: &[(&[usize], &[f32])],
+) -> Result<Vec<Vec<f32>>, String> {
     let mut ctx: BrookContext = (spec.make)();
     let module = ctx.compile(&case.source).map_err(|e| format!("compile: {e}"))?;
-    run_with_module(&mut ctx, &module, case)
+    run_with_inputs(&mut ctx, &module, case, inputs)
 }
 
 /// Runs an already-compiled `case` in `ctx` (streams and launch only) —
@@ -108,11 +121,21 @@ pub(crate) fn run_with_module(
     module: &brook_auto::BrookModule,
     case: &FuzzCase,
 ) -> Result<Vec<Vec<f32>>, String> {
+    run_with_inputs(ctx, module, case, &domain_inputs(case))
+}
+
+/// [`run_with_module`] with elementwise input `i` bound to a stream of
+/// shape `inputs[i].0` holding `inputs[i].1` instead of `case.inputs` —
+/// shapes other than the domain's make the engines clamp or resample.
+pub(crate) fn run_with_inputs(
+    ctx: &mut BrookContext,
+    module: &brook_auto::BrookModule,
+    case: &FuzzCase,
+    inputs: &[(&[usize], &[f32])],
+) -> Result<Vec<Vec<f32>>, String> {
     let mut input_streams = Vec::new();
-    for data in &case.inputs {
-        let s = ctx
-            .stream(&case.domain_shape)
-            .map_err(|e| format!("input stream: {e}"))?;
+    for (shape, data) in inputs {
+        let s = ctx.stream(shape).map_err(|e| format!("input stream: {e}"))?;
         ctx.write(&s, data).map_err(|e| format!("write: {e}"))?;
         input_streams.push(s);
     }
@@ -168,6 +191,19 @@ pub(crate) fn run_with_module(
 /// [`CaseFailure::Setup`] when a backend rejects what the others accept,
 /// [`CaseFailure::Divergence`] on a result mismatch.
 pub fn run_case(case: &FuzzCase, matrix: &Matrix) -> Result<Vec<BackendOutput>, CaseFailure> {
+    run_case_with_inputs(case, matrix, &domain_inputs(case))
+}
+
+/// [`run_case`] with input `i` bound to a stream of shape `inputs[i].0`
+/// holding `inputs[i].1` (see [`run_with_inputs`]).
+///
+/// # Errors
+/// As [`run_case`].
+pub(crate) fn run_case_with_inputs(
+    case: &FuzzCase,
+    matrix: &Matrix,
+    inputs: &[(&[usize], &[f32])],
+) -> Result<Vec<BackendOutput>, CaseFailure> {
     assert!(
         matrix
             .specs
@@ -178,7 +214,7 @@ pub fn run_case(case: &FuzzCase, matrix: &Matrix) -> Result<Vec<BackendOutput>, 
     );
     let mut runs: Vec<BackendOutput> = Vec::new();
     for spec in &matrix.specs {
-        let outputs = run_on(spec, case).map_err(|message| CaseFailure::Setup {
+        let outputs = run_on(spec, case, inputs).map_err(|message| CaseFailure::Setup {
             backend: spec.name,
             message,
         })?;
@@ -204,10 +240,12 @@ pub fn collect_backend_outputs(case: &FuzzCase, matrix: &Matrix) -> Vec<BackendO
         .specs
         .iter()
         .filter_map(|spec| {
-            run_on(spec, case).ok().map(|outputs| BackendOutput {
-                backend: spec.name,
-                outputs,
-            })
+            run_on(spec, case, &domain_inputs(case))
+                .ok()
+                .map(|outputs| BackendOutput {
+                    backend: spec.name,
+                    outputs,
+                })
         })
         .collect()
 }

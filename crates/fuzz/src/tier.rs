@@ -26,10 +26,18 @@
 //! planner *admits* but the tier compiler *rejects* (cross-component
 //! reductions), proving the lane-engine fallback path is actually
 //! exercised and bit-exact too.
+//!
+//! The **input-shape axis** ([`run_tier_shape_campaign`]) re-binds
+//! generated kernels to inputs shaped unlike their output domain, so
+//! the engines' clamped and resampled element framing is fuzzed too,
+//! not only the same-shape (contiguous) path.
 
-use crate::differential::{run_case, BackendOutput, CaseFailure, Matrix};
-use crate::gen::{gen_case, GenConfig};
+use crate::differential::{run_case_with_inputs, BackendOutput, CaseFailure, Matrix};
+use crate::gen::{gen_case, gen_values, special_overlay, FuzzCase, GenConfig};
 use brook_auto::{Arg, BackendSpec, BrookContext};
+use brook_ir::lanes::LANES;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn cpu_scalar() -> BrookContext {
     let mut ctx = BrookContext::cpu();
@@ -183,25 +191,13 @@ pub fn run_tier_campaign(seed: u64, cases: u32, cfg: &GenConfig) -> Result<TierS
     let mut stats = TierStats::default();
     for index in 0..cases {
         let case = gen_case(seed, index, cfg);
-        let (tiered, fallback) = probe_plans(&case.source)
+        let inputs: Vec<(&[usize], &[f32])> = case
+            .inputs
+            .iter()
+            .map(|data| (case.domain_shape.as_slice(), data.as_slice()))
+            .collect();
+        check_case(&case, &inputs, &matrix, &mut stats)
             .map_err(|e| format!("case {} (seed {seed:#x}, index {index}): {e}", case.name))?;
-        stats.tier_kernels += tiered;
-        stats.fallback_kernels += fallback;
-        let runs: Vec<BackendOutput> = run_case(&case, &matrix).map_err(|f| {
-            let detail = match &f {
-                CaseFailure::Setup { backend, message } => format!("{backend}: {message}"),
-                CaseFailure::Divergence(d) => d.to_string(),
-            };
-            format!(
-                "case {} (seed {seed:#x}, index {index}): {detail}\n{}",
-                case.name, case.source
-            )
-        })?;
-        stats.cases += 1;
-        stats.elements_checked += runs
-            .first()
-            .map(|r| r.outputs.iter().map(|o| o.len() as u64).sum::<u64>())
-            .unwrap_or(0);
     }
     // The forced-fallback set: certifiable, lane-admitted, tier-rejected,
     // bit-exact through the lane engine on every spec.
@@ -220,6 +216,101 @@ pub fn run_tier_campaign(seed: u64, cases: u32, cfg: &GenConfig) -> Result<TierS
         stats.fallback_kernels += fallback;
         stats.elements_checked += run_fixed(source, 3 * brook_ir::lanes::LANES + 5)?;
         stats.cases += 1;
+    }
+    Ok(stats)
+}
+
+/// Compile-probes `case` and runs it with `inputs` across `matrix`,
+/// adding its tier decisions and checked elements to `stats`.
+fn check_case(
+    case: &FuzzCase,
+    inputs: &[(&[usize], &[f32])],
+    matrix: &Matrix,
+    stats: &mut TierStats,
+) -> Result<(), String> {
+    let (tiered, fallback) = probe_plans(&case.source)?;
+    stats.tier_kernels += tiered;
+    stats.fallback_kernels += fallback;
+    let runs: Vec<BackendOutput> = run_case_with_inputs(case, matrix, inputs).map_err(|f| {
+        let detail = match &f {
+            CaseFailure::Setup { backend, message } => format!("{backend}: {message}"),
+            CaseFailure::Divergence(d) => d.to_string(),
+        };
+        format!("{detail}\n{}", case.source)
+    })?;
+    stats.cases += 1;
+    stats.elements_checked += runs
+        .first()
+        .map(|r| r.outputs.iter().map(|o| o.len() as u64).sum::<u64>())
+        .unwrap_or(0);
+    Ok(())
+}
+
+/// A domain of the same rank with at least two full lane blocks and a
+/// partial tail — and, for a few, enough elements for `cpu-parallel` to
+/// split the launch into worker chunks.
+fn wide_domain(rng: &mut StdRng, two_d: bool) -> Vec<usize> {
+    let pool: &[&[usize]] = if two_d {
+        &[&[5, 7], &[3, 13], &[6, 9], &[17, 19]]
+    } else {
+        &[&[2 * LANES + 1], &[3 * LANES + 7], &[4 * LANES - 1], &[300]]
+    };
+    pool[rng.gen_range(0..pool.len())].to_vec()
+}
+
+/// An input shape for a launch over `domain`: the domain's own shape, a
+/// shorter or a longer 1-D shape (clamped reads), or a 2-D shape unlike
+/// the domain's (resampled reads; on a 1-D domain, a 2-D input).
+fn input_shape(rng: &mut StdRng, domain: &[usize]) -> Vec<usize> {
+    let len: usize = domain.iter().product();
+    match rng.gen_range(0u32..4) {
+        0 => vec![rng.gen_range(1..len.max(2))],
+        1 => vec![len + rng.gen_range(1..2 * LANES + 1)],
+        2 => vec![rng.gen_range(1..10), rng.gen_range(1..10)],
+        _ => domain.to_vec(),
+    }
+}
+
+/// Runs `cases` seeded kernels through the tier matrix with inputs
+/// shaped unlike their output domain. Each case keeps its generated
+/// kernel and domain rank; half the cases widen the domain to at least
+/// two full blocks plus a partial tail, and every input independently
+/// takes the domain's shape, a shorter or longer 1-D shape, or another
+/// 2-D shape. The shapes come from their own stream seeded by `seed`,
+/// so the shape-free campaign at the same seed keeps its cases.
+///
+/// # Errors
+/// The first case failure, annotated with the case name and the input
+/// shapes (the seed and index regenerate it anywhere).
+pub fn run_tier_shape_campaign(seed: u64, cases: u32, cfg: &GenConfig) -> Result<TierStats, String> {
+    let matrix = tier_matrix();
+    let mut stats = TierStats::default();
+    for index in 0..cases {
+        let mut case = gen_case(seed, index, cfg);
+        let mut rng = StdRng::seed_from_u64(seed ^ (u64::from(index) << 32) ^ 0x5BA9E);
+        if rng.gen_range(0u32..2) == 0 {
+            case.domain_shape = wide_domain(&mut rng, case.domain_shape.len() == 2);
+        }
+        let shaped: Vec<(Vec<usize>, Vec<f32>)> = (0..case.inputs.len())
+            .map(|i| {
+                let shape = input_shape(&mut rng, &case.domain_shape);
+                let data_seed = case.data_seed.wrapping_add(i as u64);
+                let mut data = gen_values(data_seed, shape.iter().product());
+                if case.special_floats {
+                    special_overlay(data_seed, &mut data);
+                }
+                (shape, data)
+            })
+            .collect();
+        let inputs: Vec<(&[usize], &[f32])> =
+            shaped.iter().map(|(s, d)| (s.as_slice(), d.as_slice())).collect();
+        check_case(&case, &inputs, &matrix, &mut stats).map_err(|e| {
+            let shapes: Vec<&[usize]> = inputs.iter().map(|(s, _)| *s).collect();
+            format!(
+                "shaped case {} (seed {seed:#x}, index {index}, domain {:?}, inputs {shapes:?}): {e}",
+                case.name, case.domain_shape
+            )
+        })?;
     }
     Ok(stats)
 }
@@ -256,6 +347,24 @@ mod tests {
             assert_eq!(t, 0, "tier compiler must reject:\n{source}");
             assert!(f >= 1);
         }
+    }
+
+    #[test]
+    fn shape_axis_covers_clamped_resampled_and_tailed_launches() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let domains: Vec<Vec<usize>> = (0..64).map(|i| wide_domain(&mut rng, i % 2 == 0)).collect();
+        assert!(domains.iter().all(|d| {
+            let n: usize = d.iter().product();
+            n > 2 * LANES && !n.is_multiple_of(LANES)
+        }));
+        let shapes: Vec<Vec<usize>> = (0..64).map(|_| input_shape(&mut rng, &[3 * LANES + 7])).collect();
+        assert!(shapes.iter().any(|s| s.len() == 1 && s[0] < 3 * LANES + 7));
+        assert!(shapes.iter().any(|s| s.len() == 1 && s[0] > 3 * LANES + 7));
+        assert!(shapes.iter().any(|s| s.len() == 2));
+        let stats =
+            run_tier_shape_campaign(0x5A9E_5EED, 8, &GenConfig::default()).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(stats.cases, 8);
+        assert!(stats.elements_checked > 0);
     }
 
     #[test]

@@ -78,6 +78,30 @@ fn lanes_campaign_96_cases_bitwise_vs_scalar_and_ast() {
     );
 }
 
+/// The tier mode's input-shape axis: 128 generated kernels re-bound to
+/// inputs shorter or longer than their domain (1-D, clamped), 1-D on
+/// 2-D domains, 2-D resampled to another shape, over domains that on
+/// half the cases span at least two full lane blocks and a partial
+/// tail — bitwise across `cpu-scalar`, `cpu-lanes`, `cpu` and
+/// `cpu-parallel` against the `cpu-ast` oracle. Its own seed, so the
+/// shape-free tier campaign keeps its cases.
+#[test]
+fn tier_shape_campaign_128_cases_bitwise() {
+    const SHAPE_SEED: u64 = 0x5A9E_B10C;
+    let stats = brook_fuzz::run_tier_shape_campaign(SHAPE_SEED, 128, &brook_fuzz::GenConfig::default())
+        .unwrap_or_else(|e| panic!("tier shape campaign failed:\n{e}"));
+    assert_eq!(stats.cases, 128, "{stats:?}");
+    assert!(
+        stats.tier_kernels >= 96,
+        "the campaign must mostly exercise Tier-2: {stats:?}"
+    );
+    assert!(
+        stats.elements_checked > 4_000,
+        "campaign too small to mean anything: {} elements",
+        stats.elements_checked
+    );
+}
+
 /// 96 generated kernels through the tier differential matrix: the AST
 /// tree-walking oracle, the scalar flat-IR interpreter, the lane
 /// engine with tier compilation disabled, the Tier-2 closure chains,

@@ -1664,8 +1664,9 @@ macro_rules! lanes_loop {
 }
 
 /// Reusable slab storage for the lane (and Tier-2) engines: the f32
-/// register/staging arena, the i32 arena and the bool-mask arena.
-/// Allocated once — per worker in the parallel backend — and re-prepared
+/// register/staging arena, the i32 arena, the bool-mask arena and the
+/// Tier-2 per-launch framing tables. Allocated once — by the serial
+/// backend, and per worker in the parallel backend — and re-prepared
 /// per kernel, so per-dispatch execution never reallocates. The f32/i32
 /// arenas are 32-byte aligned so the explicit-SIMD tier
 /// ([`crate::simd`]) can use AVX2 aligned loads on slab blocks.
@@ -1674,6 +1675,7 @@ pub struct LaneSlabs {
     pub(crate) f: crate::simd::AlignedF32,
     pub(crate) i: crate::simd::AlignedI32,
     pub(crate) b: Vec<Mask>,
+    pub(crate) tier: crate::tier::FrameScratch,
 }
 
 impl LaneSlabs {

@@ -45,9 +45,7 @@
 //!    the scalar path by construction, through the tier → lanes →
 //!    scalar chain.
 
-use crate::interp::{
-    domain_extents, indexof_elem, indexof_pos, input_index, Binding, ExecError, MAX_ITERATIONS,
-};
+use crate::interp::{domain_extents, input_index, Binding, ExecError, MAX_ITERATIONS};
 use crate::lanes::{
     self, BOp, Bi2, COp, FOp, IOp, LaneKernel, LaneProgram, LaneSlabs, LaneTy, Mask, Op, Un1, FULL, LANES,
 };
@@ -64,9 +62,13 @@ use std::ops::Range;
 /// The per-dispatch execution state a compiled step runs against: the
 /// slab arenas plus the per-block access tables the driver refreshes
 /// between blocks. Mirrors the lane engine's `Engine` exactly — the
-/// slabs are caller-owned [`LaneSlabs`] so workers reuse them.
+/// slabs and every per-launch table are borrowed from the caller-owned
+/// [`LaneSlabs`], so a reused slab frame makes a launch allocation-free.
 pub(crate) struct Frame<'a> {
     bindings: &'a [Binding<'a>],
+    /// `(param, width)` per elementwise slot (the lane plan's
+    /// `elem_params`): a slot's data is its `Binding::Elem`.
+    elem_params: &'a [(u16, u8)],
     f: &'a mut [f32],
     i: &'a mut [i32],
     b: &'a mut [Mask],
@@ -76,15 +78,30 @@ pub(crate) struct Frame<'a> {
     dead: Mask,
     /// Per-lane loop back-edge counts (the scalar budget, per lane).
     iters: [u32; LANES],
-    elem_data: Vec<&'a [f32]>,
-    elem_off: Vec<[usize; LANES]>,
-    scalar_f: Vec<[f32; 4]>,
-    scalar_i: Vec<i32>,
-    idx_vals: Vec<[[f32; 2]; LANES]>,
+    /// Per elementwise slot: the block's first element when the block
+    /// is contiguous (width 1, all [`LANES`] lanes, elements
+    /// `o..o + LANES` in range) — fetch sites then copy a slice and
+    /// `elem_off` is stale. `None` means `elem_off` holds the block.
+    contig: &'a mut [Option<usize>],
+    elem_off: &'a mut [[usize; LANES]],
+    scalar_f: &'a [[f32; 4]],
+    scalar_i: &'a [i32],
+    idx_vals: &'a mut [[[f32; 2]; LANES]],
     /// Maximum `indexof` component values of this launch's domain
     /// ([`crate::eval::indexof_comp_max`]) — the runtime half of
     /// [`crate::ProvenIdx::IndexofRel`] clamp elision.
     comp_max: [i64; 2],
+}
+
+impl<'a> Frame<'a> {
+    /// The data of elementwise slot `slot`.
+    #[inline(always)]
+    fn elem(&self, slot: usize) -> &'a [f32] {
+        match &self.bindings[self.elem_params[slot].0 as usize] {
+            Binding::Elem { data, .. } => data,
+            _ => unreachable!("elementwise binding validated at dispatch"),
+        }
+    }
 }
 
 /// One compiled execution step: a monomorphized closure with all
@@ -1021,7 +1038,20 @@ where
 {
     Box::new(move |fr| {
         let m = fr.m;
-        let data = fr.elem_data[p.slot];
+        let data = fr.elem(p.slot);
+        if let Some(o) = fr.contig[p.slot] {
+            let src = &data[o..o + LANES];
+            let x2 = p.a2;
+            let y2 = p.b2;
+            tier_loop!(m, l, {
+                let t = src[l];
+                fr.f[p.d1 + l] = t;
+                let xa = if p.ta { t } else { fr.f[x2 + l] };
+                let xb = if p.tb { t } else { fr.f[y2 + l] };
+                fr.f[p.d2 + l] = g2(xa, xb);
+            });
+            return;
+        }
         let off = fr.elem_off[p.slot];
         for c in 0..p.w {
             let cl = c * LANES;
@@ -1408,7 +1438,30 @@ fn simd_fuse_ff(level: SimdLevel, v1: simd::VfOp, v2: simd::VfOp, p: ZipZip) -> 
 fn simd_fuse_ra(level: SimdLevel, v2: simd::VfOp, p: EZip) -> Step {
     Box::new(move |fr| {
         let m = fr.m;
-        let data = fr.elem_data[p.slot];
+        let data = fr.elem(p.slot);
+        if let Some(o) = fr.contig[p.slot] {
+            // The block's elements feed the vector tail in place; the
+            // masked store keeps dead lanes out of the slab.
+            let t: &[f32; LANES] = data[o..o + LANES]
+                .try_into()
+                .expect("a contiguous block spans LANES");
+            if m == FULL {
+                fr.f[p.d1..p.d1 + LANES].copy_from_slice(t);
+            } else {
+                tier_loop!(m, l, {
+                    fr.f[p.d1 + l] = t[l];
+                });
+            }
+            let q = simd::TBuf {
+                d2: p.d2,
+                a2: p.a2,
+                b2: p.b2,
+                ta: p.ta,
+                tb: p.tb,
+            };
+            simd::vf_arith_tbuf(level, v2, fr.f, t, q, m);
+            return;
+        }
         let off = fr.elem_off[p.slot];
         for c in 0..p.w {
             let cl = c * LANES;
@@ -1755,7 +1808,18 @@ fn step_for(op: &Op, level: SimdLevel) -> Step {
             let (dst, w, slot) = (*dst as usize, *w as usize, *slot as usize);
             Box::new(move |fr| {
                 let m = fr.m;
-                let data = fr.elem_data[slot];
+                let data = fr.elem(slot);
+                if let Some(o) = fr.contig[slot] {
+                    let src = &data[o..o + LANES];
+                    if m == FULL {
+                        fr.f[dst..dst + LANES].copy_from_slice(src);
+                    } else {
+                        tier_loop!(m, l, {
+                            fr.f[dst + l] = src[l];
+                        });
+                    }
+                    return;
+                }
                 let off = fr.elem_off[slot];
                 for c in 0..w {
                     let d = dst + c * LANES;
@@ -2433,6 +2497,171 @@ fn exec_tier_loop(
     }
 }
 
+/// How one elementwise slot's per-lane element offsets are framed.
+#[derive(Clone, Copy, Debug)]
+enum Fetch {
+    /// Element `min(p, last)` for domain position `p` (`y·dx + x`):
+    /// 1-D-shaped inputs, and 2-D inputs whose resampling tables are
+    /// the identity.
+    Linear { last: usize },
+    /// A resampled 2-D input: element `row[y] · cols + col[x]`, with
+    /// `col`/`row` the starts of its tables in [`FrameScratch::tables`].
+    Grid { cols: usize, col: usize, row: usize },
+}
+
+/// How one `indexof` slot's per-lane values are framed.
+#[derive(Clone, Copy, Debug)]
+enum Idx {
+    /// `[min(p, last), 0]`: of a 1-D-shaped input (`last = len − 1`),
+    /// or of an output or scalar binding on a 1-D domain (no clamp).
+    Linear { last: usize },
+    /// Of a 2-D input: `[col[x], row[y]]` from its tables.
+    Grid { col: usize, row: usize },
+    /// Of an output or scalar binding on a 2-D domain: `[x, y]`.
+    Xy,
+}
+
+/// Per-launch framing scratch of [`run_kernel_range_in`], kept in the
+/// caller-owned [`LaneSlabs`] so that a reused slab frame allocates
+/// nothing per launch once it has grown to the kernel's needs.
+#[derive(Debug, Default)]
+pub(crate) struct FrameScratch {
+    /// Output slot → index into the launch's output buffers.
+    out_buf: Vec<usize>,
+    scalar_f: Vec<[f32; 4]>,
+    scalar_i: Vec<i32>,
+    /// Per elementwise slot: `(width, fetch plan)`.
+    fetch: Vec<(usize, Fetch)>,
+    contig: Vec<Option<usize>>,
+    elem_off: Vec<[usize; LANES]>,
+    idx: Vec<Idx>,
+    idx_vals: Vec<[[f32; 2]; LANES]>,
+    /// Column and row tables of the resampled 2-D inputs: `ix` for each
+    /// column and `iy` for each row the range touches, computed with
+    /// [`input_index`] itself so they are bit-exact by construction.
+    tables: Vec<usize>,
+}
+
+/// The columns and rows a launch range touches, as the offsets the
+/// resampling tables are indexed from.
+struct Window {
+    cols: Range<usize>,
+    rows: Range<usize>,
+}
+
+impl Window {
+    fn of(range: &Range<usize>, dx: usize) -> Window {
+        let rows = range.start / dx..(range.end - 1) / dx + 1;
+        let cols = if rows.len() == 1 {
+            range.start % dx..(range.end - 1) % dx + 1
+        } else {
+            0..dx
+        };
+        Window { cols, rows }
+    }
+}
+
+/// Appends the column and row tables of a 2-D input of `shape` for
+/// `win` and returns their starts, plus whether both are the identity
+/// on a domain of the input's own shape.
+fn grid_tables(
+    tables: &mut Vec<usize>,
+    shape: &[usize],
+    domain: (usize, usize),
+    win: &Window,
+) -> (usize, usize, bool) {
+    let col = tables.len();
+    tables.extend(win.cols.clone().map(|x| input_index((x, 0), domain, shape).0));
+    let row = tables.len();
+    tables.extend(win.rows.clone().map(|y| input_index((0, y), domain, shape).1));
+    let identity = shape == [domain.1, domain.0]
+        && tables[col..row].iter().copied().eq(win.cols.clone())
+        && tables[row..].iter().copied().eq(win.rows.clone());
+    (col, row, identity)
+}
+
+impl FrameScratch {
+    /// Plans the framing of every elementwise and `indexof` slot for
+    /// one launch over `win`. Bindings are already validated.
+    fn plan(
+        &mut self,
+        lane: &LaneKernel,
+        bindings: &[Binding<'_>],
+        domain: (usize, usize),
+        linear: bool,
+        win: &Window,
+    ) {
+        self.tables.clear();
+        self.fetch.clear();
+        for (pi, w) in &lane.elem_params {
+            let Binding::Elem { shape, .. } = &bindings[*pi as usize] else {
+                unreachable!("elementwise binding validated at dispatch");
+            };
+            let fetch = if let [rows, cols] = shape[..] {
+                let mark = self.tables.len();
+                match grid_tables(&mut self.tables, shape, domain, win) {
+                    (_, _, true) => {
+                        self.tables.truncate(mark);
+                        Fetch::Linear {
+                            last: rows * cols - 1,
+                        }
+                    }
+                    (col, row, false) => Fetch::Grid { cols, col, row },
+                }
+            } else {
+                Fetch::Linear {
+                    last: shape.iter().product::<usize>().saturating_sub(1),
+                }
+            };
+            self.fetch.push((usize::from(*w), fetch));
+        }
+        self.contig.clear();
+        self.contig.resize(lane.elem_params.len(), None);
+        self.elem_off.clear();
+        self.elem_off.resize(lane.elem_params.len(), [0; LANES]);
+        self.idx.clear();
+        for pi in &lane.indexof_params {
+            let idx = match &bindings[*pi as usize] {
+                Binding::Elem { shape, .. } if shape.len() == 2 => {
+                    let (col, row, _) = grid_tables(&mut self.tables, shape, domain, win);
+                    Idx::Grid { col, row }
+                }
+                Binding::Elem { shape, .. } => Idx::Linear {
+                    last: shape.iter().product::<usize>().saturating_sub(1),
+                },
+                Binding::Out(_) | Binding::Scalar(_) if linear => Idx::Linear { last: usize::MAX },
+                Binding::Out(_) | Binding::Scalar(_) => Idx::Xy,
+                Binding::Gather { .. } => unreachable!("indexof bindings validated at dispatch"),
+            };
+            self.idx.push(idx);
+        }
+        self.idx_vals.clear();
+        self.idx_vals.resize(lane.indexof_params.len(), [[0.0; 2]; LANES]);
+    }
+
+    /// Whether framing a block needs the domain position `(x, y)` of
+    /// its first lane.
+    fn needs_xy(&self) -> bool {
+        self.fetch.iter().any(|(_, f)| matches!(f, Fetch::Grid { .. }))
+            || self.idx.iter().any(|i| matches!(i, Idx::Grid { .. } | Idx::Xy))
+    }
+}
+
+/// Calls `f(lane, x, y)` for the first `n` lanes of a block whose first
+/// lane sits at domain position `(x, y)`, stepping the position without
+/// division.
+#[inline(always)]
+fn for_each_xy(n: usize, (mut x, mut y): (usize, usize), dx: usize, mut f: impl FnMut(usize, usize, usize)) {
+    for l in 0..n {
+        f(l, x, y);
+        x += 1;
+        if x == dx {
+            x = 0;
+            y += 1;
+        }
+    }
+}
+
 /// Runs a tier-compiled kernel over a contiguous partition of its
 /// output domain — the drop-in counterpart of
 /// [`crate::lanes::run_kernel_range`], bit-exact with it (and with the
@@ -2464,8 +2693,18 @@ pub fn run_kernel_range(
     )
 }
 
-/// [`run_kernel_range`] with caller-owned slab storage, for the
-/// parallel backend's per-worker frame reuse.
+/// [`run_kernel_range`] with caller-owned slab storage: the serial
+/// backend keeps one [`LaneSlabs`] across launches and the parallel
+/// backend one per worker, so the slab arenas and every per-launch
+/// framing table are reused instead of allocated.
+///
+/// Framing a 16-lane block costs O(1) per element stream: a 1-D-shaped
+/// input's element is `min(p, len − 1)` for domain position `p`, and a
+/// 2-D input reads per-launch column and row tables while `(x, y)`
+/// steps from the block's base. A width-1 stream whose full block reads
+/// 16 consecutive in-range elements is *contiguous*: its fetch sites
+/// copy a slice instead of walking an offset table. Width-1 outputs
+/// stage back (and preload) as slice copies.
 ///
 /// # Errors
 /// Exactly the scalar interpreter's faults, with element attribution.
@@ -2490,36 +2729,30 @@ pub fn run_kernel_range_in(
             return lanes::run_kernel_range_in(slabs, lane, kernel, bindings, outputs, domain_shape, range)
         };
     }
-    let mut out_buf = Vec::with_capacity(kernel.outputs.len());
+    let sc = &mut slabs.tier;
+    sc.out_buf.clear();
     for (slot, _) in kernel.output_params() {
         match &bindings[kernel.outputs[slot as usize] as usize] {
-            Binding::Out(i) => out_buf.push(*i),
+            Binding::Out(i) => sc.out_buf.push(*i),
             _ => lane_fallback!(),
         }
     }
-    let mut buf_width: Vec<Option<usize>> = vec![None; outputs.len()];
-    for (slot, bi) in out_buf.iter().enumerate() {
-        buf_width[*bi] = Some(lane.out_w[slot] as usize);
-    }
-    let mut elem_data = Vec::with_capacity(lane.elem_params.len());
-    let mut elem_shapes = Vec::with_capacity(lane.elem_params.len());
     for (pi, w) in &lane.elem_params {
         match &bindings[*pi as usize] {
-            Binding::Elem { data, shape, width } if width == w => {
-                elem_data.push(*data);
-                elem_shapes.push(*shape);
-            }
+            Binding::Elem { width, .. } if width == w => {}
             _ => lane_fallback!(),
         }
     }
-    let mut scalar_f = vec![[0.0f32; 4]; lane.scalar_params.len()];
-    let mut scalar_i = vec![0i32; lane.scalar_params.len()];
+    sc.scalar_f.clear();
+    sc.scalar_f.resize(lane.scalar_params.len(), [0.0; 4]);
+    sc.scalar_i.clear();
+    sc.scalar_i.resize(lane.scalar_params.len(), 0);
     for (slot, (pi, ty)) in lane.scalar_params.iter().enumerate() {
         match &bindings[*pi as usize] {
             Binding::Scalar(v) if LaneTy::of_value(v) == *ty => match v {
-                Value::Int(x) => scalar_i[slot] = *x,
+                Value::Int(x) => sc.scalar_i[slot] = *x,
                 other => {
-                    scalar_f[slot][..other.lanes().len()].copy_from_slice(other.lanes());
+                    sc.scalar_f[slot][..other.lanes().len()].copy_from_slice(other.lanes());
                 }
             },
             _ => lane_fallback!(),
@@ -2536,20 +2769,39 @@ pub fn run_kernel_range_in(
             lane_fallback!();
         }
     }
+    if range.is_empty() {
+        return Ok(());
+    }
+    let win = Window::of(&range, dx);
+    sc.plan(lane, bindings, (dx, dy), linear, &win);
+    let needs_xy = sc.needs_xy();
     slabs.prepare(lane);
+    let LaneSlabs { f, i, b, tier: sc } = slabs;
+    let FrameScratch {
+        out_buf,
+        scalar_f,
+        scalar_i,
+        fetch,
+        contig,
+        elem_off,
+        idx,
+        idx_vals,
+        tables,
+    } = sc;
     let mut fr = Frame {
         bindings,
-        f: slabs.f.as_mut_slice(),
-        i: slabs.i.as_mut_slice(),
-        b: &mut slabs.b,
+        elem_params: &lane.elem_params,
+        f: f.as_mut_slice(),
+        i: i.as_mut_slice(),
+        b,
         m: FULL,
         dead: 0,
         iters: [0; LANES],
-        elem_data,
-        elem_off: vec![[0; LANES]; lane.elem_params.len()],
+        contig,
+        elem_off,
         scalar_f,
         scalar_i,
-        idx_vals: vec![[[0.0; 2]; LANES]; lane.indexof_params.len()],
+        idx_vals,
         comp_max: crate::eval::indexof_comp_max((dx, dy), linear),
     };
     // The uniform prologue: hoisted dispatch-invariant steps, once,
@@ -2557,36 +2809,47 @@ pub fn run_kernel_range_in(
     for s in &tier.prologue {
         s(&mut fr);
     }
+    let (cx, ry) = (win.cols.start, win.rows.start);
     let mut base = range.start;
     while base < range.end {
         let n = (range.end - base).min(LANES);
         let mask: Mask = if n == LANES { FULL } else { (1u32 << n) - 1 };
         fr.dead = 0;
         fr.iters = [0; LANES];
-        for (si, shape) in elem_shapes.iter().enumerate() {
-            let cols = if shape.len() == 2 {
-                shape[1]
-            } else {
-                shape.iter().product()
+        let xy = if needs_xy { (base % dx, base / dx) } else { (0, 0) };
+        for (si, &(width, plan)) in fetch.iter().enumerate() {
+            let off = &mut fr.elem_off[si];
+            fr.contig[si] = match plan {
+                Fetch::Linear { last } if width == 1 && n == LANES && base + LANES - 1 <= last => Some(base),
+                Fetch::Linear { last } => {
+                    for (l, o) in off[..n].iter_mut().enumerate() {
+                        *o = (base + l).min(last) * width;
+                    }
+                    None
+                }
+                Fetch::Grid { cols, col, row } => {
+                    for_each_xy(n, xy, dx, |l, x, y| {
+                        off[l] = (tables[row + y - ry] * cols + tables[col + x - cx]) * width;
+                    });
+                    None
+                }
             };
-            let width = lane.elem_params[si].1 as usize;
-            for l in 0..n {
-                let p = base + l;
-                let (ix, iy) = input_index((p % dx, p / dx), (dx, dy), shape);
-                fr.elem_off[si][l] = (iy * cols + ix) * width;
+        }
+        for (si, plan) in idx.iter().enumerate() {
+            let v = &mut fr.idx_vals[si];
+            match *plan {
+                Idx::Linear { last } => {
+                    for (l, e) in v[..n].iter_mut().enumerate() {
+                        *e = [(base + l).min(last) as f32, 0.0];
+                    }
+                }
+                Idx::Xy => for_each_xy(n, xy, dx, |l, x, y| v[l] = [x as f32, y as f32]),
+                Idx::Grid { col, row } => for_each_xy(n, xy, dx, |l, x, y| {
+                    v[l] = [tables[col + x - cx] as f32, tables[row + y - ry] as f32];
+                }),
             }
         }
-        for (si, pi) in lane.indexof_params.iter().enumerate() {
-            for l in 0..n {
-                let p = base + l;
-                let pos = (p % dx, p / dx);
-                fr.idx_vals[si][l] = match &bindings[*pi as usize] {
-                    Binding::Elem { shape, .. } => indexof_elem(pos, (dx, dy), shape),
-                    Binding::Out(_) | Binding::Scalar(_) => indexof_pos(pos, (dx, dy), linear),
-                    Binding::Gather { .. } => unreachable!("validated above"),
-                };
-            }
-        }
+        let start = base - range.start;
         for (slot, bi) in out_buf.iter().enumerate() {
             if !lane.out_preload[slot] {
                 continue;
@@ -2594,8 +2857,12 @@ pub fn run_kernel_range_in(
             let w = lane.out_w[slot] as usize;
             let off = lane.out_off[slot] as usize;
             let buf = &outputs[*bi];
+            if w == 1 {
+                fr.f[off..off + n].copy_from_slice(&buf[start..start + n]);
+                continue;
+            }
             for l in 0..n {
-                let src = (base + l - range.start) * w;
+                let src = (start + l) * w;
                 for c in 0..w {
                     fr.f[off + c * LANES + l] = buf[src + c];
                 }
@@ -2607,8 +2874,12 @@ pub fn run_kernel_range_in(
                     let w = lane.out_w[slot] as usize;
                     let off = lane.out_off[slot] as usize;
                     let buf = &mut outputs[*bi];
+                    if w == 1 {
+                        buf[start..start + n].copy_from_slice(&fr.f[off..off + n]);
+                        continue;
+                    }
                     for l in 0..n {
-                        let dst = (base + l - range.start) * w;
+                        let dst = (start + l) * w;
                         for c in 0..w {
                             buf[dst + c] = fr.f[off + c * LANES + l];
                         }
@@ -2623,10 +2894,10 @@ pub fn run_kernel_range_in(
                 // write has touched the real buffers.
                 let mut slices: Vec<&mut [f32]> = Vec::with_capacity(outputs.len());
                 for (bi, out) in outputs.iter_mut().enumerate() {
-                    match buf_width[bi] {
-                        Some(w) => {
-                            let s = (base - range.start) * w;
-                            slices.push(&mut out[s..s + n * w]);
+                    match out_buf.iter().position(|o| *o == bi) {
+                        Some(slot) => {
+                            let w = lane.out_w[slot] as usize;
+                            slices.push(&mut out[start * w..(start + n) * w]);
                         }
                         None => slices.push(&mut out[0..0]),
                     }
@@ -2999,6 +3270,219 @@ mod tests {
         assert_eq!(serr, terr);
         assert_eq!(sbuf, tbuf, "partial writes must match the scalar path");
         assert_eq!(serr.element, Some(bad));
+    }
+
+    /// One bound input stream of the framing tests: data, shape, width.
+    type Input = (Vec<f32>, Vec<usize>, u8);
+
+    fn ramp(len: usize, width: u8) -> Vec<f32> {
+        (0..len * usize::from(width))
+            .map(|i| i as f32 * 0.75 - 11.0)
+            .collect()
+    }
+
+    /// Runs `src` over each of `ranges` of `domain` — its stream params
+    /// bound to `inputs` in order, its outputs to fresh buffers — on the
+    /// scalar interpreter and on Tier-2 at the scalar and the host SIMD
+    /// level, all Tier-2 runs sharing one slab frame, and asserts
+    /// bit-identical results, partial writes and faults. Returns the
+    /// slab frame so callers can check how the last launch was framed.
+    fn assert_framing_matches_scalar(
+        src: &str,
+        inputs: &[Input],
+        domain: &[usize],
+        ranges: &[Range<usize>],
+    ) -> LaneSlabs {
+        let k = lower_src(src);
+        let lane = plan(&k).expect("lane plan");
+        let tiers: Vec<TierKernel> = [SimdLevel::Scalar, simd::auto()]
+            .into_iter()
+            .map(|level| compile_simd(&lane, &k, None, level).expect("tier compile"))
+            .collect();
+        let mut next_input = inputs.iter();
+        let mut out_w = Vec::new();
+        let bindings: Vec<Binding<'_>> = k
+            .params
+            .iter()
+            .map(|p| match p.kind {
+                ParamKind::Stream => {
+                    let (data, shape, width) = next_input.next().expect("an input per stream param");
+                    Binding::Elem {
+                        data,
+                        shape,
+                        width: *width,
+                    }
+                }
+                ParamKind::OutStream => {
+                    out_w.push(usize::from(p.ty.width));
+                    Binding::Out(out_w.len() - 1)
+                }
+                _ => panic!("the framing tests bind streams only"),
+            })
+            .collect();
+        let mut slabs = LaneSlabs::new();
+        for range in ranges {
+            let mut run = |tier: Option<&TierKernel>| {
+                let mut bufs: Vec<Vec<f32>> = out_w.iter().map(|w| vec![-1.0; range.len() * w]).collect();
+                let mut outs: Vec<&mut [f32]> = bufs.iter_mut().map(Vec::as_mut_slice).collect();
+                let r = match tier {
+                    None => crate::interp::run_kernel_range(&k, &bindings, &mut outs, domain, range.clone()),
+                    Some(t) => run_kernel_range_in(
+                        &mut slabs,
+                        t,
+                        &lane,
+                        &k,
+                        &bindings,
+                        &mut outs,
+                        domain,
+                        range.clone(),
+                    ),
+                };
+                let bits: Vec<Vec<u32>> = bufs
+                    .iter()
+                    .map(|b| b.iter().map(|x| x.to_bits()).collect())
+                    .collect();
+                (bits, r)
+            };
+            let want = run(None);
+            for t in &tiers {
+                assert_eq!(
+                    run(Some(t)),
+                    want,
+                    "{:?} over {range:?} of {domain:?}\n{src}",
+                    t.level
+                );
+            }
+        }
+        slabs
+    }
+
+    const TWO_INPUTS: &str = "kernel void f(float a<>, float b<>, out float o<>) { o = a * 2.0 + b; }";
+
+    #[test]
+    fn contiguous_clamped_and_longer_1d_inputs_match_scalar() {
+        let n = 3 * LANES + 5;
+        for b_len in [1, LANES + 3, n - 1, n, n + 9] {
+            let inputs = [(ramp(n, 1), vec![n], 1), (ramp(b_len, 1), vec![b_len], 1)];
+            assert_framing_matches_scalar(TWO_INPUTS, &inputs, &[n], &[0..n, 7..n, LANES..2 * LANES + 1]);
+        }
+    }
+
+    #[test]
+    fn full_in_range_blocks_are_framed_contiguous() {
+        let n = 3 * LANES;
+        let inputs = [(ramp(n, 1), vec![n], 1), (ramp(n - 1, 1), vec![n - 1], 1)];
+        let slabs = assert_framing_matches_scalar(TWO_INPUTS, &inputs, &[n], &[5..n, 0..n]);
+        // The last block: `a` covers it, `b` is one element short.
+        assert_eq!(slabs.tier.contig, [Some(2 * LANES), None]);
+        // A same-shaped 2-D input frames like a 1-D one.
+        let inputs = [(ramp(48, 1), vec![6, 8], 1), (ramp(48, 1), vec![8, 6], 1)];
+        let slabs = assert_framing_matches_scalar(TWO_INPUTS, &inputs, &[6, 8], &[11..48, 0..48]);
+        assert!(matches!(slabs.tier.fetch[0], (1, Fetch::Linear { last: 47 })));
+        assert!(matches!(slabs.tier.fetch[1], (1, Fetch::Grid { .. })));
+        assert_eq!(slabs.tier.contig, [Some(2 * LANES), None]);
+    }
+
+    #[test]
+    fn resampled_2d_and_1d_on_2d_inputs_match_scalar() {
+        let domain = [7, 24];
+        let ranges = [0..168, 5..37, LANES..5 * LANES, 30..31, 150..168];
+        for (a_shape, b_shape) in [
+            (vec![7, 24], vec![3, 5]),
+            (vec![14, 48], vec![7, 11]),
+            (vec![60], vec![200]),
+            (vec![1, 1], vec![9]),
+        ] {
+            let inputs = [
+                (ramp(a_shape.iter().product(), 1), a_shape, 1),
+                (ramp(b_shape.iter().product(), 1), b_shape, 1),
+            ];
+            assert_framing_matches_scalar(TWO_INPUTS, &inputs, &domain, &ranges);
+        }
+        // A 2-D input on a 1-D domain.
+        let inputs = [(ramp(50, 1), vec![50], 1), (ramp(12, 1), vec![3, 4], 1)];
+        assert_framing_matches_scalar(TWO_INPUTS, &inputs, &[50], &[0..50, 9..41]);
+    }
+
+    #[test]
+    fn width_2_and_4_inputs_and_outputs_match_scalar() {
+        let src = "kernel void f(float2 a<>, float4 c<>, out float2 o<>, out float p<>) {
+            o = a * 2.0 + c.zw;
+            p = a.x - a.y * c.x + c.w;
+        }";
+        for (a_shape, c_shape) in [
+            (vec![40], vec![40]),
+            (vec![17], vec![63]),
+            (vec![5, 8], vec![2, 3]),
+        ] {
+            let inputs = [
+                (ramp(a_shape.iter().product(), 2), a_shape, 2),
+                (ramp(c_shape.iter().product(), 4), c_shape, 4),
+            ];
+            assert_framing_matches_scalar(src, &inputs, &[40], &[0..40, 3..35]);
+            assert_framing_matches_scalar(src, &inputs, &[5, 8], &[0..40, 11..29]);
+        }
+    }
+
+    #[test]
+    fn indexof_on_1d_and_2d_domains_matches_scalar() {
+        let src = "kernel void f(float a<>, out float o<>) {
+            float2 i = indexof(a);
+            float2 j = indexof(o);
+            o = i.x + i.y * 1000.0 + j.x * 0.5 + j.y * 0.25 + a;
+        }";
+        for (domain, a_shape) in [
+            (vec![53], vec![53]),
+            (vec![53], vec![20]),
+            (vec![53], vec![4, 9]),
+            (vec![6, 9], vec![6, 9]),
+            (vec![6, 9], vec![13, 2]),
+            (vec![6, 9], vec![31]),
+        ] {
+            let len: usize = domain.iter().product();
+            let inputs = [(ramp(a_shape.iter().product(), 1), a_shape, 1)];
+            assert_framing_matches_scalar(src, &inputs, &domain, &[0..len, 4..len - 3, LANES..2 * LANES]);
+        }
+    }
+
+    #[test]
+    fn bailing_block_on_contiguous_launch_keeps_partial_writes_and_attribution() {
+        let src = "kernel void f(float a<>, out float o<>) {
+            o = a * 2.0;
+            float s = a;
+            while (s > 0.5) { s = s + 0.0; }
+            o = s;
+        }";
+        let n = 4 * LANES;
+        let bad = 2 * LANES + 5;
+        let input: Vec<f32> = (0..n)
+            .map(|i| if i == bad { 1.0 } else { 0.01 * i as f32 })
+            .collect();
+        let inputs = [(input, vec![n], 1)];
+        let slabs = assert_framing_matches_scalar(src, &inputs, &[n], &[0..n, 5..n, LANES..3 * LANES]);
+        // The faulting block was framed contiguous before it bailed.
+        assert_eq!(slabs.tier.contig, [Some(2 * LANES)]);
+        let k = lower_src(src);
+        let lane = plan(&k).expect("lane plan");
+        let tier = compile(&lane, &k).expect("tier compile");
+        let bindings = [
+            Binding::Elem {
+                data: &inputs[0].0,
+                shape: &[n],
+                width: 1,
+            },
+            Binding::Out(0),
+        ];
+        let mut buf = vec![-1.0f32; n];
+        let err =
+            run_kernel_range(&tier, &lane, &k, &bindings, &mut [&mut buf], &[n], 0..n).expect_err("fault");
+        assert_eq!(err.element, Some(bad));
+        assert_eq!(err.span.line, 4);
+        // Blocks before the fault are stored, the faulting block keeps
+        // the scalar path's partial writes, later blocks stay untouched.
+        assert_eq!(buf[bad - 1].to_bits(), inputs[0].0[bad - 1].to_bits());
+        assert_eq!(buf[bad], 2.0);
+        assert_eq!(buf[3 * LANES], -1.0);
     }
 
     #[test]
