@@ -44,7 +44,8 @@ pub struct ServiceLoadReport {
     pub cache_hits: u64,
     /// Compiled-module cache misses (compiles).
     pub cache_misses: u64,
-    /// Launches that rode a coalesced same-kernel batch.
+    /// Launches that waited for their shard behind a launch of the
+    /// same `(tenant, module, kernel)`.
     pub coalesced_runs: u64,
     /// Every client's final stream matched the serial oracle bit for
     /// bit (gate: must be true).

@@ -431,6 +431,11 @@ fn run_attempt(
                     }
                     // Spike absorbed; keep polling the schedule.
                 }
+                PreDispatch::Stall { millis } => {
+                    // Non-preemptible work: neither the cancel token nor
+                    // the deadline can cut it short.
+                    std::thread::sleep(Duration::from_millis(millis));
+                }
                 PreDispatch::Hang => {
                     // A wedged device: sleep until the watchdog cancels
                     // the attempt or its deadline passes. Unbounded when

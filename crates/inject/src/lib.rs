@@ -17,7 +17,10 @@
 //! * [`CancelToken`] + [`cancellable_sleep`] make every injected delay
 //!   interruptible, so a watchdog can always unwedge a hung dispatch —
 //!   injected hangs are cooperative by construction, mirroring a
-//!   device-reset path on real hardware;
+//!   device-reset path on real hardware. The one exception is a
+//!   *stall*: non-preemptible work that overruns and ignores
+//!   cancellation, for testing what a watchdog does when it cannot
+//!   unwedge anything;
 //! * the per-launch [`LaunchResilience`] record and the aggregated
 //!   [`ResilienceSummary`] are the evidence schema recovery ladders
 //!   report through (`ComplianceReport` surfaces the summary).
@@ -65,6 +68,12 @@ pub enum FaultKind {
     },
     /// Sleep until a watchdog cancels the attempt: a wedged device.
     Hang,
+    /// Sleep before dispatch *ignoring* cancellation: non-preemptible
+    /// work that overruns any deadline by up to `millis`.
+    Stall {
+        /// Injected delay.
+        millis: u64,
+    },
 }
 
 impl std::fmt::Display for FaultKind {
@@ -82,6 +91,7 @@ impl std::fmt::Display for FaultKind {
             FaultKind::Panic => write!(f, "panic"),
             FaultKind::Latency { millis } => write!(f, "latency({millis}ms)"),
             FaultKind::Hang => write!(f, "hang"),
+            FaultKind::Stall { millis } => write!(f, "stall({millis}ms)"),
         }
     }
 }
@@ -166,6 +176,16 @@ impl FaultPlan {
         self.faults.push(ScheduledFault {
             launch,
             kind: FaultKind::Hang,
+        });
+        self
+    }
+
+    /// Schedules a stall (an uncancellable sleep) at `launch`.
+    #[must_use]
+    pub fn with_stall(mut self, launch: u64, millis: u64) -> Self {
+        self.faults.push(ScheduledFault {
+            launch,
+            kind: FaultKind::Stall { millis },
         });
         self
     }
@@ -298,6 +318,11 @@ pub enum PreDispatch {
     },
     /// Sleep until the watchdog cancels the attempt, then fail it.
     Hang,
+    /// Sleep this long without polling cancellation, then ask again.
+    Stall {
+        /// Injected delay.
+        millis: u64,
+    },
 }
 
 /// Executes a [`FaultPlan`] deterministically. One injector belongs to
@@ -388,6 +413,7 @@ impl FaultInjector {
             FaultKind::Panic => PreDispatch::Panic,
             FaultKind::Latency { millis } => PreDispatch::Latency { millis },
             FaultKind::Hang => PreDispatch::Hang,
+            FaultKind::Stall { millis } => PreDispatch::Stall { millis },
             FaultKind::CorruptOutput { .. } => unreachable!("filtered above"),
         }
     }
@@ -629,6 +655,15 @@ mod tests {
         assert_eq!(inj.pre_dispatch(2), PreDispatch::Proceed);
         assert_eq!(inj.pre_dispatch(4), PreDispatch::Hang);
         assert_eq!(inj.injected().len(), 3);
+    }
+
+    #[test]
+    fn stall_is_scheduled_like_any_fault() {
+        let plan = FaultPlan::new().with_stall(1, 30);
+        assert_eq!(plan.faults[0].kind.to_string(), "stall(30ms)");
+        let mut inj = FaultInjector::new(plan);
+        assert_eq!(inj.pre_dispatch(1), PreDispatch::Stall { millis: 30 });
+        assert_eq!(inj.pre_dispatch(1), PreDispatch::Proceed);
     }
 
     #[test]

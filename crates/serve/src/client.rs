@@ -10,7 +10,7 @@
 //! [`Client::with_retry`], which honors the server's `retry_after_ms`
 //! hint when it exceeds the policy's own jittered backoff.
 
-use crate::wire::{read_frame, write_frame, DecodeError, ErrorCode, Request, Response, WireArg};
+use crate::wire::{read_frame, send_frame, DecodeError, ErrorCode, Request, Response, WireArg};
 use brook_auto::inject::Backoff;
 use std::io;
 use std::net::TcpStream;
@@ -159,7 +159,7 @@ impl Client {
     }
 
     fn call(&mut self, req: &Request) -> ClientResult<Response> {
-        write_frame(&mut self.conn, &req.encode())?;
+        send_frame(&mut self.conn, |b| req.encode_into(b))?;
         let frame = read_frame(&mut self.conn)?.ok_or_else(|| {
             ClientError::Io(io::Error::new(
                 io::ErrorKind::UnexpectedEof,

@@ -16,11 +16,12 @@
 //! * [`admission`] — budgets spent from static artifacts
 //!   (`instruction_estimate × domain`, stream bytes): over-budget
 //!   requests get a structured rejection, never a queue slot;
-//! * [`server`] — the thread-per-shard execution host with bounded
-//!   queues (full ⇒ `Busy`, shed not buffered), same-kernel launch
-//!   coalescing, and a panic shield that converts any caught panic
-//!   into a failed *request* plus a poisoned tenant — never a failed
-//!   process;
+//! * [`server`] — the execution host: each connection's thread runs
+//!   its requests under the tenant's shard lock, with a bounded wait
+//!   (more than `queue_depth` waiters ⇒ `Busy`, shed not buffered), a
+//!   server-wide launch watchdog, and a panic shield that converts any
+//!   caught panic into a failed *request* plus a poisoned tenant —
+//!   never a failed process;
 //! * [`client`] — a blocking client for tests, tools and the
 //!   `serve_report` load harness.
 

@@ -1,37 +1,39 @@
 //! The sharded multi-tenant execution server.
 //!
 //! Std-only, no async runtime: a listener thread accepts connections,
-//! each connection gets a reader thread, and execution happens on a
-//! fixed pool of *shard* worker threads. Tenants are hashed onto
-//! shards, so all of one tenant's state — its [`BrookContext`], module
-//! and stream tables, admission ledger — is owned by exactly one
-//! thread and needs no locking; the only shared structures are the
-//! compiled-module cache and the stats counters.
+//! and each connection gets a thread that reads its requests, executes
+//! them and writes the replies. Tenants are hashed onto *shards*; a
+//! shard is a lock around the state of its tenants — each tenant's
+//! [`BrookContext`], module and stream tables, admission ledger — and
+//! the shard's circuit breaker. A request runs only while its thread
+//! holds the tenant's shard lock, so each tenant is owned by exactly one
+//! thread at a time and tenant code needs no locking of its own; the
+//! other shared structures are the compiled-module cache, the stats
+//! counters and the launch watchdog.
 //!
-//! Request flow per frame: decode → route to the tenant's shard over a
-//! *bounded* queue (full queue → structured `Busy`, the client backs
-//! off; requests are never queued to death) → admission control from
-//! static artifacts → execute under a panic shield → reply. A shard
-//! drains its queue in batches and coalesces back-to-back launches of
-//! the same kernel into one batched pass over the pre-compiled
-//! lane/tier chains.
+//! Request flow per frame: decode → shard lock (bounded: a request that
+//! finds `queue_depth` threads already waiting for its shard is
+//! answered `Busy` at once and never waits; the client backs off) →
+//! breaker and admission control from static artifacts → execute under
+//! a panic shield → reply, written by the same thread. No request
+//! crosses a thread boundary, so a request costs no channel and no
+//! thread wakeup.
 
 use crate::admission::{Admission, AdmissionConfig, AdmissionError};
 use crate::cache::{hash_source, CacheKey, ModuleCache};
-use crate::wire::{read_frame, write_frame, ErrorCode, Request, Response, WireArg};
+use crate::wire::{read_frame, send_frame, ErrorCode, Request, Response, WireArg};
 use brook_auto::{
     registered_backends, Arg, BrookContext, BrookError, BrookModule, CancelToken, FaultPlan, ModuleArtifact,
     ResiliencePolicy, Stream,
 };
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError, TryLockError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -69,9 +71,13 @@ pub struct ServerConfig {
     /// Backend every tenant context executes on — a name from
     /// [`brook_auto::registered_backends`].
     pub backend: &'static str,
-    /// Number of shard worker threads (tenants are hashed across them).
+    /// Number of shards tenants are hashed across. Requests for tenants
+    /// on different shards run concurrently; a shard is a lock, not a
+    /// thread — requests execute on their connection's thread.
     pub shards: usize,
-    /// Bounded per-shard queue depth; a full queue answers `Busy`.
+    /// How many connection threads may wait for a shard's lock while
+    /// another runs on it. A request that finds this many already
+    /// waiting is answered `Busy` at once instead of queueing.
     pub queue_depth: usize,
     /// Per-tenant admission limits.
     pub admission: AdmissionConfig,
@@ -79,10 +85,16 @@ pub struct ServerConfig {
     /// (`set_memory_budget`) — the runtime half of BA002. `None` leaves
     /// the device unbudgeted.
     pub device_memory_budget: Option<usize>,
-    /// Per-launch deadline enforced by the connection-side watchdog:
-    /// a `Run`/`Reduce` that does not answer in time is cancelled (its
-    /// context's cancel token fires) and the client gets a `Timeout`
-    /// reply. `None` disables the watchdog.
+    /// Per-launch deadline enforced by the server-wide watchdog thread.
+    /// It counts from when a `Run`/`Reduce` is decoded, so it covers the
+    /// wait for the shard lock as well as execution. A launch whose
+    /// deadline passes while it waits is answered `Timeout` without
+    /// executing; a running launch has its context's cancel token fired,
+    /// which cuts injected hangs and backoff sleeps short, and is
+    /// answered `Timeout` when it returns. Work that cannot be cancelled
+    /// is answered when it returns, not at the deadline; admission's
+    /// per-launch cost ceiling bounds how long that can be. `None`
+    /// disables the watchdog and starts no thread for it.
     pub launch_deadline: Option<Duration>,
     /// Per-shard circuit breaker over caught panics. `None` preserves
     /// the pre-breaker behavior: a panic discards the tenant, nothing
@@ -124,17 +136,22 @@ pub struct Stats {
     pub errors: AtomicU64,
     /// Requests refused by admission control.
     pub admission_rejected: AtomicU64,
-    /// Requests shed because a shard queue was full.
+    /// Requests shed because `queue_depth` threads already waited for
+    /// their shard.
     pub busy_rejected: AtomicU64,
-    /// Panics caught by the shard shield (the zero-panic gate reads
+    /// Panics caught by the panic shield (the zero-panic gate reads
     /// this; anything nonzero is a toolchain bug surfaced as `Internal`
     /// errors, never a process abort).
     pub panics: AtomicU64,
     /// Kernel launches executed.
     pub runs: AtomicU64,
-    /// Launches that rode a coalesced same-kernel batch of ≥ 2.
+    /// Launches that waited for their shard's lock behind a launch of
+    /// the same `(tenant, module, kernel)`, so the two ran back to back
+    /// over the same pre-compiled chains. Nothing is batched: each
+    /// launch still executes on its own.
     pub coalesced_runs: AtomicU64,
-    /// Launches cancelled by the watchdog (deadline exceeded).
+    /// Launches answered `Timeout` by the watchdog (deadline exceeded
+    /// while waiting for the shard or while running).
     pub timeouts: AtomicU64,
     /// In-context transient retries performed by the recovery ladder.
     pub retries: AtomicU64,
@@ -189,17 +206,8 @@ impl Stats {
     }
 }
 
-/// One queued unit of work: a decoded request plus its reply slot and
-/// (for watchdog-covered launches) the cancel token the connection
-/// thread fires on deadline expiry.
-struct Job {
-    request: Request,
-    reply: SyncSender<Response>,
-    cancel: Option<CancelToken>,
-}
-
 /// Per-shard circuit breaker over caught panics (see [`BreakerConfig`]).
-/// Owned by the shard thread — no locking.
+/// Lives in its shard's state, under the shard lock.
 struct Breaker {
     config: Option<BreakerConfig>,
     consecutive_failures: u32,
@@ -213,7 +221,7 @@ enum BreakerState {
     HalfOpen,
 }
 
-/// Admission verdict for one job against the shard's breaker.
+/// Admission verdict for one request against the shard's breaker.
 enum BreakerAdmit {
     /// Execute normally.
     Proceed,
@@ -250,7 +258,7 @@ impl Breaker {
         }
     }
 
-    /// Records a job outcome. Returns `true` when this outcome tripped
+    /// Records a request outcome. Returns `true` when this outcome tripped
     /// the breaker (for the `breaker_trips` counter).
     fn record(&mut self, probe: bool, panicked: bool, now: Instant) -> bool {
         let Some(config) = &self.config else { return false };
@@ -273,7 +281,7 @@ impl Breaker {
     }
 }
 
-/// All state of one tenant, owned by its shard thread.
+/// All state of one tenant, guarded by its shard's lock.
 struct Tenant {
     ctx: BrookContext,
     /// Module handle → adopted module + the artifact it came from (the
@@ -292,20 +300,346 @@ impl Tenant {
     }
 }
 
+/// The state of one shard's tenants, guarded by the shard lock.
+struct ShardState {
+    tenants: HashMap<String, Tenant>,
+    /// Tenant names whose first context already consumed the configured
+    /// fault plan (see `ServerConfig::fault_plan`).
+    plan_armed: HashSet<String>,
+    breaker: Breaker,
+    /// `(tenant, module, kernel)` of the request that last held the lock
+    /// when it was a launch (`None` after any other request).
+    last_launch: Option<(String, u64, String)>,
+}
+
+impl ShardState {
+    /// Records which request holds the lock now; true when it is a
+    /// launch of the same `(tenant, module, kernel)` as the previous
+    /// holder.
+    fn follows_same_launch(&mut self, request: &Request) -> bool {
+        let Request::Run {
+            tenant,
+            module,
+            kernel,
+            ..
+        } = request
+        else {
+            self.last_launch = None;
+            return false;
+        };
+        match &self.last_launch {
+            Some((t, m, k)) if t == tenant && m == module && k == kernel => true,
+            _ => {
+                self.last_launch = Some((tenant.clone(), *module, kernel.clone()));
+                false
+            }
+        }
+    }
+
+    /// Breaker admission, then the request under the panic shield, then
+    /// the outcome recorded on the breaker.
+    fn serve(&mut self, request: &Request, cancel: Option<&CancelToken>, svc: &Service) -> Response {
+        let stats = &svc.stats;
+        let admit = match self.breaker.admit(Instant::now()) {
+            BreakerAdmit::Shed { retry_after } => {
+                stats.breaker_rejected.fetch_add(1, Ordering::Relaxed);
+                return Response::error_with_retry(
+                    ErrorCode::Retryable,
+                    "shard breaker is open (cooling down after repeated panics)",
+                    (retry_after.as_millis() as u64).max(1),
+                );
+            }
+            admit => admit,
+        };
+        let probe = matches!(admit, BreakerAdmit::Probe);
+        if probe {
+            stats.breaker_probes.fetch_add(1, Ordering::Relaxed);
+        }
+        let (response, panicked) = shielded_handle(
+            &mut self.tenants,
+            &mut self.plan_armed,
+            request,
+            cancel,
+            &svc.config,
+            stats,
+            &svc.cache,
+        );
+        if self.breaker.record(probe, panicked, Instant::now()) {
+            stats.breaker_trips.fetch_add(1, Ordering::Relaxed);
+        }
+        response
+    }
+}
+
+/// One shard: the lock its tenants' requests run under, and the count
+/// that bounds how many threads may wait for it.
+struct Shard {
+    state: Mutex<ShardState>,
+    /// Connection threads running on this shard or waiting for its lock.
+    pending: AtomicUsize,
+}
+
+/// A connection thread's place on a shard, counted in
+/// [`Shard::pending`] until dropped.
+struct Slot<'s>(&'s AtomicUsize);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+impl Shard {
+    fn new(config: &ServerConfig) -> Shard {
+        Shard {
+            state: Mutex::new(ShardState {
+                tenants: HashMap::new(),
+                plan_armed: HashSet::new(),
+                breaker: Breaker::new(config.breaker.clone()),
+                last_launch: None,
+            }),
+            pending: AtomicUsize::new(0),
+        }
+    }
+
+    /// Claims a place among the threads running on or waiting for this
+    /// shard: one may run and `queue_depth` may wait. `None` when the
+    /// shard is saturated.
+    fn enter(&self, queue_depth: usize) -> Option<Slot<'_>> {
+        let ahead = self.pending.fetch_add(1, Ordering::AcqRel);
+        let slot = Slot(&self.pending);
+        (ahead <= queue_depth.max(1)).then_some(slot)
+    }
+
+    /// Takes the shard lock. The flag tells whether another thread held
+    /// it, so the caller had to wait. Panics are caught inside the lock,
+    /// so it is never poisoned in practice; a poisoned lock is taken
+    /// anyway.
+    fn lock(&self) -> (MutexGuard<'_, ShardState>, bool) {
+        match self.state.try_lock() {
+            Ok(state) => (state, false),
+            Err(TryLockError::Poisoned(p)) => (p.into_inner(), false),
+            Err(TryLockError::WouldBlock) => {
+                (self.state.lock().unwrap_or_else(PoisonError::into_inner), true)
+            }
+        }
+    }
+}
+
+/// Launches registered with the watchdog, in deadline order; the
+/// `u64` keeps equal instants apart.
+#[derive(Default)]
+struct Registry {
+    launches: BTreeMap<(Instant, u64), CancelToken>,
+    next_id: u64,
+    closed: bool,
+}
+
+/// What the watchdog thread and the connection threads share.
+#[derive(Default)]
+struct WatchdogShared {
+    registry: Mutex<Registry>,
+    closed: Condvar,
+}
+
+impl WatchdogShared {
+    fn registry(&self) -> MutexGuard<'_, Registry> {
+        self.registry.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// The server-wide launch watchdog: one thread that fires the cancel
+/// token of every registered launch whose deadline has passed.
+///
+/// Every launch gets the same deadline, so a new registration is never
+/// due before the earliest one already registered: the thread sleeps
+/// until that earliest deadline, or for one deadline period when
+/// nothing is registered, and never needs waking.
+struct Watchdog {
+    deadline: Duration,
+    shared: Arc<WatchdogShared>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Watchdog {
+    fn start(deadline: Duration) -> Watchdog {
+        let shared = Arc::new(WatchdogShared::default());
+        let idle = deadline.max(Duration::from_millis(1));
+        let thread_shared = Arc::clone(&shared);
+        let thread = std::thread::spawn(move || {
+            let mut registry = thread_shared.registry();
+            while !registry.closed {
+                let now = Instant::now();
+                while let Some(due) = registry.launches.first_entry().filter(|e| e.key().0 <= now) {
+                    due.remove().cancel();
+                }
+                let sleep = registry
+                    .launches
+                    .first_key_value()
+                    .map_or(idle, |((at, _), _)| *at - now);
+                registry = thread_shared
+                    .closed
+                    .wait_timeout(registry, sleep)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0;
+            }
+        });
+        Watchdog {
+            deadline,
+            shared,
+            thread: Some(thread),
+        }
+    }
+
+    /// Registers a launch whose deadline starts now.
+    fn watch(&self) -> Watch<'_> {
+        let token = CancelToken::new();
+        let mut registry = self.shared.registry();
+        let key = (Instant::now() + self.deadline, registry.next_id);
+        registry.next_id += 1;
+        registry.launches.insert(key, token.clone());
+        Watch {
+            watchdog: self,
+            key,
+            token,
+        }
+    }
+
+    fn timeout_reply(&self) -> Response {
+        Response::error(
+            ErrorCode::Timeout,
+            format!("launch exceeded its {} ms deadline", self.deadline.as_millis()),
+        )
+    }
+
+    #[cfg(test)]
+    fn registered(&self) -> usize {
+        self.shared.registry().launches.len()
+    }
+}
+
+impl Drop for Watchdog {
+    fn drop(&mut self) {
+        self.shared.registry().closed = true;
+        self.shared.closed.notify_all();
+        if let Some(thread) = self.thread.take() {
+            // The loop only sleeps and fires tokens; it cannot panic.
+            let _ = thread.join();
+        }
+    }
+}
+
+/// One launch's registration with the watchdog; deregisters on drop.
+struct Watch<'w> {
+    watchdog: &'w Watchdog,
+    key: (Instant, u64),
+    token: CancelToken,
+}
+
+impl Watch<'_> {
+    /// Whether the launch's deadline has passed.
+    fn fired(&self) -> bool {
+        self.token.is_cancelled()
+    }
+}
+
+impl Drop for Watch<'_> {
+    fn drop(&mut self) {
+        self.watchdog.shared.registry().launches.remove(&self.key);
+    }
+}
+
+/// Everything the connection threads share.
+struct Service {
+    config: ServerConfig,
+    shards: Vec<Shard>,
+    stats: Stats,
+    cache: ModuleCache,
+    watchdog: Option<Watchdog>,
+}
+
+impl Service {
+    /// Connection loop: frame → decode → execute → reply, all on this
+    /// connection's thread.
+    fn serve_connection(&self, mut conn: TcpStream) {
+        loop {
+            let frame = match read_frame(&mut conn) {
+                Ok(Some(f)) => f,
+                Ok(None) | Err(_) => return, // clean EOF or dead socket
+            };
+            self.stats.requests.fetch_add(1, Ordering::Relaxed);
+            let reply = match Request::decode(&frame) {
+                Err(e) => Response::error(ErrorCode::Malformed, e.to_string()),
+                // Stats is tenant-less: answered without a shard.
+                Ok(Request::Stats) => Response::Stats(self.stats.snapshot(&self.cache)),
+                Ok(request) => self.execute(&request),
+            };
+            if matches!(reply, Response::Error { .. }) {
+                self.stats.errors.fetch_add(1, Ordering::Relaxed);
+            }
+            if send_frame(&mut conn, |b| reply.encode_into(b)).is_err() {
+                return;
+            }
+        }
+    }
+
+    /// Runs one tenant request on the calling thread under its shard's
+    /// lock. A `Run`/`Reduce` registers with the watchdog before it
+    /// waits for the lock; if its deadline passes before the lock is
+    /// taken it is answered `Timeout` without executing, and if it
+    /// passes during execution the cancelled launch is answered
+    /// `Timeout` once it returns.
+    fn execute(&self, request: &Request) -> Response {
+        let shard_no = shard_of(request.tenant().unwrap_or(""), self.shards.len());
+        let shard = &self.shards[shard_no];
+        let Some(_slot) = shard.enter(self.config.queue_depth) else {
+            self.stats.busy_rejected.fetch_add(1, Ordering::Relaxed);
+            return Response::error_with_retry(
+                ErrorCode::Busy,
+                format!("shard {shard_no} queue is full; retry"),
+                BUSY_RETRY_HINT_MS,
+            );
+        };
+        let watch = match request {
+            Request::Run { .. } | Request::Reduce { .. } => self.watchdog.as_ref().map(Watchdog::watch),
+            _ => None,
+        };
+        let (mut state, waited) = shard.lock();
+        if let Some(reply) = self.timed_out(watch.as_ref()) {
+            return reply;
+        }
+        if state.follows_same_launch(request) && waited {
+            self.stats.coalesced_runs.fetch_add(1, Ordering::Relaxed);
+        }
+        let response = state.serve(request, watch.as_ref().map(|w| &w.token), self);
+        drop(state);
+        self.timed_out(watch.as_ref()).unwrap_or(response)
+    }
+
+    /// The counted `Timeout` reply for a watched launch whose deadline
+    /// has passed.
+    fn timed_out(&self, watch: Option<&Watch<'_>>) -> Option<Response> {
+        let watch = watch.filter(|w| w.fired())?;
+        self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
+        Some(watch.watchdog.timeout_reply())
+    }
+}
+
 /// A running service instance. Dropping the handle after
 /// [`shutdown`](Server::shutdown) (or letting tests drop their clients)
 /// winds the threads down.
 pub struct Server {
     addr: SocketAddr,
-    stats: Arc<Stats>,
-    cache: Arc<ModuleCache>,
+    service: Arc<Service>,
     stopping: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
 }
 
 impl Server {
     /// Binds a TCP listener (use port 0 for an ephemeral port) and
-    /// starts the shard pool.
+    /// starts the acceptor thread, plus the watchdog thread when
+    /// [`ServerConfig::launch_deadline`] is set. No thread is spawned
+    /// per shard.
     ///
     /// # Errors
     /// Socket errors, or an unknown backend name.
@@ -318,23 +652,18 @@ impl Server {
         }
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let stats = Arc::new(Stats::default());
-        let cache = Arc::new(ModuleCache::new());
+        let service = Arc::new(Service {
+            shards: (0..config.shards.max(1)).map(|_| Shard::new(&config)).collect(),
+            stats: Stats::default(),
+            cache: ModuleCache::new(),
+            watchdog: config.launch_deadline.map(Watchdog::start),
+            config,
+        });
         let stopping = Arc::new(AtomicBool::new(false));
 
-        let shards: Vec<SyncSender<Job>> = (0..config.shards.max(1))
-            .map(|_| {
-                let (tx, rx) = sync_channel::<Job>(config.queue_depth.max(1));
-                spawn_shard(rx, config.clone(), Arc::clone(&stats), Arc::clone(&cache));
-                tx
-            })
-            .collect();
-
         let acceptor = {
-            let stats = Arc::clone(&stats);
-            let cache = Arc::clone(&cache);
+            let service = Arc::clone(&service);
             let stopping = Arc::clone(&stopping);
-            let launch_deadline = config.launch_deadline;
             std::thread::spawn(move || {
                 for conn in listener.incoming() {
                     if stopping.load(Ordering::SeqCst) {
@@ -345,20 +674,15 @@ impl Server {
                     // ping-pong: without nodelay every exchange eats a
                     // delayed-ACK round (~40 ms).
                     let _ = conn.set_nodelay(true);
-                    let shards = shards.clone();
-                    let stats = Arc::clone(&stats);
-                    let cache = Arc::clone(&cache);
-                    std::thread::spawn(move || {
-                        serve_connection(conn, &shards, &stats, &cache, launch_deadline);
-                    });
+                    let service = Arc::clone(&service);
+                    std::thread::spawn(move || service.serve_connection(conn));
                 }
             })
         };
 
         Ok(Server {
             addr,
-            stats,
-            cache,
+            service,
             stopping,
             acceptor: Some(acceptor),
         })
@@ -371,7 +695,7 @@ impl Server {
 
     /// Live counters.
     pub fn stats(&self) -> Vec<(String, u64)> {
-        self.stats.snapshot(&self.cache)
+        self.service.stats.snapshot(&self.service.cache)
     }
 
     /// Stops accepting connections and unblocks the acceptor. Existing
@@ -394,167 +718,6 @@ fn shard_of(tenant: &str, shards: usize) -> usize {
     (h.finish() % shards as u64) as usize
 }
 
-/// Connection reader loop: frame → decode → route → reply. `Run` and
-/// `Reduce` jobs are watched: if the shard does not answer within
-/// `launch_deadline`, the connection thread fires the job's cancel
-/// token (unwedging any injected hang or backoff sleep in the
-/// recovery ladder) and answers `Timeout` on the shard's behalf.
-fn serve_connection(
-    mut conn: TcpStream,
-    shards: &[SyncSender<Job>],
-    stats: &Stats,
-    cache: &ModuleCache,
-    launch_deadline: Option<Duration>,
-) {
-    loop {
-        let frame = match read_frame(&mut conn) {
-            Ok(Some(f)) => f,
-            Ok(None) | Err(_) => return, // clean EOF or dead socket
-        };
-        stats.requests.fetch_add(1, Ordering::Relaxed);
-        let reply = match Request::decode(&frame) {
-            Err(e) => Response::error(ErrorCode::Malformed, e.to_string()),
-            // Stats is tenant-less: answered here, off the shard path.
-            Ok(Request::Stats) => Response::Stats(stats.snapshot(cache)),
-            Ok(request) => {
-                let shard = shard_of(request.tenant().unwrap_or(""), shards.len());
-                let deadline = match &request {
-                    Request::Run { .. } | Request::Reduce { .. } => launch_deadline,
-                    _ => None,
-                };
-                let cancel = deadline.map(|_| CancelToken::new());
-                let (tx, rx) = sync_channel::<Response>(1);
-                let job = Job {
-                    request,
-                    reply: tx,
-                    cancel: cancel.clone(),
-                };
-                match shards[shard].try_send(job) {
-                    Ok(()) => {
-                        let received = match deadline {
-                            Some(d) => rx.recv_timeout(d).map_err(|e| match e {
-                                RecvTimeoutError::Timeout => Some(d),
-                                RecvTimeoutError::Disconnected => None,
-                            }),
-                            None => rx.recv().map_err(|_| None),
-                        };
-                        match received {
-                            Ok(r) => r,
-                            Err(Some(d)) => {
-                                // Watchdog: cancel the in-flight launch
-                                // and answer for it. The shard's late
-                                // reply lands in a dropped channel.
-                                if let Some(tok) = &cancel {
-                                    tok.cancel();
-                                }
-                                stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                                Response::error(
-                                    ErrorCode::Timeout,
-                                    format!("launch exceeded its {} ms deadline", d.as_millis()),
-                                )
-                            }
-                            Err(None) => Response::error(ErrorCode::Internal, "shard dropped the request"),
-                        }
-                    }
-                    Err(TrySendError::Full(_)) => {
-                        stats.busy_rejected.fetch_add(1, Ordering::Relaxed);
-                        Response::error_with_retry(
-                            ErrorCode::Busy,
-                            format!("shard {shard} queue is full; retry"),
-                            BUSY_RETRY_HINT_MS,
-                        )
-                    }
-                    Err(TrySendError::Disconnected(_)) => {
-                        Response::error(ErrorCode::Internal, "shard is gone")
-                    }
-                }
-            }
-        };
-        if matches!(reply, Response::Error { .. }) {
-            stats.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        if write_frame(&mut conn, &reply.encode()).is_err() {
-            return;
-        }
-    }
-}
-
-/// Spawns one shard worker owning its tenants and its circuit breaker.
-fn spawn_shard(rx: Receiver<Job>, config: ServerConfig, stats: Arc<Stats>, cache: Arc<ModuleCache>) {
-    std::thread::spawn(move || {
-        let mut tenants: HashMap<String, Tenant> = HashMap::new();
-        // Tenant names whose first context already consumed the
-        // configured fault plan (see `ServerConfig::fault_plan`).
-        let mut plan_armed: HashSet<String> = HashSet::new();
-        let mut breaker = Breaker::new(config.breaker.clone());
-        // Block for the first job, then drain whatever else is queued
-        // so back-to-back same-kernel launches can coalesce.
-        while let Ok(first) = rx.recv() {
-            let mut batch = vec![first];
-            while let Ok(job) = rx.try_recv() {
-                batch.push(job);
-            }
-            // Count maximal runs of consecutive same-(tenant, module,
-            // kernel) launches: those execute back-to-back over the
-            // same pre-compiled lane/tier chains — one "batched pass"
-            // from the pipeline's perspective. Order within the batch
-            // is preserved (same-tenant requests must not reorder).
-            let mut i = 0;
-            while i < batch.len() {
-                let mut j = i + 1;
-                if let Request::Run {
-                    tenant,
-                    module,
-                    kernel,
-                    ..
-                } = &batch[i].request
-                {
-                    while j < batch.len() {
-                        match &batch[j].request {
-                            Request::Run {
-                                tenant: t2,
-                                module: m2,
-                                kernel: k2,
-                                ..
-                            } if t2 == tenant && m2 == module && k2 == kernel => j += 1,
-                            _ => break,
-                        }
-                    }
-                    if j - i >= 2 {
-                        stats.coalesced_runs.fetch_add((j - i) as u64, Ordering::Relaxed);
-                    }
-                }
-                for job in &batch[i..j] {
-                    let response = match breaker.admit(Instant::now()) {
-                        BreakerAdmit::Shed { retry_after } => {
-                            stats.breaker_rejected.fetch_add(1, Ordering::Relaxed);
-                            Response::error_with_retry(
-                                ErrorCode::Retryable,
-                                "shard breaker is open (cooling down after repeated panics)",
-                                (retry_after.as_millis() as u64).max(1),
-                            )
-                        }
-                        admit => {
-                            let probe = matches!(admit, BreakerAdmit::Probe);
-                            if probe {
-                                stats.breaker_probes.fetch_add(1, Ordering::Relaxed);
-                            }
-                            let (response, panicked) =
-                                shielded_handle(&mut tenants, &mut plan_armed, job, &config, &stats, &cache);
-                            if breaker.record(probe, panicked, Instant::now()) {
-                                stats.breaker_trips.fetch_add(1, Ordering::Relaxed);
-                            }
-                            response
-                        }
-                    };
-                    let _ = job.reply.send(response);
-                }
-                i = j;
-            }
-        }
-    });
-}
-
 /// Executes one request under the panic shield: a caught panic becomes
 /// an `Internal` error reply and poisons (drops) the tenant whose state
 /// can no longer be trusted — the *process* keeps serving. The second
@@ -562,18 +725,19 @@ fn spawn_shard(rx: Receiver<Job>, config: ServerConfig, stats: Arc<Stats>, cache
 fn shielded_handle(
     tenants: &mut HashMap<String, Tenant>,
     plan_armed: &mut HashSet<String>,
-    job: &Job,
+    request: &Request,
+    cancel: Option<&CancelToken>,
     config: &ServerConfig,
     stats: &Stats,
     cache: &ModuleCache,
 ) -> (Response, bool) {
     match catch_unwind(AssertUnwindSafe(|| {
-        handle_request(tenants, plan_armed, job, config, stats, cache)
+        handle_request(tenants, plan_armed, request, cancel, config, stats, cache)
     })) {
         Ok(r) => (r, false),
         Err(_) => {
             stats.panics.fetch_add(1, Ordering::Relaxed);
-            if let Some(tenant) = job.request.tenant() {
+            if let Some(tenant) = request.tenant() {
                 tenants.remove(tenant);
             }
             (
@@ -610,33 +774,41 @@ fn tenant_entry<'t>(
     name: &str,
     config: &ServerConfig,
 ) -> &'t mut Tenant {
-    tenants.entry(name.to_owned()).or_insert_with(|| {
-        let spec = registered_backends()
-            .into_iter()
-            .find(|b| b.name == config.backend)
-            .expect("backend validated at Server::start");
-        let mut ctx = (spec.make)();
-        ctx.set_memory_budget(config.device_memory_budget);
-        if let Some(policy) = &config.resilience {
-            ctx.set_resilience(policy.clone())
-                .expect("fresh context has no streams to snapshot");
+    // Look up before inserting: `entry` would allocate the name on
+    // every request.
+    if !tenants.contains_key(name) {
+        let tenant = new_tenant(plan_armed, name, config);
+        tenants.insert(name.to_owned(), tenant);
+    }
+    tenants.get_mut(name).expect("inserted above")
+}
+
+fn new_tenant(plan_armed: &mut HashSet<String>, name: &str, config: &ServerConfig) -> Tenant {
+    let spec = registered_backends()
+        .into_iter()
+        .find(|b| b.name == config.backend)
+        .expect("backend validated at Server::start");
+    let mut ctx = (spec.make)();
+    ctx.set_memory_budget(config.device_memory_budget);
+    if let Some(policy) = &config.resilience {
+        ctx.set_resilience(policy.clone())
+            .expect("fresh context has no streams to snapshot");
+    }
+    // Arm the fault plan only on the tenant's *first* context: a
+    // context rebuilt after poisoning starts clean, so an injected
+    // schedule cannot wedge the tenant forever.
+    if let Some(plan) = &config.fault_plan {
+        if plan_armed.insert(name.to_owned()) {
+            ctx.set_fault_plan(plan.clone());
         }
-        // Arm the fault plan only on the tenant's *first* context: a
-        // context rebuilt after poisoning starts clean, so an injected
-        // schedule cannot wedge the tenant forever.
-        if let Some(plan) = &config.fault_plan {
-            if plan_armed.insert(name.to_owned()) {
-                ctx.set_fault_plan(plan.clone());
-            }
-        }
-        Tenant {
-            ctx,
-            modules: HashMap::new(),
-            streams: HashMap::new(),
-            admission: Admission::new(config.admission),
-            next_handle: 0,
-        }
-    })
+    }
+    Tenant {
+        ctx,
+        modules: HashMap::new(),
+        streams: HashMap::new(),
+        admission: Admission::new(config.admission),
+        next_handle: 0,
+    }
 }
 
 /// Folds the recovery ladder's per-launch evidence into the service
@@ -656,14 +828,14 @@ fn drain_resilience(t: &mut Tenant, stats: &Stats) {
 fn handle_request(
     tenants: &mut HashMap<String, Tenant>,
     plan_armed: &mut HashSet<String>,
-    job: &Job,
+    request: &Request,
+    cancel: Option<&CancelToken>,
     config: &ServerConfig,
     stats: &Stats,
     cache: &ModuleCache,
 ) -> Response {
-    let request = &job.request;
     match request {
-        Request::Stats => unreachable!("answered on the connection thread"),
+        Request::Stats => unreachable!("answered without a shard"),
         Request::Compile { tenant, source } => {
             let t = tenant_entry(tenants, plan_armed, tenant, config);
             let key = CacheKey {
@@ -764,7 +936,7 @@ fn handle_request(
                 stats.admission_rejected.fetch_add(1, Ordering::Relaxed);
                 return admission_response(e);
             }
-            if let Some(tok) = &job.cancel {
+            if let Some(tok) = cancel {
                 t.ctx.set_cancel_token(tok.clone());
             }
             let m = m.clone();
@@ -798,7 +970,7 @@ fn handle_request(
                 stats.admission_rejected.fetch_add(1, Ordering::Relaxed);
                 return admission_response(e);
             }
-            if let Some(tok) = &job.cancel {
+            if let Some(tok) = cancel {
                 t.ctx.set_cancel_token(tok.clone());
             }
             let (m, s) = (m.clone(), *s);
@@ -887,6 +1059,74 @@ mod tests {
             assert!(!b.record(false, true, now));
             assert!(matches!(b.admit(now), BreakerAdmit::Proceed));
         }
+    }
+
+    #[test]
+    fn shard_admits_one_runner_and_queue_depth_waiters() {
+        let shard = Shard::new(&ServerConfig::default());
+        let running = shard.enter(1).expect("runs");
+        let waiting = shard.enter(1).expect("waits");
+        assert!(shard.enter(1).is_none(), "a second waiter is shed");
+        assert_eq!(
+            shard.pending.load(Ordering::SeqCst),
+            2,
+            "a shed request leaves no trace"
+        );
+        drop(running);
+        let _next = shard.enter(1).expect("a freed place is reusable");
+        drop(waiting);
+        assert_eq!(shard.pending.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn watchdog_fires_due_launches_and_forgets_them() {
+        let watchdog = Watchdog::start(Duration::from_millis(20));
+        let watch = watchdog.watch();
+        assert!(!watch.fired(), "not due yet");
+        assert_eq!(watchdog.registered(), 1);
+        let started = Instant::now();
+        while !watch.fired() {
+            assert!(started.elapsed() < Duration::from_secs(5), "watchdog never fired");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(watchdog.registered(), 0, "fired launches leave the registry");
+        drop(watch);
+        let watch = watchdog.watch();
+        drop(watch);
+        assert_eq!(watchdog.registered(), 0, "dropping a watch deregisters it");
+    }
+
+    #[test]
+    fn watchdog_registry_is_empty_after_each_launch() {
+        let server = Server::start(
+            "127.0.0.1:0",
+            ServerConfig {
+                launch_deadline: Some(Duration::from_secs(1)),
+                ..ServerConfig::default()
+            },
+        )
+        .expect("server starts");
+        let registered = || server.service.watchdog.as_ref().expect("watchdog").registered();
+        let mut c = crate::Client::connect(server.local_addr(), "t").expect("connect");
+        let module = c
+            .compile("kernel void saxpy(float x<>, float y<>, float a, out float r<>) { r = a * x + y; }")
+            .expect("compile");
+        let x = c.create_stream(&[16], 1).expect("x");
+        let r = c.create_stream(&[16], 1).expect("r");
+        c.write(x, &[1.0; 16]).expect("write");
+        let args = [
+            WireArg::Stream(x),
+            WireArg::Stream(x),
+            WireArg::Float(2.0),
+            WireArg::Stream(r),
+        ];
+        for _ in 0..100 {
+            c.run(module, "saxpy", &args).expect("run");
+            assert_eq!(registered(), 0, "a finished launch is deregistered");
+        }
+        assert_eq!(c.read(r).expect("read"), vec![3.0; 16]);
+        drop(c);
+        server.shutdown();
     }
 
     #[test]

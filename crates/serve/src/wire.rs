@@ -1,7 +1,12 @@
 //! The Brook service wire protocol: length-prefixed binary frames.
 //!
 //! Every message is one frame: a little-endian `u32` payload length
-//! followed by the payload. Payloads are hand-rolled tagged binary (no
+//! followed by the payload. A frame leaves in a single `write` — prefix
+//! and payload share one buffer — so with `TCP_NODELAY` each message is
+//! one segment, not a 4-byte segment followed by the payload. A frame
+//! is read into a buffer that grows as its bytes arrive, so a bare
+//! length prefix cannot make the reader allocate the whole frame.
+//! Payloads are hand-rolled tagged binary (no
 //! serialization dependency — the container images this targets are
 //! offline): strings are `u16` length + UTF-8, vectors are `u32` count
 //! + elements, numbers are little-endian.
@@ -320,32 +325,38 @@ impl Request {
     /// Serializes into a frame payload (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::new();
+        self.encode_into(&mut b);
+        b
+    }
+
+    /// Appends the frame payload to `b`.
+    pub(crate) fn encode_into(&self, b: &mut Vec<u8>) {
         match self {
             Request::Compile { tenant, source } => {
                 b.push(0);
-                put_str(&mut b, tenant);
-                put_u32(&mut b, source.len() as u32);
+                put_str(b, tenant);
+                put_u32(b, source.len() as u32);
                 b.extend_from_slice(source.as_bytes());
             }
             Request::CreateStream { tenant, shape, width } => {
                 b.push(1);
-                put_str(&mut b, tenant);
+                put_str(b, tenant);
                 b.push(*width);
                 b.push(shape.len() as u8);
                 for d in shape {
-                    put_u32(&mut b, *d);
+                    put_u32(b, *d);
                 }
             }
             Request::Write { tenant, stream, data } => {
                 b.push(2);
-                put_str(&mut b, tenant);
-                put_u64(&mut b, *stream);
-                put_f32s(&mut b, data);
+                put_str(b, tenant);
+                put_u64(b, *stream);
+                put_f32s(b, data);
             }
             Request::Read { tenant, stream } => {
                 b.push(3);
-                put_str(&mut b, tenant);
-                put_u64(&mut b, *stream);
+                put_str(b, tenant);
+                put_u64(b, *stream);
             }
             Request::Run {
                 tenant,
@@ -354,19 +365,19 @@ impl Request {
                 args,
             } => {
                 b.push(4);
-                put_str(&mut b, tenant);
-                put_u64(&mut b, *module);
-                put_str(&mut b, kernel);
+                put_str(b, tenant);
+                put_u64(b, *module);
+                put_str(b, kernel);
                 b.push(args.len() as u8);
                 for a in args {
                     match a {
                         WireArg::Stream(h) => {
                             b.push(0);
-                            put_u64(&mut b, *h);
+                            put_u64(b, *h);
                         }
                         WireArg::Float(v) => {
                             b.push(1);
-                            put_f32(&mut b, *v);
+                            put_f32(b, *v);
                         }
                         WireArg::Int(v) => {
                             b.push(2);
@@ -375,7 +386,7 @@ impl Request {
                         WireArg::Float4(v) => {
                             b.push(3);
                             for c in v {
-                                put_f32(&mut b, *c);
+                                put_f32(b, *c);
                             }
                         }
                     }
@@ -388,19 +399,18 @@ impl Request {
                 stream,
             } => {
                 b.push(5);
-                put_str(&mut b, tenant);
-                put_u64(&mut b, *module);
-                put_str(&mut b, kernel);
-                put_u64(&mut b, *stream);
+                put_str(b, tenant);
+                put_u64(b, *module);
+                put_str(b, kernel);
+                put_u64(b, *stream);
             }
             Request::DropStream { tenant, stream } => {
                 b.push(6);
-                put_str(&mut b, tenant);
-                put_u64(&mut b, *stream);
+                put_str(b, tenant);
+                put_u64(b, *stream);
             }
             Request::Stats => b.push(7),
         }
-        b
     }
 
     /// Decodes a frame payload.
@@ -481,26 +491,32 @@ impl Response {
     /// Serializes into a frame payload (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut b = Vec::new();
+        self.encode_into(&mut b);
+        b
+    }
+
+    /// Appends the frame payload to `b`.
+    pub(crate) fn encode_into(&self, b: &mut Vec<u8>) {
         match self {
             Response::Ok => b.push(0),
             Response::Handle(h) => {
                 b.push(1);
-                put_u64(&mut b, *h);
+                put_u64(b, *h);
             }
             Response::Scalar(v) => {
                 b.push(2);
-                put_f32(&mut b, *v);
+                put_f32(b, *v);
             }
             Response::Data(vs) => {
                 b.push(3);
-                put_f32s(&mut b, vs);
+                put_f32s(b, vs);
             }
             Response::Stats(pairs) => {
                 b.push(4);
-                put_u16(&mut b, pairs.len() as u16);
+                put_u16(b, pairs.len() as u16);
                 for (k, v) in pairs {
-                    put_str(&mut b, k);
-                    put_u64(&mut b, *v);
+                    put_str(b, k);
+                    put_u64(b, *v);
                 }
             }
             Response::Error {
@@ -510,17 +526,16 @@ impl Response {
             } => {
                 b.push(5);
                 b.push(*code as u8);
-                put_str(&mut b, message);
+                put_str(b, message);
                 match retry_after_ms {
                     Some(ms) => {
                         b.push(1);
-                        put_u64(&mut b, *ms);
+                        put_u64(b, *ms);
                     }
                     None => b.push(0),
                 }
             }
         }
-        b
     }
 
     /// Decodes a frame payload.
@@ -569,19 +584,37 @@ impl Response {
 // ---------------------------------------------------------------------
 // Framing.
 
-/// Writes one length-prefixed frame.
+/// Initial capacity of a frame read buffer. The buffer grows as
+/// payload bytes arrive, so a peer that sends only a length prefix
+/// costs at most this much memory, not [`MAX_FRAME`].
+const READ_CHUNK: usize = 64 * 1024;
+
+/// Writes one length-prefixed frame with a single `write_all`.
 ///
 /// # Errors
 /// Underlying I/O failures, or a payload above [`MAX_FRAME`].
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME as usize {
+    send_frame(w, |b| b.extend_from_slice(payload))
+}
+
+/// Writes one frame whose payload `encode` appends to the frame buffer:
+/// the length prefix is reserved up front and patched afterwards, so
+/// the message is encoded once and leaves in a single `write_all`.
+///
+/// # Errors
+/// Underlying I/O failures, or a payload above [`MAX_FRAME`].
+pub(crate) fn send_frame(w: &mut impl Write, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    let mut frame = vec![0u8; 4];
+    encode(&mut frame);
+    let len = frame.len() - 4;
+    if len > MAX_FRAME as usize {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
+            format!("frame of {len} bytes exceeds MAX_FRAME"),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    frame[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -605,8 +638,15 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             format!("frame length {len} exceeds MAX_FRAME"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let len = len as usize;
+    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame ended after {} of {len} payload bytes", payload.len()),
+        ));
+    }
     Ok(Some(payload))
 }
 
@@ -745,5 +785,100 @@ mod tests {
         // EOF inside a frame is an error, not a silent None.
         let partial = [5u8, 0, 0, 0, b'a'];
         assert!(read_frame(&mut &partial[..]).is_err());
+    }
+
+    /// Feeds its bytes one per `read` call, then EOF.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            match (self.0.split_first(), buf.first_mut()) {
+                (Some((b, rest)), Some(slot)) => {
+                    *slot = *b;
+                    self.0 = rest;
+                    Ok(1)
+                }
+                _ => Ok(0),
+            }
+        }
+    }
+
+    /// Counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn byte_at_a_time_reader_roundtrips_a_frame() {
+        let request = Request::Run {
+            tenant: "tenant-0".into(),
+            module: 1,
+            kernel: "saxpy".into(),
+            args: vec![WireArg::Stream(2), WireArg::Float(1.5), WireArg::Stream(3)],
+        };
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &request.encode()).expect("write");
+        let frame = read_frame(&mut Trickle(&buf)).expect("read").expect("frame");
+        assert_eq!(Request::decode(&frame).expect("decode"), request);
+    }
+
+    #[test]
+    fn declared_max_frame_then_eof_is_unexpected_eof() {
+        let mut bytes = MAX_FRAME.to_le_bytes().to_vec();
+        bytes.extend_from_slice(b"only a few payload bytes");
+        let err = read_frame(&mut &bytes[..]).expect_err("short payload");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        // A bare prefix: no payload byte ever arrives.
+        let err = read_frame(&mut &MAX_FRAME.to_le_bytes()[..]).expect_err("no payload");
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+    }
+
+    #[test]
+    fn each_frame_is_one_write() {
+        let run = Request::Run {
+            tenant: "tenant-0".into(),
+            module: 1,
+            kernel: "saxpy".into(),
+            args: vec![
+                WireArg::Stream(2),
+                WireArg::Stream(3),
+                WireArg::Float(2.0),
+                WireArg::Stream(4),
+            ],
+        };
+        let data = Response::Data((0..256).map(|i| i as f32).collect());
+        let encoded = [run.encode(), data.encode()];
+        for payload in &encoded {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).expect("write_frame");
+            assert_eq!(w.writes, 1, "write_frame of {} bytes", payload.len());
+            assert_eq!(
+                read_frame(&mut &w.bytes[..]).expect("read").as_ref(),
+                Some(payload)
+            );
+        }
+        // The encode-in-place path the client and server use.
+        let mut w = CountingWriter::default();
+        send_frame(&mut w, |b| run.encode_into(b)).expect("send request");
+        send_frame(&mut w, |b| data.encode_into(b)).expect("send reply");
+        assert_eq!(w.writes, 2, "one write per frame");
+        let mut r = &w.bytes[..];
+        for payload in &encoded {
+            assert_eq!(read_frame(&mut r).expect("read").as_ref(), Some(payload));
+        }
     }
 }

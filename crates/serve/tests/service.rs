@@ -778,3 +778,99 @@ fn resilience_evidence_flows_into_service_counters() {
     assert_eq!(stat(&stats, "panics"), 0, "ladder recovery needs no panics");
     server.shutdown();
 }
+
+#[test]
+fn launch_queued_past_its_deadline_times_out_without_executing() {
+    // The first launch stalls the only shard for 600 ms in work that
+    // ignores cancellation, so its 200 ms deadline cannot cut it short.
+    // A second launch queued behind it outlives its own deadline while
+    // it waits for the shard: it is answered `Timeout` and never runs.
+    let server = start(ServerConfig {
+        shards: 1,
+        launch_deadline: Some(Duration::from_millis(200)),
+        fault_plan: Some(FaultPlan::new().with_stall(0, 600)),
+        ..ServerConfig::default()
+    });
+    let addr = server.local_addr();
+    let mut c = Client::connect(addr, "t").expect("connect");
+    let module = c.compile(SAXPY).expect("compile");
+    let x = c.create_stream(&[8], 1).expect("x");
+    let y = c.create_stream(&[8], 1).expect("y");
+    let r = c.create_stream(&[8], 1).expect("r");
+    c.write(x, &[1.0; 8]).expect("write x");
+    c.write(y, &[2.0; 8]).expect("write y");
+    let args = [
+        WireArg::Stream(x),
+        WireArg::Stream(y),
+        WireArg::Float(3.0),
+        WireArg::Stream(r),
+    ];
+    let stalled = {
+        let args = args.to_vec();
+        let mut c2 = Client::connect(addr, "t").expect("connect");
+        std::thread::spawn(move || c2.run(module, "saxpy", &args))
+    };
+    std::thread::sleep(Duration::from_millis(100));
+    let queued_at = std::time::Instant::now();
+    let err = c.run(module, "saxpy", &args).unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::Timeout), "{err}");
+    assert!(
+        queued_at.elapsed() < Duration::from_secs(2),
+        "answered once the shard freed up"
+    );
+    // The stalled launch ran to completion past its deadline; it is
+    // answered `Timeout` when it returns.
+    let err = stalled.join().expect("stalled thread").unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::Timeout), "{err}");
+    let stats = c.stats().expect("stats");
+    assert_eq!(stat(&stats, "runs"), 1, "only the stalled launch executed");
+    assert_eq!(stat(&stats, "timeouts"), 2);
+
+    // The same shard then serves a fresh launch bit-exactly.
+    let xs: Vec<f32> = (0..8).map(|i| i as f32 * 0.75).collect();
+    c.write(x, &xs).expect("write x");
+    c.run(module, "saxpy", &args).expect("fresh launch");
+    assert_eq!(c.read(r).expect("read"), serial_saxpy(&xs, &[2.0; 8], 3.0));
+    let stats = c.stats().expect("stats");
+    assert_eq!(stat(&stats, "runs"), 2);
+    assert_eq!(stat(&stats, "timeouts"), 2);
+    assert_eq!(stat(&stats, "panics"), 0);
+    server.shutdown();
+}
+
+#[test]
+fn watchdog_serves_ordinary_launches_without_timeouts() {
+    let server = start(ServerConfig {
+        launch_deadline: Some(Duration::from_secs(1)),
+        ..ServerConfig::default()
+    });
+    let mut c = Client::connect(server.local_addr(), "t").expect("connect");
+    let module = c.compile(SAXPY).expect("compile");
+    let sum = c.compile(SUM).expect("compile sum");
+    let x = c.create_stream(&[64], 1).expect("x");
+    let y = c.create_stream(&[64], 1).expect("y");
+    let r = c.create_stream(&[64], 1).expect("r");
+    let xs: Vec<f32> = (0..64).map(|i| i as f32 * 0.5).collect();
+    c.write(x, &xs).expect("write x");
+    c.write(y, &[1.0; 64]).expect("write y");
+    let args = [
+        WireArg::Stream(x),
+        WireArg::Stream(y),
+        WireArg::Float(2.0),
+        WireArg::Stream(r),
+    ];
+    for _ in 0..100 {
+        c.run(module, "saxpy", &args).expect("run");
+    }
+    let expected = serial_saxpy(&xs, &[1.0; 64], 2.0);
+    assert_eq!(c.read(r).expect("read"), expected);
+    assert_eq!(
+        c.reduce(sum, "sum", r).expect("reduce"),
+        expected.iter().sum::<f32>()
+    );
+    let stats = c.stats().expect("stats");
+    assert_eq!(stat(&stats, "runs"), 100);
+    assert_eq!(stat(&stats, "timeouts"), 0);
+    assert_eq!(stat(&stats, "errors"), 0);
+    server.shutdown();
+}
