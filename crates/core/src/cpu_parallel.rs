@@ -33,7 +33,9 @@ use std::collections::HashMap;
 use std::ops::Range;
 
 /// Below this many output elements the thread fan-out costs more than it
-/// saves; dispatches fall back to the serial interpreter path.
+/// saves; dispatches run serially on the calling thread through
+/// `ir_run_full` (Tier-2 when the kernel was admitted, else the lane
+/// engine, else the scalar interpreter).
 pub const PARALLEL_THRESHOLD: usize = 256;
 
 /// Upper bound on worker threads (beyond this the interpreter is memory-

@@ -67,7 +67,9 @@ pub use optdiff::{opt_matrix, run_optdiff_campaign, OptDiffStats};
 pub use repro::{repro_root, write_repro};
 pub use shrink::shrink;
 pub use simd::{run_simd_campaign, simd_matrix, SimdStats};
-pub use tier::{run_tier_campaign, run_tier_shape_campaign, tier_matrix, TierStats};
+pub use tier::{
+    run_tier_campaign, run_tier_loop_campaign, run_tier_shape_campaign, tier_matrix, TierLoopStats, TierStats,
+};
 
 use brook_auto::BrookError;
 use brook_cert::{certify, violates, CertConfig, RuleId};

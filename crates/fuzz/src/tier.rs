@@ -31,9 +31,15 @@
 //! generated kernels to inputs shaped unlike their output domain, so
 //! the engines' clamped and resampled element framing is fuzzed too,
 //! not only the same-shape (contiguous) path.
+//!
+//! The **counted-loop axis** ([`run_tier_loop_campaign`]) generates the
+//! guarded fixed-bound loops of the paper's escape-time and
+//! binary-search kernels, plus near-miss variants, and checks both the
+//! Tier-2 loop plan each one compiles to and its results across the
+//! matrix.
 
 use crate::differential::{run_case_with_inputs, BackendOutput, CaseFailure, Matrix};
-use crate::gen::{gen_case, gen_values, special_overlay, FuzzCase, GenConfig};
+use crate::gen::{gen_case, gen_values, special_overlay, FuzzCase, GatherData, GenConfig};
 use brook_auto::{Arg, BackendSpec, BrookContext};
 use brook_ir::lanes::LANES;
 use rand::rngs::StdRng;
@@ -315,6 +321,300 @@ pub fn run_tier_shape_campaign(seed: u64, cases: u32, cfg: &GenConfig) -> Result
     Ok(stats)
 }
 
+/// The loop shapes of the counted-loop axis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LoopShape {
+    /// `z = z² + c` under `if (|z|² < r)`, counting iterations.
+    EscapeTime,
+    /// A lower-bound search over a sorted gather table under
+    /// `if (lo < hi)`.
+    BinarySearch,
+}
+
+/// How a generated loop departs from the shape Tier-2 specializes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LoopVariant {
+    /// The plain shape: counted, with the quiescent exit.
+    Plain,
+    /// The counter is read inside the guarded `then`: still counted and
+    /// quiescent.
+    CounterInThen,
+    /// The guard reads the counter: counted, not quiescent.
+    CounterInGuard,
+    /// A statement after the guard writes a slot the prefix reads:
+    /// counted, not quiescent.
+    Suffix,
+    /// The guard has an `else`: counted, not quiescent.
+    Else,
+    /// The prefix reads a slot it writes later in the iteration:
+    /// counted, not quiescent.
+    CarriedPrefix,
+    /// `k <= n` in the header: not counted.
+    InclusiveBound,
+}
+
+impl LoopVariant {
+    const ALL: [LoopVariant; 7] = [
+        LoopVariant::Plain,
+        LoopVariant::CounterInThen,
+        LoopVariant::CounterInGuard,
+        LoopVariant::Suffix,
+        LoopVariant::Else,
+        LoopVariant::CarriedPrefix,
+        LoopVariant::InclusiveBound,
+    ];
+
+    /// The `(counted, quiescent-exit)` loop counts Tier-2 must report.
+    fn expected(self) -> (usize, usize) {
+        match self {
+            LoopVariant::Plain | LoopVariant::CounterInThen => (1, 1),
+            LoopVariant::InclusiveBound => (0, 0),
+            _ => (1, 0),
+        }
+    }
+}
+
+/// Statistics of one counted-loop campaign.
+#[derive(Debug, Clone, Default)]
+pub struct TierLoopStats {
+    /// Cases that compiled to their expected loop plan and agreed
+    /// bitwise across the whole matrix.
+    pub cases: u32,
+    /// Loops compiled to run on a static trip count.
+    pub counted_loops: u32,
+    /// Counted loops that take the quiescent exit.
+    pub quiescent_loops: u32,
+    /// Near-miss cases (any variant that must not take the quiescent
+    /// exit).
+    pub near_misses: u32,
+    /// Total output elements cross-checked.
+    pub elements_checked: u64,
+}
+
+/// The `for` header of a loop of about `trips` iterations over `i`,
+/// with a random start and stride (every case reads `i` after the
+/// loop, so its final value is checked too).
+fn loop_header(rng: &mut StdRng, variant: LoopVariant, trips: i64) -> String {
+    let lo = rng.gen_range(-3i64..4);
+    let step = rng.gen_range(1i64..4);
+    let hi = lo + trips * step - rng.gen_range(0..step);
+    let cmp = if variant == LoopVariant::InclusiveBound {
+        "<="
+    } else {
+        "<"
+    };
+    let inc = if step == 1 {
+        "i++".to_string()
+    } else {
+        format!("i += {step}")
+    };
+    format!("for (i = {lo}; i {cmp} {hi}; {inc})")
+}
+
+/// Generates counted-loop case `index` of `seed`: its kernel, inputs
+/// and domain, plus the `(counted, quiescent-exit)` counts its Tier-2
+/// plan must report.
+fn gen_loop_case(seed: u64, index: u32) -> (FuzzCase, (usize, usize)) {
+    let mut rng = StdRng::seed_from_u64(seed ^ (u64::from(index) << 32) ^ 0x100F);
+    let shape = if index.is_multiple_of(2) {
+        LoopShape::EscapeTime
+    } else {
+        LoopShape::BinarySearch
+    };
+    let variant = LoopVariant::ALL[rng.gen_range(0..LoopVariant::ALL.len())];
+    let pool: &[&[usize]] = &[&[300], &[17, 19], &[2 * LANES + 5], &[259]];
+    let domain_shape = pool[rng.gen_range(0..pool.len())].to_vec();
+    let len: usize = domain_shape.iter().product();
+    let data_seed = seed ^ u64::from(index).wrapping_mul(0x9E37_79B9);
+    let counter_read = if variant == LoopVariant::CounterInThen {
+        " + float(i) * 0.125"
+    } else {
+        ""
+    };
+    // The near misses relax their guard as the loop runs, so an
+    // iteration no lane enters can be followed by one some lane does:
+    // taking the quiescent exit there would change the result.
+    let guard_counter = |relaxed: &'static str| {
+        if variant == LoopVariant::CounterInGuard {
+            relaxed
+        } else {
+            ""
+        }
+    };
+    let (source, inputs, gather) = match shape {
+        LoopShape::EscapeTime => {
+            let trips = rng.gen_range(0i64..48);
+            let header = loop_header(&mut rng, variant, trips);
+            let radius = [4.0, 2.25, 9.0][rng.gen_range(0..3)];
+            let (carried, carry) = if variant == LoopVariant::CarriedPrefix {
+                (" - d", "\n        d = d + 0.0625;")
+            } else {
+                ("", "")
+            };
+            let els = if variant == LoopVariant::Else {
+                " else { n = n + 0.5; }"
+            } else {
+                ""
+            };
+            let suffix = if variant == LoopVariant::Suffix {
+                "\n        zi = zi * 0.75;"
+            } else {
+                ""
+            };
+            let guard = guard_counter(" - float(i) * 0.25");
+            let source = format!(
+                "kernel void k(float s0<>, float s1<>, out float o0<>) {{
+    float cr = s0 * 0.625 - 0.5;
+    float ci = s1 * 0.3125;
+    float zr = 0.0;
+    float zi = 0.0;
+    float n = 0.0;
+    float d = 0.0;
+    int i;
+    {header} {{
+        float m = zr * zr + zi * zi{carried}{guard};{carry}
+        if (m < {radius:?}) {{
+            float t = zr * zr - zi * zi + cr;
+            zi = 2.0 * zr * zi + ci;
+            zr = t;
+            n = n + 1.0{counter_read};
+        }}{els}{suffix}
+    }}
+    o0 = n + zr * 0.001 + float(i) * 1000.0;
+}}"
+            );
+            let inputs = vec![gen_values(data_seed, len), gen_values(data_seed + 1, len)];
+            (source, inputs, None)
+        }
+        LoopShape::BinarySearch => {
+            let table = rng.gen_range(1usize..200);
+            let trips = rng.gen_range(0i64..12);
+            let header = loop_header(&mut rng, variant, trips);
+            let (carried, carry) = if variant == LoopVariant::CarriedPrefix {
+                (" + d", "\n        d = d + 0.25;")
+            } else {
+                ("", "")
+            };
+            let els = if variant == LoopVariant::Else {
+                " else { n = n + 1.0; }"
+            } else {
+                ""
+            };
+            let suffix = if variant == LoopVariant::Suffix {
+                "\n        hi = hi + 0.5;"
+            } else {
+                ""
+            };
+            let guard = guard_counter(" + float(i) * 0.25 - 1.0");
+            let source = format!(
+                "kernel void k(float s0<>, float t[], out float o0<>) {{
+    float lo = 0.0;
+    float hi = {table}.0;
+    float n = 0.0;
+    float d = 0.0;
+    int i;
+    {header} {{
+        bool open = lo < hi{carried}{guard};{carry}
+        if (open) {{
+            float mid = floor((lo + hi) * 0.5);
+            float v = t[mid];
+            if (v < s0) {{ lo = mid + 1.0; }} else {{ hi = mid; }}
+            n = n + 1.0{counter_read};
+        }}{els}{suffix}
+    }}
+    o0 = lo + n * 1000.0 + float(i) * 100000.0;
+}}"
+            );
+            let mut sorted = gen_values(data_seed ^ 0x7AB1E, table);
+            sorted.sort_by(f32::total_cmp);
+            let gather = GatherData {
+                shape: vec![table],
+                data: sorted,
+            };
+            (source, vec![gen_values(data_seed, len)], Some(gather))
+        }
+    };
+    let program =
+        brook_lang::parse(&source).unwrap_or_else(|e| panic!("generated loop kernel: {e}\n{source}"));
+    let case = FuzzCase {
+        name: format!("loop_{seed:x}_{index}"),
+        source: brook_lang::pretty::print_program(&program),
+        program,
+        domain_shape,
+        inputs,
+        gather,
+        scalars: Vec::new(),
+        n_outputs: 1,
+        data_seed,
+        special_floats: false,
+    };
+    (case, variant.expected())
+}
+
+/// The `(counted, quiescent-exit)` loop counts Tier-2 reports for the
+/// first kernel of `source` (from its compliance-report detail).
+///
+/// # Errors
+/// Compile failures, a tier rejection or a detail without the counts.
+fn probe_loop_plan(source: &str) -> Result<(usize, usize), String> {
+    let mut ctx = BrookContext::cpu();
+    let module = ctx.compile(source).map_err(|e| format!("probe compile: {e}"))?;
+    let plan = module.report.tier_plans.first().ok_or("no tier plan")?;
+    if !plan.compiled {
+        return Err(format!("tier compiler rejected the kernel: {}", plan.detail));
+    }
+    let counts = plan
+        .detail
+        .rsplit_once(", ")
+        .and_then(|(_, tail)| tail.strip_suffix(" quiescent-exit)"))
+        .and_then(|tail| tail.split_once(" counted loops ("))
+        .and_then(|(c, q)| Some((c.parse().ok()?, q.parse().ok()?)));
+    counts.ok_or_else(|| format!("no counted-loop counts in `{}`", plan.detail))
+}
+
+/// Runs `cases` generated counted-loop kernels through the tier
+/// matrix. Even cases are escape-time loops and odd cases binary
+/// searches over a sorted gather table; each takes a random trip count
+/// (zero included), start and stride, and one [`LoopVariant`]: the
+/// plain shape, the counter read inside the guarded branch, or a near
+/// miss that must not take the quiescent exit or must not be counted
+/// at all. Every case must compile to exactly its expected loop plan
+/// and agree bitwise with the AST oracle on every spec, serial and
+/// parallel. The cases come from their own stream seeded by `seed`, so
+/// the other campaigns at the same seed keep theirs.
+///
+/// # Errors
+/// The first case whose plan or results differ, annotated with the
+/// case name and source (the seed and index regenerate it anywhere).
+pub fn run_tier_loop_campaign(seed: u64, cases: u32) -> Result<TierLoopStats, String> {
+    let matrix = tier_matrix();
+    let mut stats = TierLoopStats::default();
+    for index in 0..cases {
+        let (case, want) = gen_loop_case(seed, index);
+        let fail = |e: String| format!("loop case {} (seed {seed:#x}, index {index}): {e}", case.name);
+        let got = probe_loop_plan(&case.source).map_err(|e| fail(format!("{e}\n{}", case.source)))?;
+        if got != want {
+            return Err(fail(format!(
+                "compiled to {got:?} (counted, quiescent-exit) loops, expected {want:?}\n{}",
+                case.source
+            )));
+        }
+        let mut tier = TierStats::default();
+        let inputs: Vec<(&[usize], &[f32])> = case
+            .inputs
+            .iter()
+            .map(|data| (case.domain_shape.as_slice(), data.as_slice()))
+            .collect();
+        check_case(&case, &inputs, &matrix, &mut tier).map_err(fail)?;
+        stats.cases += 1;
+        stats.counted_loops += got.0 as u32;
+        stats.quiescent_loops += got.1 as u32;
+        stats.near_misses += u32::from(want.1 == 0);
+        stats.elements_checked += tier.elements_checked;
+    }
+    Ok(stats)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,6 +664,23 @@ mod tests {
         let stats =
             run_tier_shape_campaign(0x5A9E_5EED, 8, &GenConfig::default()).unwrap_or_else(|e| panic!("{e}"));
         assert_eq!(stats.cases, 8);
+        assert!(stats.elements_checked > 0);
+    }
+
+    #[test]
+    fn loop_axis_generates_every_shape_and_variant() {
+        let mut seen = Vec::new();
+        for index in 0..64 {
+            let (case, want) = gen_loop_case(0x100F_5EED, index);
+            assert!(case.domain_len() > 2 * LANES, "{:?}", case.domain_shape);
+            assert_eq!(case.gather.is_some(), index % 2 == 1);
+            seen.push(want);
+        }
+        for want in [(1, 1), (1, 0), (0, 0)] {
+            assert!(seen.contains(&want), "no case expects {want:?}");
+        }
+        let stats = run_tier_loop_campaign(0x100F_5EED, 6).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(stats.cases, 6);
         assert!(stats.elements_checked > 0);
     }
 

@@ -102,6 +102,33 @@ fn tier_shape_campaign_128_cases_bitwise() {
     );
 }
 
+/// The tier mode's counted-loop axis: 64 generated guarded fixed-bound
+/// loops — escape-time iterations and binary searches over a sorted
+/// gather table, with random trip counts (zero included), starts and
+/// strides — plus near-miss variants (the counter in the guard, a
+/// suffix or an `else` after the guard, a loop-carried prefix, an
+/// inclusive bound). Each must compile to exactly its expected Tier-2
+/// loop plan and agree bitwise across `cpu-scalar`, `cpu-lanes`, `cpu`
+/// and `cpu-parallel` against the `cpu-ast` oracle. Its own seed, so
+/// the other tier campaigns keep their cases.
+#[test]
+fn tier_loop_campaign_64_cases_bitwise() {
+    const LOOP_SEED: u64 = 0x100F_C0DE;
+    let stats = brook_fuzz::run_tier_loop_campaign(LOOP_SEED, 64)
+        .unwrap_or_else(|e| panic!("tier loop campaign failed:\n{e}"));
+    assert_eq!(stats.cases, 64, "{stats:?}");
+    assert!(
+        stats.quiescent_loops >= 16,
+        "too few quiescent-exit loops: {stats:?}"
+    );
+    assert!(stats.near_misses >= 16, "too few near misses: {stats:?}");
+    assert!(
+        stats.elements_checked > 10_000,
+        "campaign too small to mean anything: {} elements",
+        stats.elements_checked
+    );
+}
+
 /// 96 generated kernels through the tier differential matrix: the AST
 /// tree-walking oracle, the scalar flat-IR interpreter, the lane
 /// engine with tier compilation disabled, the Tier-2 closure chains,

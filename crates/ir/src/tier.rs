@@ -10,8 +10,8 @@
 //! Frame)` whose register offsets, widths, constants and operation are
 //! baked into a monomorphized closure body — per-block execution is a
 //! straight walk of indirect calls with zero decode and zero type
-//! dispatch. On top of the threading, two compile-time specializations
-//! remove work entirely:
+//! dispatch. On top of the threading, three compile-time
+//! specializations remove work entirely:
 //!
 //! * a **peephole superword pass** fuses recurring adjacent dependent
 //!   pairs — `mul`+`add` style arith chains, arith+compare,
@@ -22,7 +22,42 @@
 //!   dispatch-invariant (constants, scalar parameters, and values
 //!   computed from them) and whose destination is written exactly once
 //!   is moved into a *prologue* evaluated once per dispatch instead of
-//!   once per block.
+//!   once per block;
+//! * **counted loops run on a static trip count**: the certified subset
+//!   only has statically bounded `for` loops, with no `break`, so the
+//!   paper's escape-time kernels are fixed-bound loops around an `if`.
+//!   A `for` loop whose header's only per-block op is `cond = k < n`
+//!   and whose body ends in `k += c`, with `n` and `c` hoisted uniform
+//!   ints and no other op of the loop writing `k`, skips its loop
+//!   control, and a *quiescent* one also stops at its first iteration
+//!   that does nothing (below).
+//!
+//! # Counted loops
+//!
+//! On each entry into a counted loop, the block checks that `k` holds
+//! the same `k₀` in every active lane, that `c > 0` and that
+//! `k₀ + trip·c` fits in `i32`, with `trip = ⌈(n − k₀) / c⌉` (0 when
+//! `k₀ ≥ n`) computed in `i64`. Any failed check runs the generic loop.
+//! Otherwise the block charges `trip` back edges to every active lane's
+//! iteration budget at once — a lane that would exceed it bails the
+//! block to the lane engine, which faults verbatim — and runs the body
+//! `trip` times without the header. The increment is skipped too unless
+//! another op of the body reads `k`. On exit, `k` holds `k₀ + trip·c`
+//! and `cond` is false in every live lane. This is exact: the header's
+//! compare is true for exactly the first `trip` iterations, and no
+//! intermediate counter value overflows.
+//!
+//! A counted loop takes the **quiescent exit** when its body is a
+//! straight prefix, one `If` without `else`, and the increment, and no
+//! prefix op or guard reads a slot written in the loop outside that
+//! `then` unless the prefix wrote it earlier in the same iteration
+//! (which rules out reading `k`). It stops at the first iteration in
+//! which no live lane enters the `then`. Apart from `k`, such an
+//! iteration writes only the prefix's slots, as functions of slots that
+//! nothing outside the `then` changes. So the next iteration finds every slot its prefix
+//! reads as this one did, computes the same values and again enters no
+//! `then`: by induction every remaining iteration is the same no-op,
+//! and stopping early is bit-exact.
 //!
 //! # The fallback guarantee
 //!
@@ -50,7 +85,7 @@ use crate::lanes::{
     self, BOp, Bi2, COp, FOp, IOp, LaneKernel, LaneProgram, LaneSlabs, LaneTy, Mask, Op, Un1, FULL, LANES,
 };
 use crate::simd::{self, SimdLevel};
-use crate::{IrKernel, IrProgram, LoopKind, Node};
+use crate::{IrKernel, IrProgram, LoopKind, LoopNode, Node};
 use glsl_es::Value;
 use std::fmt;
 use std::ops::Range;
@@ -146,7 +181,29 @@ enum TNode {
         cond: usize,
         header: Vec<TNode>,
         body: Vec<TNode>,
+        /// The static-trip-count plan of a qualifying `for` loop; its
+        /// body then ends in the counter increment as a node of its own.
+        counted: Option<Counted>,
     },
+}
+
+/// How a counted `for` loop runs without its header (see the module
+/// docs): `trip = ⌈(n − k₀) / c⌉` iterations of the body, with the
+/// per-iteration loop control replaced by one budget charge and one
+/// final write of `k`.
+struct Counted {
+    /// `i32`-slab offset of the counter `k`.
+    k: usize,
+    /// `i32`-slab offsets of the hoisted uniform bound `n` and step `c`.
+    n: usize,
+    c: usize,
+    /// Whether an op of the body other than the increment reads `k`:
+    /// the increment node then runs every iteration; otherwise it is
+    /// skipped and `k` is written once on exit.
+    k_read: bool,
+    /// Body index of the guard `If` when the loop takes the quiescent
+    /// exit: the loop stops at the first iteration no lane enters it.
+    guard: Option<usize>,
 }
 
 /// A Tier-2-compiled kernel: the once-per-dispatch uniform prologue
@@ -165,6 +222,10 @@ pub struct TierKernel {
     fused: usize,
     /// Uniform ops hoisted into the prologue.
     hoisted: usize,
+    /// `for` loops run on a static trip count.
+    counted: usize,
+    /// Counted loops that also stop at their first no-op iteration.
+    quiescent: usize,
     /// The explicit-SIMD level the per-block closures dispatch to
     /// (`Scalar` means every step kept its verbatim scalar loop body).
     level: SimdLevel,
@@ -176,8 +237,9 @@ impl TierKernel {
     #[must_use]
     pub fn detail(&self) -> String {
         format!(
-            "closure-threaded: {} lane ops -> {} block steps ({} fused pairs, {} hoisted uniform, simd {})",
-            self.ops_in, self.steps, self.fused, self.hoisted, self.level
+            "closure-threaded: {} lane ops -> {} block steps ({} fused pairs, {} hoisted uniform, simd {}), \
+             {} counted loops ({} quiescent-exit)",
+            self.ops_in, self.steps, self.fused, self.hoisted, self.level, self.counted, self.quiescent
         )
     }
 
@@ -208,6 +270,8 @@ impl fmt::Debug for TierKernel {
             .field("steps", &self.steps)
             .field("fused", &self.fused)
             .field("hoisted", &self.hoisted)
+            .field("counted", &self.counted)
+            .field("quiescent", &self.quiescent)
             .field("level", &self.level)
             .finish_non_exhaustive()
     }
@@ -2289,105 +2353,294 @@ pub fn compile_simd(
     }
     let (hoisted, order) = hoist_plan(lane);
     let prologue: Vec<Step> = order.iter().map(|i| step_for(&lane.ops[*i], level)).collect();
-    let mut fused = 0usize;
-    let mut steps = 0usize;
-    let chain = build_nodes(&kernel.body, lane, &hoisted, &mut fused, &mut steps, level);
+    let mut uniform_i = vec![false; lane.i_len / LANES];
+    let (mut reads, mut writes) = (Vec::new(), Vec::new());
+    for &i in &order {
+        op_slots(&lane.ops[i], &mut reads, &mut writes);
+        for s in &writes {
+            if let Slot::I(c) = s {
+                uniform_i[*c] = true;
+            }
+        }
+    }
+    let mut b = Builder {
+        lane,
+        hoisted: &hoisted,
+        uniform_i,
+        level,
+        fused: 0,
+        steps: 0,
+        counted: 0,
+        quiescent: 0,
+    };
+    let chain = b.nodes(&kernel.body);
     Ok(TierKernel {
         prologue,
         chain,
         ops_in: lane.ops.len(),
-        steps,
-        fused,
+        steps: b.steps,
+        fused: b.fused,
         hoisted: order.len(),
+        counted: b.counted,
+        quiescent: b.quiescent,
         level,
     })
 }
 
-fn build_nodes(
-    nodes: &[Node],
-    lane: &LaneKernel,
-    hoisted: &[bool],
-    fused: &mut usize,
-    steps: &mut usize,
+/// Chain construction over a kernel's structured regions, with the
+/// statistics [`TierKernel::detail`] reports.
+struct Builder<'a> {
+    lane: &'a LaneKernel,
+    hoisted: &'a [bool],
+    /// Per `i32` slab: written by a hoisted op, hence uniform across
+    /// the dispatch.
+    uniform_i: Vec<bool>,
     level: SimdLevel,
-) -> Vec<TNode> {
-    let mut out = Vec::new();
-    for n in nodes {
-        match n {
-            Node::Seq { start, end } => {
-                build_seq(*start, *end, lane, hoisted, fused, steps, level, &mut out);
-            }
-            Node::If { cond, then, els, .. } => out.push(TNode::If {
-                cond: lane.cond_off[*cond as usize] as usize,
-                then: build_nodes(then, lane, hoisted, fused, steps, level),
-                els: build_nodes(els, lane, hoisted, fused, steps, level),
-            }),
-            Node::Loop(l) => out.push(TNode::Loop {
-                dowhile: l.kind == LoopKind::DoWhile,
-                cond: lane.cond_off[l.cond as usize] as usize,
-                header: build_nodes(&l.header, lane, hoisted, fused, steps, level),
-                body: build_nodes(&l.body, lane, hoisted, fused, steps, level),
-            }),
-        }
-    }
-    out
+    fused: usize,
+    steps: usize,
+    counted: usize,
+    quiescent: usize,
 }
 
-/// Compiles one straight-line instruction region: hoisted ops are
-/// skipped (they run in the prologue), adjacent dependent pairs fuse,
-/// a kernel-level `return` truncates the region (the lane engine
-/// skips the remainder too).
-#[allow(clippy::too_many_arguments)]
-fn build_seq(
-    start: u32,
-    end: u32,
-    lane: &LaneKernel,
-    hoisted: &[bool],
-    fused: &mut usize,
-    steps: &mut usize,
-    level: SimdLevel,
-    out: &mut Vec<TNode>,
-) {
-    let lo = lane.op_start[start as usize] as usize;
-    let hi = lane.op_start[end as usize] as usize;
-    let idxs: Vec<usize> = (lo..hi).filter(|i| !hoisted[*i]).collect();
-    let mut cur: Vec<Step> = Vec::new();
-    let mut k = 0usize;
-    while k < idxs.len() {
-        let op = &lane.ops[idxs[k]];
-        if matches!(op, Op::Ret) {
-            if !cur.is_empty() {
-                *steps += cur.len();
-                out.push(TNode::Straight(std::mem::take(&mut cur)));
+impl Builder<'_> {
+    fn nodes(&mut self, nodes: &[Node]) -> Vec<TNode> {
+        let mut out = Vec::new();
+        for n in nodes {
+            match n {
+                Node::Seq { start, end } => {
+                    let idxs = live_ops(self.lane, self.hoisted, *start, *end);
+                    self.seq(&idxs, &mut out);
+                }
+                Node::If { cond, then, els, .. } => out.push(TNode::If {
+                    cond: self.lane.cond_off[*cond as usize] as usize,
+                    then: self.nodes(then),
+                    els: self.nodes(els),
+                }),
+                Node::Loop(l) => out.push(self.loop_node(l)),
             }
-            out.push(TNode::Ret);
-            return;
         }
-        if matches!(op, Op::Bail) {
-            // Admitted only when the analyzer proved the site
-            // unreachable (`compile_with_facts`): a no-op that aborts
-            // loudly in tests if the proof was wrong.
-            cur.push(Box::new(|_fr| {
-                debug_assert!(false, "proven-unreachable fault site executed — analyzer bug");
-            }));
-            k += 1;
-            continue;
+        out
+    }
+
+    fn loop_node(&mut self, l: &LoopNode) -> TNode {
+        let cond = self.lane.cond_off[l.cond as usize] as usize;
+        let header = self.nodes(&l.header);
+        let shape = counted_shape(l, self.lane, self.hoisted, &self.uniform_i);
+        let (Some((mut plan, inc, quiescent)), Some((Node::Seq { start, end }, rest))) =
+            (shape, l.body.split_last())
+        else {
+            return TNode::Loop {
+                dowhile: l.kind == LoopKind::DoWhile,
+                cond,
+                header,
+                body: self.nodes(&l.body),
+                counted: None,
+            };
+        };
+        // The increment becomes a node of its own, so the counted path
+        // can skip it while both paths share every closure.
+        let mut body = self.nodes(rest);
+        let mut idxs = live_ops(self.lane, self.hoisted, *start, *end);
+        idxs.pop();
+        self.seq(&idxs, &mut body);
+        body.push(TNode::Straight(vec![step_for(&self.lane.ops[inc], self.level)]));
+        self.steps += 1;
+        self.counted += 1;
+        if quiescent {
+            // The prefix compiled to straight nodes, then the guard.
+            let g = body.len() - 2;
+            debug_assert!(
+                matches!(body[g], TNode::If { .. }),
+                "the guard precedes the increment"
+            );
+            plan.guard = Some(g);
+            self.quiescent += 1;
         }
-        if k + 1 < idxs.len() {
-            if let Some(st) = try_fuse(op, &lane.ops[idxs[k + 1]], level) {
-                cur.push(st);
-                *fused += 1;
-                k += 2;
+        TNode::Loop {
+            dowhile: false,
+            cond,
+            header,
+            body,
+            counted: Some(plan),
+        }
+    }
+
+    /// Compiles one straight-line run of (non-hoisted) ops: adjacent
+    /// dependent pairs fuse, a kernel-level `return` truncates the
+    /// region (the lane engine skips the remainder too).
+    fn seq(&mut self, idxs: &[usize], out: &mut Vec<TNode>) {
+        let lane = self.lane;
+        let mut cur: Vec<Step> = Vec::new();
+        let mut k = 0usize;
+        while k < idxs.len() {
+            let op = &lane.ops[idxs[k]];
+            if matches!(op, Op::Ret) {
+                if !cur.is_empty() {
+                    self.steps += cur.len();
+                    out.push(TNode::Straight(std::mem::take(&mut cur)));
+                }
+                out.push(TNode::Ret);
+                return;
+            }
+            if matches!(op, Op::Bail) {
+                // Admitted only when the analyzer proved the site
+                // unreachable (`compile_with_facts`): a no-op that aborts
+                // loudly in tests if the proof was wrong.
+                cur.push(Box::new(|_fr| {
+                    debug_assert!(false, "proven-unreachable fault site executed — analyzer bug");
+                }));
+                k += 1;
                 continue;
             }
+            if k + 1 < idxs.len() {
+                if let Some(st) = try_fuse(op, &lane.ops[idxs[k + 1]], self.level) {
+                    cur.push(st);
+                    self.fused += 1;
+                    k += 2;
+                    continue;
+                }
+            }
+            cur.push(step_for(op, self.level));
+            k += 1;
         }
-        cur.push(step_for(op, level));
-        k += 1;
+        if !cur.is_empty() {
+            self.steps += cur.len();
+            out.push(TNode::Straight(cur));
+        }
     }
-    if !cur.is_empty() {
-        *steps += cur.len();
-        out.push(TNode::Straight(cur));
+}
+
+/// The non-hoisted op indices of instructions `[start, end)`: what runs
+/// per block (hoisted ops run in the prologue).
+fn live_ops(lane: &LaneKernel, hoisted: &[bool], start: u32, end: u32) -> Vec<usize> {
+    let lo = lane.op_start[start as usize] as usize;
+    let hi = lane.op_start[end as usize] as usize;
+    (lo..hi).filter(|i| !hoisted[*i]).collect()
+}
+
+/// Appends the non-hoisted op indices of every instruction under
+/// `nodes`, nested regions included, in program order.
+fn region_ops(nodes: &[Node], lane: &LaneKernel, hoisted: &[bool], out: &mut Vec<usize>) {
+    for n in nodes {
+        match n {
+            Node::Seq { start, end } => out.extend(live_ops(lane, hoisted, *start, *end)),
+            Node::If { then, els, .. } => {
+                region_ops(then, lane, hoisted, out);
+                region_ops(els, lane, hoisted, out);
+            }
+            Node::Loop(l) => {
+                region_ops(&l.header, lane, hoisted, out);
+                region_ops(&l.body, lane, hoisted, out);
+            }
+        }
     }
+}
+
+/// Recognizes a counted loop: a `for` whose header's only per-block op
+/// is `cond = k < n` and whose body ends in `k += c`, with `n` and `c`
+/// hoisted uniform ints and no other op of the loop writing `k`.
+/// Returns its plan (guard not yet placed), the op index of the
+/// increment, and whether it may take the quiescent exit.
+fn counted_shape(
+    l: &LoopNode,
+    lane: &LaneKernel,
+    hoisted: &[bool],
+    uniform_i: &[bool],
+) -> Option<(Counted, usize, bool)> {
+    if l.kind != LoopKind::For || !l.header.iter().all(|n| matches!(n, Node::Seq { .. })) {
+        return None;
+    }
+    let mut header = Vec::new();
+    region_ops(&l.header, lane, hoisted, &mut header);
+    let [h] = header[..] else { return None };
+    let Op::CmpI {
+        op: COp::Lt,
+        dst,
+        a: k,
+        b: n,
+    } = lane.ops[h]
+    else {
+        return None;
+    };
+    if dst != lane.cond_off[l.cond as usize] || !uniform_i[n as usize / LANES] {
+        return None;
+    }
+    let Some(Node::Seq { start, end }) = l.body.last() else {
+        return None;
+    };
+    let inc = *live_ops(lane, hoisted, *start, *end).last()?;
+    let Op::ArithI {
+        op: IOp::Add,
+        dst,
+        a,
+        b: c,
+    } = lane.ops[inc]
+    else {
+        return None;
+    };
+    if dst != k || a != k || !uniform_i[c as usize / LANES] {
+        return None;
+    }
+    let ks = Slot::I(k as usize / LANES);
+    let mut body = Vec::new();
+    region_ops(&l.body, lane, hoisted, &mut body);
+    let (mut reads, mut writes) = (Vec::new(), Vec::new());
+    let mut k_read = false;
+    for &i in body.iter().filter(|i| **i != inc) {
+        op_slots(&lane.ops[i], &mut reads, &mut writes);
+        if writes.contains(&ks) {
+            return None;
+        }
+        k_read |= reads.contains(&ks);
+    }
+    let plan = Counted {
+        k: k as usize,
+        n: n as usize,
+        c: c as usize,
+        k_read,
+        guard: None,
+    };
+    Some((plan, inc, quiescent(l, lane, hoisted, h, inc)))
+}
+
+/// Whether a counted loop (header op `h`, increment op `inc`) may stop
+/// at its first no-op iteration: its body is a straight prefix, one
+/// `If` without `else`, and the increment, and no prefix op or guard
+/// reads a slot written in the loop outside that `then` unless the
+/// prefix wrote it earlier in the same iteration. An iteration in which
+/// no lane enters the `then` then leaves every slot the prefix reads as
+/// it found it, so every later iteration repeats the same no-op.
+fn quiescent(l: &LoopNode, lane: &LaneKernel, hoisted: &[bool], h: usize, inc: usize) -> bool {
+    let [prefix @ .., Node::If { cond, els, .. }, Node::Seq { start, end }] = &l.body[..] else {
+        return false;
+    };
+    if !els.is_empty()
+        || !prefix.iter().all(|n| matches!(n, Node::Seq { .. }))
+        || live_ops(lane, hoisted, *start, *end) != [inc]
+    {
+        return false;
+    }
+    let mut pre = Vec::new();
+    region_ops(prefix, lane, hoisted, &mut pre);
+    if pre.iter().any(|i| matches!(lane.ops[*i], Op::Ret)) {
+        return false;
+    }
+    let (mut reads, mut writes) = (Vec::new(), Vec::new());
+    let mut outside = Vec::new();
+    for &i in pre.iter().chain([&h, &inc]) {
+        op_slots(&lane.ops[i], &mut reads, &mut writes);
+        outside.extend_from_slice(&writes);
+    }
+    let mut fresh = Vec::new();
+    for &i in &pre {
+        op_slots(&lane.ops[i], &mut reads, &mut writes);
+        if reads.iter().any(|s| outside.contains(s) && !fresh.contains(s)) {
+            return false;
+        }
+        fresh.extend_from_slice(&writes);
+    }
+    let g = Slot::B(lane.cond_off[*cond as usize] as usize);
+    !outside.contains(&g) || fresh.contains(&g)
 }
 
 // ---------------------------------------------------------------------------
@@ -2443,9 +2696,11 @@ fn exec_chain(fr: &mut Frame<'_>, nodes: &[TNode], mask: Mask) -> Result<(), Bai
                 cond,
                 header,
                 body,
-            } => {
-                exec_tier_loop(fr, *dowhile, *cond, header, body, m)?;
-            }
+                counted,
+            } => match counted {
+                Some(plan) => exec_counted(fr, plan, *cond, header, body, m)?,
+                None => exec_tier_loop(fr, *dowhile, *cond, header, body, m)?,
+            },
         }
     }
     Ok(())
@@ -2495,6 +2750,79 @@ fn exec_tier_loop(
             bump_iters(fr, active)?;
         }
     }
+}
+
+/// Runs a counted loop on its static trip count (see the module docs),
+/// or through [`exec_tier_loop`] when the counter differs between the
+/// active lanes, the step is not positive or the final counter would
+/// overflow `i32`.
+fn exec_counted(
+    fr: &mut Frame<'_>,
+    plan: &Counted,
+    cond: usize,
+    header: &[TNode],
+    body: &[TNode],
+    mask: Mask,
+) -> Result<(), BailOut> {
+    let k0 = fr.i[plan.k + mask.trailing_zeros() as usize];
+    let mut uniform = true;
+    tier_loop!(mask, l, {
+        uniform &= fr.i[plan.k + l] == k0;
+    });
+    let (k0, n, c) = (i64::from(k0), i64::from(fr.i[plan.n]), i64::from(fr.i[plan.c]));
+    if !uniform || c <= 0 {
+        return exec_tier_loop(fr, false, cond, header, body, mask);
+    }
+    let trip = if k0 < n { (n - k0 + c - 1) / c } else { 0 };
+    let Ok(kf) = i32::try_from(k0 + trip * c) else {
+        return exec_tier_loop(fr, false, cond, header, body, mask);
+    };
+    // The whole loop's budget up front: a lane that would exceed it
+    // sends the block to the lane engine, which faults verbatim.
+    let mut mm = mask;
+    while mm != 0 {
+        let l = mm.trailing_zeros() as usize;
+        let total = u64::from(fr.iters[l]) + trip as u64;
+        if total > MAX_ITERATIONS {
+            return Err(BailOut);
+        }
+        fr.iters[l] = total as u32;
+        mm &= mm - 1;
+    }
+    let run = if plan.k_read {
+        body
+    } else {
+        &body[..body.len() - 1]
+    };
+    let mut live = mask;
+    for _ in 0..trip {
+        match plan.guard {
+            Some(g) => {
+                exec_chain(fr, &run[..g], live)?;
+                let TNode::If { cond: gc, then, .. } = &run[g] else {
+                    unreachable!("a quiescent loop's guard is an `If`")
+                };
+                let taken = live & !fr.dead & fr.b[*gc];
+                if taken == 0 {
+                    break;
+                }
+                exec_chain(fr, then, taken)?;
+                exec_chain(fr, &run[g + 1..], live)?;
+            }
+            None => {
+                exec_chain(fr, run, live)?;
+            }
+        }
+        live &= !fr.dead;
+        if live == 0 {
+            break;
+        }
+    }
+    tier_loop!(live, l, {
+        fr.i[plan.k + l] = kf;
+    });
+    fr.b[cond] &= !live;
+    Ok(())
 }
 
 /// How one elementwise slot's per-lane element offsets are framed.
@@ -2930,23 +3258,29 @@ mod tests {
         (lane, tier)
     }
 
+    /// The results of one launch on the scalar interpreter, the lane
+    /// engine and Tier-2.
+    type Three = (
+        Result<Vec<f32>, ExecError>,
+        Result<Vec<f32>, ExecError>,
+        Result<Vec<f32>, ExecError>,
+    );
+
     /// Runs a 1-input/1-output kernel over a 1-D domain on the scalar
     /// interpreter, the lane engine and Tier-2 and returns all three.
-    #[allow(clippy::type_complexity)]
-    fn run_three(
-        kernel: &IrKernel,
-        input: &[f32],
-        n: usize,
-    ) -> (
-        Result<Vec<f32>, ExecError>,
-        Result<Vec<f32>, ExecError>,
-        Result<Vec<f32>, ExecError>,
-    ) {
+    fn run_three(kernel: &IrKernel, input: &[f32], n: usize) -> Three {
+        run_three_with(kernel, input, n, &[])
+    }
+
+    /// [`run_three`] for a kernel with scalar params too, bound to
+    /// `scalars` in declaration order.
+    fn run_three_with(kernel: &IrKernel, input: &[f32], n: usize, scalars: &[Value]) -> Three {
         let (lane, tier) = tier_of(kernel);
         let shape = [n];
         let run = |engine: u8| -> Result<Vec<f32>, ExecError> {
             let mut bindings = Vec::new();
             let mut n_outs = 0usize;
+            let mut next_scalar = scalars.iter();
             for p in &kernel.params {
                 match p.kind {
                     ParamKind::Stream => bindings.push(Binding::Elem {
@@ -2958,7 +3292,10 @@ mod tests {
                         bindings.push(Binding::Out(n_outs));
                         n_outs += 1;
                     }
-                    _ => panic!("run_three supports stream params only"),
+                    ParamKind::Scalar => {
+                        bindings.push(Binding::Scalar(*next_scalar.next().expect("a scalar value")));
+                    }
+                    _ => panic!("run_three binds stream and scalar params only"),
                 }
             }
             let mut buf = vec![0.0f32; n];
@@ -3190,6 +3527,13 @@ mod tests {
     /// fault is the scalar and lane fault verbatim.
     fn assert_budget_fault_verbatim(n: usize, bad: usize) {
         let src = "kernel void f(float a<>, out float o<>) {\n    float s = a;\n    while (s > 0.5) { s = s + 0.0; }\n    o = s;\n}";
+        assert_budget_fault_verbatim_in(src, 3, n, bad);
+    }
+
+    /// [`assert_budget_fault_verbatim`] for any kernel `src` that
+    /// exhausts the budget on the elements whose input is 1.0, with the
+    /// fault raised on source line `line`.
+    fn assert_budget_fault_verbatim_in(src: &str, line: u32, n: usize, bad: usize) {
         let k = lower_src(src);
         let input: Vec<f32> = (0..n).map(|i| if i == bad { 1.0 } else { 0.0 }).collect();
         let (scalar, lanes, tier) = run_three(&k, &input, n);
@@ -3205,7 +3549,7 @@ mod tests {
             "tier fault must be the lane fault verbatim (n={n} bad={bad})"
         );
         assert_eq!(te.element, Some(bad));
-        assert_eq!(te.span.line, 3);
+        assert_eq!(te.span.line, line);
         assert!(te.render().contains(&format!("element {bad}")), "{}", te.render());
     }
 
@@ -3515,5 +3859,330 @@ mod tests {
             Some(Err(e)) => assert!(e.contains("lane planner"), "{e}"),
             other => panic!("expected propagated rejection, got {other:?}"),
         }
+    }
+
+    /// Every tail remainder of a [`LANES`]-element block, plus a lone
+    /// element and a multi-block launch.
+    fn every_remainder() -> Vec<usize> {
+        let mut sizes: Vec<usize> = (LANES + 1..=2 * LANES).collect();
+        sizes.extend([1, 3 * LANES + 5]);
+        sizes
+    }
+
+    /// Asserts `src` compiles to `counted` counted loops of which
+    /// `quiescent` take the quiescent exit, and runs bit-exact against
+    /// the scalar interpreter and the lane engine at every remainder.
+    fn assert_counted(src: &str, counted: usize, quiescent: usize, input_of: impl Fn(usize) -> f32) {
+        let (_, tier) = tier_of(&lower_src(src));
+        assert_eq!(
+            (tier.counted, tier.quiescent),
+            (counted, quiescent),
+            "{}\n{src}",
+            tier.detail()
+        );
+        assert_bit_exact(src, input_of, &every_remainder());
+    }
+
+    /// Inputs spread so that lanes of one block leave a guarded loop at
+    /// different iterations, some at once and some never.
+    fn spread(i: usize) -> f32 {
+        (i * 7 % 23) as f32 * 0.5 - 1.0
+    }
+
+    #[test]
+    fn escape_time_loop_takes_the_quiescent_exit() {
+        assert_counted(
+            "kernel void f(float a<>, out float o<>) {
+                float z = 0.0;
+                float count = 0.0;
+                int i;
+                for (i = 0; i < 40; i++) {
+                    float m = z * z;
+                    if (m < a) { z = z * 0.5 + 1.25; count += 1.0; }
+                }
+                o = count + z;
+            }",
+            1,
+            1,
+            spread,
+        );
+    }
+
+    #[test]
+    fn counter_read_in_the_body_matches_scalar() {
+        // Unguarded: the increment runs every iteration.
+        assert_counted(
+            "kernel void f(float a<>, out float o<>) {
+                float s = 0.0;
+                int i;
+                for (i = 0; i < 10; i++) { s += float(i) * a; }
+                o = s;
+            }",
+            1,
+            0,
+            spread,
+        );
+        // Read only inside the guarded `then`: still quiescent.
+        assert_counted(
+            "kernel void f(float a<>, out float o<>) {
+                float s = 0.0;
+                int i;
+                for (i = 0; i < 30; i++) {
+                    if (s < a) { s += float(i) * 0.25 + 0.5; }
+                }
+                o = s;
+            }",
+            1,
+            1,
+            spread,
+        );
+    }
+
+    #[test]
+    fn counter_read_after_the_loop_matches_scalar() {
+        assert_counted(
+            "kernel void f(float a<>, out float o<>) {
+                float s = a;
+                int i;
+                for (i = 0; i < 7; i++) { s = s * 0.5 + a; }
+                float t = 0.0;
+                for (i = 2; i < 19; i++) { if (t < a) { t += 1.0; } }
+                o = s + t * 100.0 + float(i) * 1000.0;
+            }",
+            2,
+            1,
+            spread,
+        );
+    }
+
+    #[test]
+    fn counter_read_in_the_guard_is_not_quiescent() {
+        assert_counted(
+            "kernel void f(float a<>, out float o<>) {
+                float s = 0.0;
+                int i;
+                for (i = 0; i < 12; i++) {
+                    if (float(i) < a) { s += 1.0; }
+                }
+                o = s;
+            }",
+            1,
+            0,
+            spread,
+        );
+    }
+
+    #[test]
+    fn zero_trip_loop_leaves_the_counter_at_its_start() {
+        assert_counted(
+            "kernel void f(float a<>, out float o<>) {
+                float s = a;
+                int i;
+                for (i = 5; i < 3; i++) { if (s < 9.0) { s += 1.0; } }
+                o = s + float(i);
+            }",
+            1,
+            1,
+            spread,
+        );
+    }
+
+    #[test]
+    fn stride_not_dividing_the_bound_matches_scalar() {
+        assert_counted(
+            "kernel void f(float a<>, out float o<>) {
+                float s = 0.0;
+                float g = 0.0;
+                int i;
+                for (i = 1; i < 20; i += 3) { s += a * float(i); }
+                for (i = 0; i < 20; i += 3) { if (g < a) { g += 0.75; } }
+                o = s + g * 100.0 + float(i) * 1000.0;
+            }",
+            2,
+            1,
+            spread,
+        );
+    }
+
+    #[test]
+    fn counter_differing_between_lanes_takes_the_generic_path() {
+        // Unchecked mode only: each lane starts its counter at its own
+        // value, so no one trip count fits the block.
+        assert_counted(
+            "kernel void f(float a<>, out float o<>) {
+                float s = 0.0;
+                int i;
+                for (i = int(a); i < 12; i++) { s += 1.0; }
+                o = s + float(i) * 100.0;
+            }",
+            1,
+            0,
+            spread,
+        );
+    }
+
+    #[test]
+    fn uniform_scalar_bounds_and_steps_match_scalar() {
+        let k = lower_src(
+            "kernel void f(float a<>, int lo, int n, int c, out float o<>) {
+                float s = 0.0;
+                int i;
+                for (i = lo; i < n; i += c) { if (s < a) { s += 0.5; } }
+                o = s + float(i);
+            }",
+        );
+        let (_, tier) = tier_of(&k);
+        assert_eq!((tier.counted, tier.quiescent), (1, 1), "{}", tier.detail());
+        let n = 2 * LANES + 3;
+        let input: Vec<f32> = (0..n).map(spread).collect();
+        // Empty, short, strided and negative ranges; a zero step runs
+        // the generic path and the others the counted one.
+        for (lo, hi, c) in [
+            (0, 0, 1),
+            (4, 2, 1),
+            (-7, 30, 4),
+            (0, 9, 9),
+            (i32::MIN, i32::MIN + 5, 2),
+            (3, 3, 0),
+        ] {
+            let scalars = [Value::Int(lo), Value::Int(hi), Value::Int(c)];
+            let (scalar, lanes, tier) = run_three_with(&k, &input, n, &scalars);
+            let want: Vec<u32> = scalar.expect("scalar").iter().map(|x| x.to_bits()).collect();
+            let bits = |r: Result<Vec<f32>, ExecError>| -> Vec<u32> {
+                r.expect("run").iter().map(|x| x.to_bits()).collect()
+            };
+            assert_eq!(bits(lanes), want, "lanes, lo={lo} n={hi} c={c}");
+            assert_eq!(bits(tier), want, "tier, lo={lo} n={hi} c={c}");
+        }
+    }
+
+    #[test]
+    fn counter_overflowing_i32_faults_like_scalar() {
+        // `k0 + trip·c` exceeds `i32::MAX`: the counter wraps on the
+        // scalar path and never reaches the bound, so every engine must
+        // report the same budget fault instead of a 3-iteration loop.
+        let k = lower_src(
+            "kernel void f(float a<>, int lo, out float o<>) {
+                float s = a;
+                int i;
+                for (i = lo; i < 2147483647; i += 4) { s += 1.0; }
+                o = s;
+            }",
+        );
+        let scalars = [Value::Int(i32::MAX - 10)];
+        let (scalar, lanes, tier) = run_three_with(&k, &[0.0; 3], 3, &scalars);
+        let se = scalar.expect_err("scalar faults");
+        assert_eq!(lanes.expect_err("lanes fault"), se);
+        assert_eq!(tier.expect_err("tier faults"), se);
+        assert_eq!(se.element, Some(0));
+    }
+
+    #[test]
+    fn return_inside_the_guarded_then_matches_scalar() {
+        assert_counted(
+            "kernel void f(float a<>, out float o<>) {
+                float s = 0.0;
+                o = -1.0;
+                int i;
+                for (i = 0; i < 25; i++) {
+                    if (s < a) {
+                        s += 0.75;
+                        if (s > 4.0) { o = s + float(i) * 100.0; return; }
+                    }
+                }
+                o = s + float(i) * 1000.0;
+            }",
+            1,
+            1,
+            spread,
+        );
+    }
+
+    #[test]
+    fn nested_counted_loops_match_scalar() {
+        // Inner loop quiescent under an unguarded outer loop.
+        assert_counted(
+            "kernel void f(float a<>, out float o<>) {
+                float s = 0.0;
+                int i;
+                int j;
+                for (i = 0; i < 5; i++) {
+                    for (j = 0; j < 4; j++) {
+                        if (s < a) { s += float(j) * 0.5 + 0.25; }
+                    }
+                    s += 0.125;
+                }
+                o = s + float(i) * 100.0 + float(j) * 1000.0;
+            }",
+            2,
+            1,
+            spread,
+        );
+        // Outer loop quiescent around an unguarded inner loop.
+        assert_counted(
+            "kernel void f(float a<>, out float o<>) {
+                float s = 0.0;
+                int i;
+                int j;
+                for (i = 0; i < 9; i++) {
+                    if (s < a) {
+                        for (j = 0; j < 3; j++) { s += 0.25; }
+                    }
+                }
+                o = s + float(i) * 100.0;
+            }",
+            2,
+            1,
+            spread,
+        );
+    }
+
+    #[test]
+    fn prefix_reading_a_slot_written_outside_the_then_is_not_quiescent() {
+        // Written after the guard.
+        assert_counted(
+            "kernel void f(float a<>, out float o<>) {
+                float s = 0.0;
+                float c = 0.0;
+                int i;
+                for (i = 0; i < 16; i++) {
+                    float g = s * 0.5;
+                    if (g < a) { c += 1.0; }
+                    s = s + 1.0;
+                }
+                o = c + s * 100.0;
+            }",
+            1,
+            0,
+            spread,
+        );
+        // Written by the prefix itself, after it was read.
+        assert_counted(
+            "kernel void f(float a<>, out float o<>) {
+                float p = 0.0;
+                float c = 0.0;
+                int i;
+                for (i = 0; i < 16; i++) {
+                    float g = p + 1.0;
+                    p = g * 0.5;
+                    if (g < a) { c += 1.0; }
+                }
+                o = c + p * 100.0;
+            }",
+            1,
+            0,
+            spread,
+        );
+    }
+
+    #[test]
+    fn counted_loop_nest_budget_fault_matches_scalar_exactly() {
+        // Only the elements whose input is 1.0 enter the nest, and its
+        // 2049 · 2048 back edges exceed the per-element budget.
+        let src = "kernel void f(float a<>, out float o<>) {\n    float s = 0.0;\n    int i;\n    int j;\n    if (a > 0.5) {\n        for (i = 0; i < 2049; i++) {\n            for (j = 0; j < 2048; j++) { if (s < 1e30) { s += 1.0; } }\n        }\n    }\n    o = s;\n}";
+        let (_, tier) = tier_of(&lower_src(src));
+        assert_eq!((tier.counted, tier.quiescent), (2, 1), "{}", tier.detail());
+        assert_budget_fault_verbatim_in(src, 7, LANES + 7, 3);
+        assert_budget_fault_verbatim_in(src, 7, LANES + 7, LANES + 6);
     }
 }

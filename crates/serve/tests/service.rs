@@ -289,8 +289,9 @@ fn malformed_frames_get_structured_errors() {
 #[test]
 fn same_kernel_launches_coalesce_on_a_shard() {
     // One tenant, one shard: fire a burst of identical-kernel launches
-    // from several connections so the shard's drain loop sees
-    // back-to-back same-kernel jobs and coalesces them.
+    // from several connections so they wait for the shard lock behind
+    // one another. Each launch still runs on its own; the test checks
+    // that every one of them ran and the result stayed exact.
     let server = start(ServerConfig {
         shards: 1,
         queue_depth: 256,

@@ -91,3 +91,52 @@ fn emit_ir_rejects_foreign_modules() {
         .expect("compile");
     assert!(b.emit_ir(&m).is_err());
 }
+
+/// The Tier-2 compile decisions for the loop kernels of the suite, as
+/// the compliance report records them: how many `for` loops run on a
+/// static trip count, and how many of those stop at their first no-op
+/// iteration. A specialization lost to a lowering or pass change fails
+/// here instead of only showing as a slower benchmark.
+#[test]
+fn tier_counted_loop_plans_are_pinned() {
+    let cases = [
+        (
+            "mandelbrot",
+            brook_apps::mandelbrot::kernel_source(),
+            "1 counted loops (1 quiescent-exit)",
+        ),
+        (
+            "bsearch",
+            brook_apps::binary_search::KERNEL.to_string(),
+            "1 counted loops (1 quiescent-exit)",
+        ),
+        (
+            "flops",
+            brook_apps::flops::Flops::default().kernel_source(),
+            "1 counted loops (0 quiescent-exit)",
+        ),
+        (
+            "sgemm",
+            brook_apps::sgemm::kernel_source(8),
+            "1 counted loops (0 quiescent-exit)",
+        ),
+    ];
+    for (kernel, source, want) in cases {
+        let mut ctx = BrookContext::cpu();
+        let module = ctx
+            .compile(&source)
+            .unwrap_or_else(|e| panic!("{kernel}: compile: {e}"));
+        let plan = module
+            .report
+            .tier_plans
+            .iter()
+            .find(|p| p.kernel == kernel)
+            .unwrap_or_else(|| panic!("{kernel}: no tier plan"));
+        assert!(plan.compiled, "{kernel}: {}", plan.detail);
+        assert!(
+            plan.detail.ends_with(want),
+            "{kernel}: expected `{want}` in `{}`",
+            plan.detail
+        );
+    }
+}
