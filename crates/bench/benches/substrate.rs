@@ -32,26 +32,20 @@ fn bench_frontend(c: &mut Criterion) {
 
 fn bench_codegen(c: &mut Criterion) {
     let checked = brook_lang::parse_and_check(SGEMM_LIKE).expect("check");
-    c.bench_function("codegen/generate_glsl", |b| {
-        b.iter(|| {
-            brook_codegen::generate_kernel_shader(
-                black_box(&checked),
-                "mm",
-                "c",
-                &brook_codegen::KernelShapes::default(),
-                brook_codegen::StorageMode::Packed,
-            )
-            .expect("codegen")
-        })
-    });
-    let generated = brook_codegen::generate_kernel_shader(
-        &checked,
-        "mm",
-        "c",
-        &brook_codegen::KernelShapes::default(),
-        brook_codegen::StorageMode::Packed,
-    )
-    .expect("codegen");
+    let (ir, errors) = brook_ir::lower::lower_program(&checked);
+    assert!(errors.is_empty(), "{errors:?}");
+    let generate = |ir: &brook_ir::IrProgram| {
+        brook_codegen::generate_ir_kernel_shader(
+            ir,
+            "mm",
+            "c",
+            &brook_codegen::KernelShapes::default(),
+            brook_codegen::StorageMode::Packed,
+        )
+        .expect("codegen")
+    };
+    c.bench_function("codegen/generate_glsl", |b| b.iter(|| generate(black_box(&ir))));
+    let generated = generate(&ir);
     c.bench_function("glsl/compile_generated_shader", |b| {
         b.iter(|| glsl_es::compile(black_box(&generated.glsl)).expect("compile"))
     });

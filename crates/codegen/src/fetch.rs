@@ -1,13 +1,8 @@
-//! Texel-fetch helper emission shared by the AST shader generator
-//! (`glsl_gen`, kept as the legacy/differential reference) and the
-//! BrookIR shader generator (`ir_gen`, the live path).
-//!
-//! The emitted text is byte-identical to what `glsl_gen` historically
-//! produced — the golden-GLSL fixtures pin it.
+//! Texel-fetch helpers and literal spellings for the BrookIR shader
+//! generator (`ir_gen`). The golden-GLSL fixtures pin the emitted text.
 
-use crate::glsl_gen::{KernelShapes, StreamRank};
 use crate::names::{meta_uniform, shape_uniform, tex_uniform, VIEWPORT_UNIFORM};
-use crate::StorageMode;
+use crate::{KernelShapes, StorageMode, StreamRank};
 use brook_lang::ast::Type;
 use std::fmt::Write;
 

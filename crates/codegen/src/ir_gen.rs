@@ -1,8 +1,7 @@
 //! BrookIR → GLSL ES 1.00 fragment shader — the live code-generation
 //! path of the GL backend.
 //!
-//! Where the legacy `glsl_gen` pattern-matched the front-end AST, this
-//! emitter consumes the same [`IrProgram`] every other layer executes:
+//! This emitter consumes the same [`IrProgram`] every other layer executes:
 //! the shader the device runs is generated from the *optimized,
 //! re-certified* IR, so what the GPU computes is exactly what the CPU
 //! interpreters computed and what the certification re-check gated —
@@ -12,9 +11,8 @@
 //! Shape of the emitted shader:
 //!
 //! * the uniform/sampler header and the `_fetch_*`/`_gather_*` helpers
-//!   are byte-identical to the legacy generator (shared through
-//!   `crate::fetch`), so the runtime's binding contract
-//!   ([`GeneratedShader`]) is unchanged;
+//!   (`crate::fetch`) follow the runtime's binding contract
+//!   ([`GeneratedShader`]);
 //! * every live IR register becomes a `main()`-local `_r<N>` declared
 //!   up front, instructions become single assignments — flat IR maps
 //!   onto flat GLSL;
@@ -27,9 +25,8 @@
 //!   runaway-loop guard still applies).
 
 use crate::fetch::{coerce, emit_elem_fetch, emit_gather_fetch, float_literal, glsl_type, zero_literal};
-use crate::glsl_gen::KernelShapes;
 use crate::names::{meta_uniform, scalar_uniform, shape_uniform, tex_uniform, VIEWPORT_UNIFORM};
-use crate::{CodegenError, GeneratedShader, StorageMode, StreamRank};
+use crate::{CodegenError, GeneratedShader, KernelShapes, StorageMode, StreamRank};
 use brook_ir::{Inst, IrKernel, IrProgram, LoopKind, Node, Reg};
 use brook_lang::ast::{AssignOp, BinOp, ParamKind, ScalarKind, Type, UnOp};
 use brook_lang::builtins::BUILTINS;

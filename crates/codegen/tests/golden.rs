@@ -1,9 +1,11 @@
-//! Golden-snapshot tests: generated GLSL for representative kernels is
-//! pinned against committed `.glsl` fixtures, so any codegen drift —
-//! intended or not — shows up as a reviewable diff instead of a silent
-//! behaviour change three layers down.
+//! Golden-snapshot tests for the shader the device runs: GLSL generated
+//! from the lowered *and optimized* BrookIR (the default pass pipeline,
+//! as at compile time), pinned against committed `.glsl` fixtures. The
+//! `golden_ir` suite pins the same kernels straight after lowering, so a
+//! drift in either the optimizer's effect on the shader or the generator
+//! itself shows up as a reviewable diff.
 //!
-//! To update the fixtures after an *intentional* codegen change:
+//! To update the fixtures after an *intentional* change:
 //!
 //! ```text
 //! BROOK_BLESS=1 cargo test -p brook-codegen --test golden
@@ -11,54 +13,28 @@
 //!
 //! then review the diff like any other code change.
 
-use brook_codegen::{generate_kernel_shader, KernelShapes, StorageMode, StreamRank};
-use brook_lang::parse_and_check;
-use std::fs;
-use std::path::PathBuf;
+mod common;
 
-fn fixture_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join(format!("{name}.glsl"))
-}
+use brook_codegen::{KernelShapes, StorageMode, StreamRank};
+use brook_ir::passes::default_passes;
+use brook_ir::verify::verify;
+use common::{assert_no_orphans, check_golden, lower};
 
-fn check_golden(
-    name: &str,
-    src: &str,
-    kernel: &str,
-    output: &str,
-    shapes: KernelShapes,
-    storage: StorageMode,
-) {
-    let checked = parse_and_check(src).expect("front-end");
-    let generated = generate_kernel_shader(&checked, kernel, output, &shapes, storage).expect("codegen");
-    // The generated shader must always be valid GLSL ES for the
-    // simulator, golden or not.
-    glsl_es::compile(&generated.glsl).expect("generated GLSL must compile");
-    let path = fixture_path(name);
-    if std::env::var_os("BROOK_BLESS").is_some() {
-        fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, &generated.glsl).unwrap();
-        return;
+fn check(name: &str, src: &str, kernel: &str, output: &str, shapes: KernelShapes, storage: StorageMode) {
+    let mut ir = lower(src);
+    for k in &mut ir.kernels {
+        for pass in default_passes() {
+            pass.run(k);
+            verify(k).unwrap_or_else(|e| panic!("`{}` broke `{}`: {e}", pass.name(), k.name));
+        }
     }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); run with BROOK_BLESS=1 to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        generated.glsl, expected,
-        "generated GLSL for `{name}` drifted from its golden fixture; \
-         if intentional, re-bless with BROOK_BLESS=1 and review the diff"
-    );
+    check_golden("golden", name, &ir, kernel, output, shapes, storage);
 }
 
 /// The canonical elementwise kernel on the native-float desktop profile.
 #[test]
 fn golden_saxpy_native_grid() {
-    check_golden(
+    check(
         "saxpy_native_grid",
         "kernel void saxpy(float x<>, float y<>, float alpha, out float r<>) { r = alpha * x + y; }",
         "saxpy",
@@ -75,7 +51,7 @@ fn golden_saxpy_native_grid() {
 /// result through `ba_encode` (paper §5.4).
 #[test]
 fn golden_scale_packed_linear() {
-    check_golden(
+    check(
         "scale_packed_linear",
         "kernel void scale(float a<>, float k, out float o<>) { o = a * k; }",
         "scale",
@@ -91,7 +67,7 @@ fn golden_scale_packed_linear() {
 /// `_meta_*` size uniforms (paper §5.2-§5.3).
 #[test]
 fn golden_gather_mix_packed() {
-    check_golden(
+    check(
         "gather_mix_packed",
         "kernel void g(float lut[], float m[][], float i<>, out float o<>) {
             o = lut[int(i)] + m[int(i) + 1][int(i)];
@@ -107,10 +83,10 @@ fn golden_gather_mix_packed() {
     );
 }
 
-/// Control flow, `indexof` and a helper function call in one kernel.
+/// Control flow, `indexof` and a helper call in one kernel.
 #[test]
 fn golden_loop_indexof_helper_native() {
-    check_golden(
+    check(
         "loop_indexof_helper_native",
         "float sq(float v) { return v * v; }
          kernel void f(float a<>, out float o<>) {
@@ -132,16 +108,14 @@ fn golden_loop_indexof_helper_native() {
 
 /// The shape the stream-graph fuser emits (see `brook-auto`'s graph
 /// planner): a producer's body inlined ahead of the consumer's, its
-/// output let-bound to the zero-initialized local `t0`, every `indexof`
-/// redirected to the fused output. Pinned in packed storage so the
-/// let-bound intermediate demonstrably stays in registers — no
-/// `ba_encode`/`ba_decode` round-trip between the fused halves.
-/// (`brook-auto`'s `tests/graph.rs` pins the planner's actual output and
-/// its native-mode GLSL; this fixture pins the packed codegen for the
-/// same source.)
+/// output let-bound to the zero-initialized local `t0`. Pinned in packed
+/// storage so the let-bound intermediate demonstrably stays in registers
+/// — no `ba_encode`/`ba_decode` round-trip between the fused halves.
+/// (`brook-auto`'s `tests/graph.rs` pins the planner's actual output in
+/// native storage.)
 #[test]
 fn golden_fused_chain_packed() {
-    check_golden(
+    check(
         "fused_chain_packed",
         "kernel void fused_dbl_inc(float in0<>, out float o0<>) {
     float t0 = 0.0;
@@ -160,21 +134,14 @@ fn golden_fused_chain_packed() {
 /// Every fixture on disk corresponds to a test above (no stale goldens).
 #[test]
 fn no_orphan_fixtures() {
-    let dir = fixture_path("x");
-    let dir = dir.parent().unwrap();
-    let known = [
-        "saxpy_native_grid.glsl",
-        "scale_packed_linear.glsl",
-        "gather_mix_packed.glsl",
-        "loop_indexof_helper_native.glsl",
-        "fused_chain_packed.glsl",
-    ];
-    for entry in fs::read_dir(dir).expect("golden dir") {
-        let name = entry.unwrap().file_name();
-        let name = name.to_string_lossy().into_owned();
-        assert!(
-            known.contains(&name.as_str()),
-            "orphan golden fixture `{name}`: remove it or add a test"
-        );
-    }
+    assert_no_orphans(
+        "golden",
+        &[
+            "saxpy_native_grid.glsl",
+            "scale_packed_linear.glsl",
+            "gather_mix_packed.glsl",
+            "loop_indexof_helper_native.glsl",
+            "fused_chain_packed.glsl",
+        ],
+    );
 }

@@ -1,8 +1,8 @@
-//! Golden-snapshot tests for the **live** shader path: GLSL generated
-//! from BrookIR (`generate_ir_kernel_shader`), pinned against committed
-//! `.glsl` fixtures. The sibling `golden.rs` pins the legacy AST
-//! generator (kept as the differential reference); these fixtures pin
-//! what the GL backend actually ships since the BrookIR re-plumb.
+//! Golden-snapshot tests for the generator on freshly lowered BrookIR:
+//! GLSL from `generate_ir_kernel_shader`, pinned against committed
+//! `.glsl` fixtures, so any codegen drift shows up as a reviewable diff.
+//! The `golden` suite pins the same kernels after the optimizer, as the
+//! device runs them.
 //!
 //! To update after an *intentional* change:
 //!
@@ -10,57 +10,19 @@
 //! BROOK_BLESS=1 cargo test -p brook-codegen --test golden_ir
 //! ```
 
-use brook_codegen::{generate_ir_kernel_shader, KernelShapes, StorageMode, StreamRank};
-use brook_ir::lower::lower_program;
-use brook_lang::parse_and_check;
-use std::fs;
-use std::path::PathBuf;
+mod common;
 
-fn fixture_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden_ir")
-        .join(format!("{name}.glsl"))
-}
+use brook_codegen::{KernelShapes, StorageMode, StreamRank};
+use common::{assert_no_orphans, check_golden, lower};
 
-fn check_golden(
-    name: &str,
-    src: &str,
-    kernel: &str,
-    output: &str,
-    shapes: KernelShapes,
-    storage: StorageMode,
-) {
-    let checked = parse_and_check(src).expect("front-end");
-    let (ir, errs) = lower_program(&checked);
-    assert!(errs.is_empty(), "{errs:?}");
-    let generated = generate_ir_kernel_shader(&ir, kernel, output, &shapes, storage).expect("ir codegen");
-    // The generated shader must always be valid GLSL ES for the
-    // simulator, golden or not.
-    glsl_es::compile(&generated.glsl).expect("generated GLSL must compile");
-    let path = fixture_path(name);
-    if std::env::var_os("BROOK_BLESS").is_some() {
-        fs::create_dir_all(path.parent().unwrap()).unwrap();
-        fs::write(&path, &generated.glsl).unwrap();
-        return;
-    }
-    let expected = fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); run with BROOK_BLESS=1 to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        generated.glsl, expected,
-        "IR-generated GLSL for `{name}` drifted from its golden fixture; \
-         if intentional, re-bless with BROOK_BLESS=1 and review the diff"
-    );
+fn check(name: &str, src: &str, kernel: &str, output: &str, shapes: KernelShapes, storage: StorageMode) {
+    check_golden("golden_ir", name, &lower(src), kernel, output, shapes, storage);
 }
 
 /// The canonical elementwise kernel on the native-float desktop profile.
 #[test]
 fn golden_ir_saxpy_native_grid() {
-    check_golden(
+    check(
         "saxpy_native_grid",
         "kernel void saxpy(float x<>, float y<>, float alpha, out float r<>) { r = alpha * x + y; }",
         "saxpy",
@@ -77,7 +39,7 @@ fn golden_ir_saxpy_native_grid() {
 /// through `ba_encode` (paper §5.4).
 #[test]
 fn golden_ir_scale_packed_linear() {
-    check_golden(
+    check(
         "scale_packed_linear",
         "kernel void scale(float a<>, float k, out float o<>) { o = a * k; }",
         "scale",
@@ -92,7 +54,7 @@ fn golden_ir_scale_packed_linear() {
 /// Gathers in both ranks with the hidden `_meta_*` size uniforms.
 #[test]
 fn golden_ir_gather_mix_packed() {
-    check_golden(
+    check(
         "gather_mix_packed",
         "kernel void g(float lut[], float m[][], float i<>, out float o<>) {
             o = lut[int(i)] + m[int(i) + 1][int(i)];
@@ -113,7 +75,7 @@ fn golden_ir_gather_mix_packed() {
 /// GLSL function definition is emitted for it.
 #[test]
 fn golden_ir_loop_indexof_helper_native() {
-    check_golden(
+    check(
         "loop_indexof_helper_native",
         "float sq(float v) { return v * v; }
          kernel void f(float a<>, out float o<>) {
@@ -136,20 +98,13 @@ fn golden_ir_loop_indexof_helper_native() {
 /// Every fixture on disk corresponds to a test above (no stale goldens).
 #[test]
 fn no_orphan_ir_fixtures() {
-    let dir = fixture_path("x");
-    let dir = dir.parent().unwrap();
-    let known = [
-        "saxpy_native_grid.glsl",
-        "scale_packed_linear.glsl",
-        "gather_mix_packed.glsl",
-        "loop_indexof_helper_native.glsl",
-    ];
-    for entry in fs::read_dir(dir).expect("golden_ir dir") {
-        let name = entry.unwrap().file_name();
-        let name = name.to_string_lossy().into_owned();
-        assert!(
-            known.contains(&name.as_str()),
-            "orphan golden fixture `{name}`: remove it or add a test"
-        );
-    }
+    assert_no_orphans(
+        "golden_ir",
+        &[
+            "saxpy_native_grid.glsl",
+            "scale_packed_linear.glsl",
+            "gather_mix_packed.glsl",
+            "loop_indexof_helper_native.glsl",
+        ],
+    );
 }

@@ -23,7 +23,7 @@
 //! every in-tree backend so differential tests (and every future
 //! backend) inherit the cross-validation argument for free.
 
-use crate::error::Result;
+use crate::error::{BrookError, Result};
 use crate::stream::StreamDesc;
 use brook_lang::{CheckedProgram, ReduceOp};
 use gles2_sim::{DeviceProfile, DrawMode, Value};
@@ -58,9 +58,8 @@ pub struct KernelLaunch<'a> {
     /// The type-checked translation unit owning the kernel.
     pub checked: &'a CheckedProgram,
     /// The lowered (and optimized, re-certified) BrookIR of the unit —
-    /// the form backends execute. Kernels absent from it (possible only
-    /// past a disabled certification gate, e.g. recursive helpers) fall
-    /// back to the AST tree walker / AST shader generator.
+    /// the form backends execute. Compiled modules carry IR for every
+    /// kernel; sources whose kernels cannot lower fail to compile.
     pub ir: &'a brook_ir::IrProgram,
     /// Lane-vectorization plans for the unit, decided once at compile
     /// time (`brook_ir::lanes::plan`). CPU backends execute kernels
@@ -107,6 +106,13 @@ impl KernelLaunch<'_> {
             })
             .collect()
     }
+}
+
+/// The BrookIR of `kernel`. Compiled modules hold IR for every kernel,
+/// so only a hand-built module can miss one.
+pub(crate) fn ir_kernel<'a>(ir: &'a brook_ir::IrProgram, kernel: &str) -> Result<&'a brook_ir::IrKernel> {
+    ir.kernel(kernel)
+        .ok_or_else(|| BrookError::Usage(format!("kernel `{kernel}` has no BrookIR")))
 }
 
 /// An execution substrate for certified Brook Auto programs.

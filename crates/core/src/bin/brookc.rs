@@ -2,12 +2,14 @@
 //!
 //! Mirrors the workflow of the paper's modified Brook compiler (§5.1):
 //! parse + type-check a `.br` translation unit, run the ISO 26262
-//! certification rules, and emit the generated GLSL ES 1.00 shaders.
+//! certification rules, and emit the GLSL ES 1.00 shaders the device
+//! runs — generated from the optimized BrookIR, as at dispatch time.
 //!
 //! ```sh
 //! brookc kernel.br                  # certify, list kernels
 //! brookc kernel.br --report         # full compliance report
-//! brookc kernel.br --emit-glsl      # print generated shaders (packed storage)
+//! brookc kernel.br --emit-glsl      # print generated shaders (packed storage;
+//!                                   # none for a non-compliant source)
 //! brookc kernel.br --emit-glsl --native
 //! brookc kernel.br --matrix         # rule x kernel pass/fail matrix
 //! echo 'kernel ...' | brookc -      # read from stdin
@@ -17,7 +19,7 @@
 //! for CI gates in a certification workflow.
 
 use brook_cert::{certify, render_matrix, render_report, CertConfig};
-use brook_codegen::{generate_kernel_shader, KernelShapes, StorageMode};
+use brook_codegen::{generate_ir_kernel_shader, KernelShapes, StorageMode};
 use std::io::Read;
 use std::process::ExitCode;
 
@@ -113,25 +115,33 @@ fn main() -> ExitCode {
     // by zero) come from the abstract interpreter over the *optimized*
     // IR. Run the same lower → optimize → analyze pipeline `compile()`
     // runs and merge its findings, so a CLI pass is the same pass every
-    // backend enforces.
+    // backend enforces. The IR is kept only for a compliant program:
+    // `--emit-glsl` prints the shaders generated from it.
+    let mut ir = None;
     if report.is_compliant() {
-        let (mut ir, lower_errors) = brook_ir::lower::lower_program(&checked);
-        if lower_errors.is_empty() {
-            report.passes =
-                brook_cert::ir_check::optimize_program(&mut ir, &config, &brook_ir::passes::default_passes());
-            let (analysis, _facts) = brook_cert::absint::analyze_and_annotate_program(&mut ir, true);
-            for ka in &analysis.kernels {
-                let Some(kr) = report.kernels.iter_mut().find(|r| r.kernel == ka.kernel) else {
-                    continue;
-                };
-                kr.findings.extend(ka.faults.iter().cloned());
-                kr.refined_estimate = match (ka.pruned_estimate, kr.instruction_estimate) {
-                    (Some(p), Some(a)) => Some(p.min(a)),
-                    (p, a) => p.or(a),
-                };
-            }
-            report.analysis = analysis;
+        let (mut lowered, lower_errors) = brook_ir::lower::lower_program(&checked);
+        if let Some(e) = lower_errors.first() {
+            eprintln!("brookc: internal lowering failure: {e}");
+            return ExitCode::FAILURE;
         }
+        report.passes = brook_cert::ir_check::optimize_program(
+            &mut lowered,
+            &config,
+            &brook_ir::passes::default_passes(),
+        );
+        let (analysis, _facts) = brook_cert::absint::analyze_and_annotate_program(&mut lowered, true);
+        for ka in &analysis.kernels {
+            let Some(kr) = report.kernels.iter_mut().find(|r| r.kernel == ka.kernel) else {
+                continue;
+            };
+            kr.findings.extend(ka.faults.iter().cloned());
+            kr.refined_estimate = match (ka.pruned_estimate, kr.instruction_estimate) {
+                (Some(p), Some(a)) => Some(p.min(a)),
+                (p, a) => p.or(a),
+            };
+        }
+        report.analysis = analysis;
+        ir = report.is_compliant().then_some(lowered);
     }
     if opts.report {
         print!("{}", render_report(&report));
@@ -161,12 +171,13 @@ fn main() -> ExitCode {
             );
         }
     }
-    if opts.emit_glsl {
+    if let Some(ir) = ir.as_ref().filter(|_| opts.emit_glsl) {
         let storage = if opts.native {
             StorageMode::Native
         } else {
             StorageMode::Packed
         };
+        let shapes = KernelShapes::default();
         for summary in &checked.kernels {
             if summary.is_reduce {
                 if let Some(op) = summary.reduce_op {
@@ -179,13 +190,7 @@ fn main() -> ExitCode {
                 continue;
             }
             for output in &summary.outputs {
-                match generate_kernel_shader(
-                    &checked,
-                    &summary.name,
-                    output,
-                    &KernelShapes::default(),
-                    storage,
-                ) {
+                match generate_ir_kernel_shader(ir, &summary.name, output, &shapes, storage) {
                     Ok(generated) => {
                         println!("// ---- kernel `{}`, output `{output}` ----", summary.name);
                         print!("{}", generated.glsl);

@@ -48,9 +48,8 @@ pub struct BrookModule {
     pub(crate) checked: Arc<CheckedProgram>,
     /// The lowered, optimized and re-certified BrookIR — the form every
     /// backend executes (flat interpreter on the CPU backends, GLSL
-    /// generation on the device). Kernels that could not lower (possible
-    /// only with certification disabled) are absent; backends fall back
-    /// to the AST walker / AST shader generator for them.
+    /// generation on the device). Holds every kernel of the module:
+    /// sources with a kernel that cannot lower fail to compile.
     pub(crate) ir: Arc<IrProgram>,
     /// Lane-vectorization plans, decided once at compile time by
     /// `brook_ir::lanes::plan` and recorded in the report's
@@ -171,7 +170,8 @@ pub struct BrookContext {
     pub(crate) context_id: u64,
     cert_config: CertConfig,
     /// When false, `compile` accepts non-compliant programs (used for
-    /// negative tests and for measuring what certification would reject).
+    /// negative tests and for measuring what certification would reject)
+    /// as long as every kernel still lowers to BrookIR.
     pub enforce_certification: bool,
     /// When false, `compile` skips the BrookIR optimization pipeline
     /// (used by the optimized-vs-unoptimized differential campaigns and
@@ -285,7 +285,8 @@ impl BrookContext {
     /// # Errors
     /// Front-end diagnostics, or [`BrookError::Certification`] carrying
     /// the full compliance report when a rule is violated and enforcement
-    /// is on.
+    /// is on — or, whatever the enforcement, when a violation (such as
+    /// BA004 recursion) leaves a kernel unable to lower to BrookIR.
     pub fn compile(&mut self, source: &str) -> Result<BrookModule> {
         let artifact = self.compile_artifact(source)?;
         self.adopt_artifact(&artifact)
@@ -304,15 +305,20 @@ impl BrookContext {
         if self.enforce_certification && !report.is_compliant() {
             return Err(BrookError::Certification(Box::new(report)));
         }
-        // Lower to BrookIR — the form every backend executes.
+        // Lower to BrookIR — the form every backend executes. Lowering
+        // is mandatory: a kernel that cannot lower (a recursive or
+        // over-deep helper chain, which only an unenforced gate lets
+        // through) is rejected with the report that names the violation.
+        // A certified program always lowers, so a failure there is a
+        // toolchain bug surfaced loudly.
         let (mut ir, lower_errors) = brook_ir::lower::lower_program(&checked);
-        if self.enforce_certification {
-            // A certified program always lowers (no recursion, bounded
-            // call depth); anything else is a toolchain bug surfaced
-            // loudly rather than silently falling back.
-            if let Some(e) = lower_errors.first() {
-                return Err(BrookError::Usage(format!("internal lowering failure: {e}")));
+        if let Some(e) = lower_errors.first() {
+            if !report.is_compliant() {
+                return Err(BrookError::Certification(Box::new(report)));
             }
+            return Err(BrookError::Usage(format!("internal lowering failure: {e}")));
+        }
+        if self.enforce_certification {
             // Lower → re-gate: the IR-level re-check must agree that the
             // lowered program is still certifiable.
             let (checks, ok) = brook_cert::ir_check::check_program(&ir, &self.cert_config);
@@ -910,9 +916,8 @@ pub(crate) fn verify_module_ir(ir: &IrProgram) -> IrRejects {
 }
 
 /// Reports the build-time IR-verification failure of a kernel about to
-/// launch, if it has one; kernels absent from the IR (AST fallback)
-/// pass. Shared by the eager path and the graph executor so no backend
-/// can receive malformed IR.
+/// launch, if it has one. Shared by the eager path and the graph
+/// executor so no backend can receive malformed IR.
 pub(crate) fn report_ir_verdict(module: &BrookModule, kernel: &str) -> Result<()> {
     match module.ir_rejects.iter().find(|(k, _)| k == kernel) {
         Some((_, message)) => Err(BrookError::Usage(message.clone())),
@@ -1238,45 +1243,43 @@ mod tests {
         }
     }
 
-    /// GLES2 program-cache hygiene: a failed GLSL compile must leave no
-    /// stale or partial cache entry, so a corrected module under the
-    /// *same module id* (hence the same cache key) compiles fresh and
-    /// runs — on both storage variants.
+    /// GLES2 program-cache hygiene: a failed shader generation must
+    /// leave no stale or partial cache entry, so a corrected module
+    /// under the *same module id* (hence the same cache key) compiles
+    /// fresh and runs — on both storage variants.
     #[test]
     fn failed_compile_leaves_no_stale_program_cache_entry() {
-        // A recursive helper passes the front-end with certification
-        // disabled but cannot lower to IR, so the device falls back to
-        // the AST shader generator, which fails to resolve the call —
-        // a real compile failure at dispatch time.
-        let broken = "float twice(float x) { return twice(x); }
-            kernel void k(float a<>, out float o<>) { o = twice(a); }";
-        let corrected = "float twice(float x) { return x * 2.0; }
-            kernel void k(float a<>, out float o<>) { o = twice(a); }";
+        // Reading a gather without an index certifies and lowers to a
+        // codegen-fatal fault, so shader generation fails at dispatch
+        // time. The fix keeps the signature (hence the cache key) and
+        // indexes by data, so no clamp-elided variant changes the key.
+        let broken = "kernel void k(float g[], float a<>, out float o<>) { o = g + a; }";
+        let corrected = "kernel void k(float g[], float a<>, out float o<>) { o = g[a] + a; }";
         for device in [
             gles2_sim::DeviceProfile::videocore_iv(),  // packed storage
             gles2_sim::DeviceProfile::radeon_hd3400(), // native storage
         ] {
             let mut ctx = BrookContext::gles2(device);
-            ctx.enforce_certification = false;
             let bad = ctx.compile(broken).unwrap();
+            let g = ctx.stream(&[4]).unwrap();
             let a = ctx.stream(&[4]).unwrap();
             let o = ctx.stream(&[4]).unwrap();
-            ctx.write(&a, &[1.0, 2.0, 3.0, 4.0]).unwrap();
-            let err = ctx
-                .run(&bad, "k", &[Arg::Stream(&a), Arg::Stream(&o)])
-                .unwrap_err();
+            ctx.write(&g, &[10.0, 20.0, 30.0, 40.0]).unwrap();
+            ctx.write(&a, &[0.0, 1.0, 2.0, 3.0]).unwrap();
+            let args = [Arg::Stream(&g), Arg::Stream(&a), Arg::Stream(&o)];
+            let err = ctx.run(&bad, "k", &args).unwrap_err();
             assert!(
-                matches!(err, BrookError::Gl(_) | BrookError::Codegen(_)),
-                "expected a compile failure, got: {err}"
+                matches!(err, BrookError::Codegen(brook_codegen::CodegenError::Unsupported(ref m)) if m.contains("without an index")),
+                "expected a codegen failure, got: {err}"
             );
             // Same module id → same program-cache key as the failed
             // attempt. A stale entry would either re-fail or run the
             // broken shader; a clean cache compiles the fix.
             let mut good = ctx.compile(corrected).unwrap();
             good.id = bad.id;
-            ctx.run(&good, "k", &[Arg::Stream(&a), Arg::Stream(&o)])
+            ctx.run(&good, "k", &args)
                 .unwrap_or_else(|e| panic!("{}: corrected module must run: {e}", ctx.backend_name()));
-            assert_eq!(ctx.read(&o).unwrap(), vec![2.0, 4.0, 6.0, 8.0]);
+            assert_eq!(ctx.read(&o).unwrap(), vec![10.0, 21.0, 32.0, 43.0]);
         }
     }
 

@@ -10,7 +10,7 @@
 //! mirroring the texture-unit semantics of the OpenGL ES 2.0 backend so
 //! both backends compute identical results even for sloppy kernels.
 
-use crate::backend::{BackendExecutor, BoundArg, KernelLaunch};
+use crate::backend::{ir_kernel, BackendExecutor, BoundArg, KernelLaunch};
 use crate::error::{BrookError, Result};
 use crate::stream::StreamDesc;
 use brook_ir::eval::{
@@ -23,7 +23,6 @@ use brook_lang::ast::*;
 use brook_lang::{CheckedProgram, ReduceOp};
 use glsl_es::Value;
 use std::collections::HashMap;
-use std::ops::Range;
 
 /// Iteration budget per element, defending against runaway loops that
 /// slipped past certification (e.g. `compile_unchecked`).
@@ -55,15 +54,12 @@ pub enum CpuBinding<'a> {
     Out(usize),
 }
 
-struct Interp<'a, 'b> {
+struct Interp<'a> {
     checked: &'a CheckedProgram,
     bindings: &'a HashMap<String, CpuBinding<'a>>,
-    /// Output buffers — possibly *partitions* of the full domain when
-    /// running a chunk of a parallel dispatch (see [`run_kernel_range`]).
-    outputs: &'a mut [&'b mut [f32]],
+    /// Output buffers over the full domain.
+    outputs: &'a mut [Vec<f32>],
     out_shapes: Vec<(String, Vec<usize>, u8)>,
-    /// First domain element the output slices cover (0 for full runs).
-    out_start: usize,
     /// Current output element index: (x = innermost/linear, y = row).
     pos: (usize, usize),
     /// Output domain extents (innermost, rows).
@@ -170,85 +166,19 @@ fn run_domain(
     out_shapes: Vec<(String, Vec<usize>, u8)>,
     domain_shape: &[usize],
 ) -> Result<()> {
-    let (dx, dy, _) = domain_extents(domain_shape);
-    let mut slices: Vec<&mut [f32]> = outputs.iter_mut().map(|v| v.as_mut_slice()).collect();
-    run_domain_range(
-        checked,
-        kdef,
-        bindings,
-        &mut slices,
-        out_shapes,
-        domain_shape,
-        0..dx * dy,
-    )
-}
-
-/// Runs a contiguous *partition* of a kernel's output domain: elements
-/// `range` (in row-major domain order), writing into output slices that
-/// cover exactly that partition. This is the primitive the data-parallel
-/// CPU backend fans out across worker threads — each worker gets a
-/// disjoint range and disjoint slices, so results are bit-identical to a
-/// serial full-domain run regardless of the partitioning.
-///
-/// Every output stream must have the domain shape (the context
-/// guarantees this for the first output; callers partitioning
-/// multi-output kernels must check the rest).
-///
-/// # Errors
-/// As [`run_kernel`], plus slice-length mismatches against `range`.
-pub fn run_kernel_range(
-    checked: &CheckedProgram,
-    kernel: &str,
-    bindings: &HashMap<String, CpuBinding<'_>>,
-    outputs: &mut [&mut [f32]],
-    domain_shape: &[usize],
-    range: Range<usize>,
-) -> Result<()> {
-    let kdef = checked
-        .program
-        .kernel(kernel)
-        .ok_or_else(|| BrookError::Usage(format!("unknown kernel `{kernel}`")))?;
-    let mut out_shapes = Vec::new();
-    for p in &kdef.params {
-        if let Some(CpuBinding::Out(idx)) = bindings.get(&p.name) {
-            let want = range.len() * p.ty.width as usize;
-            if outputs[*idx].len() != want {
-                return Err(BrookError::Usage(format!(
-                    "output slice for `{}` has {} values, expected {want} for domain range {range:?}",
-                    p.name,
-                    outputs[*idx].len()
-                )));
-            }
-            out_shapes.push((p.name.clone(), domain_shape.to_vec(), p.ty.width));
-        }
-    }
-    run_domain_range(checked, kdef, bindings, outputs, out_shapes, domain_shape, range)
-}
-
-fn run_domain_range(
-    checked: &CheckedProgram,
-    kdef: &KernelDef,
-    bindings: &HashMap<String, CpuBinding<'_>>,
-    outputs: &mut [&mut [f32]],
-    out_shapes: Vec<(String, Vec<usize>, u8)>,
-    domain_shape: &[usize],
-    range: Range<usize>,
-) -> Result<()> {
     let (dx, dy, linear) = domain_extents(domain_shape);
-    debug_assert!(range.end <= dx * dy, "domain range exceeds the domain");
     let mut interp = Interp {
         checked,
         bindings,
         outputs,
         out_shapes,
-        out_start: range.start,
         pos: (0, 0),
         domain: (dx, dy),
         linear,
         scopes: Vec::new(),
         iterations: 0,
     };
-    for p in range {
+    for p in 0..dx * dy {
         interp.pos = (p % dx, p / dx);
         interp.scopes.clear();
         interp.scopes.push(HashMap::new());
@@ -311,7 +241,6 @@ pub fn run_reduce(checked: &CheckedProgram, kernel: &str, data: &[f32]) -> Resul
             bindings: &bindings,
             outputs: &mut [],
             out_shapes: vec![],
-            out_start: 0,
             pos: (i % shape[0], 0),
             domain: (1, 1),
             linear: true,
@@ -339,13 +268,13 @@ pub(crate) fn domain_extents(shape: &[usize]) -> (usize, usize, bool) {
     }
 }
 
-impl Interp<'_, '_> {
+impl Interp<'_> {
     fn err(&self, msg: impl Into<String>) -> BrookError {
         BrookError::Usage(msg.into())
     }
 
-    /// Scalar offset of the current position inside the (possibly
-    /// partitioned) output buffers for an output of shape `shape`.
+    /// Scalar offset of the current position inside the output buffer
+    /// of an output of shape `shape`.
     fn out_offset(&self, shape: &[usize], width: u8) -> usize {
         let (x, y) = self.pos;
         let elem = if shape.len() == 2 {
@@ -353,7 +282,7 @@ impl Interp<'_, '_> {
         } else {
             y * self.domain.0 + x
         };
-        (elem - self.out_start) * width as usize
+        elem * width as usize
     }
 
     fn lookup(&self, name: &str) -> Option<Value> {
@@ -1059,11 +988,9 @@ pub(crate) fn ir_run_full(
 /// Since BrookIR, the default execution engine is the flat IR
 /// interpreter (`brook_ir::interp`): a preallocated register frame, no
 /// tree walk. The AST tree walker in this module is retained as the
-/// *differential oracle* — [`CpuBackend::ast_walker`] builds a backend
-/// that still executes it, and the fuzz campaigns assert bit-exactness
-/// between the two on every generated kernel. Kernels absent from a
-/// module's IR (possible only past a disabled certification gate, e.g.
-/// recursive helpers) transparently fall back to the walker.
+/// *differential oracle* — [`CpuBackend::ast_walker`] builds the only
+/// backend that executes it, and the fuzz campaigns assert
+/// bit-exactness between the two on every generated kernel.
 #[derive(Default)]
 pub struct CpuBackend {
     streams: Vec<(StreamDesc, Vec<f32>)>,
@@ -1117,25 +1044,23 @@ impl BackendExecutor for CpuBackend {
         // The walker itself can only execute kernels present in the
         // checked AST; synthetic kernels (the fusion planner's) exist
         // only in IR form, so even the oracle backend runs those
-        // through the IR interpreter.
-        let ast_has_kernel = launch.checked.program.kernel(launch.kernel).is_some();
-        if !self.use_ast_walker || !ast_has_kernel {
-            if let Some(kernel) = launch.ir.kernel(launch.kernel) {
-                let (lane, tier) = if self.use_ast_walker {
-                    (None, None)
-                } else {
-                    (
-                        launch.lanes.kernel(launch.kernel),
-                        launch.tiers.kernel(launch.kernel),
-                    )
-                };
-                let slabs = &mut self.slabs;
-                return dispatch_ir_on_host(&mut self.streams, launch, kernel, |k, b, outs, domain| {
-                    ir_run_full(slabs, k, lane, tier, b, outs, domain)
-                });
-            }
+        // through the scalar IR interpreter.
+        if self.use_ast_walker && launch.checked.program.kernel(launch.kernel).is_some() {
+            return dispatch_on_host(&mut self.streams, launch, run_kernel_shaped);
         }
-        dispatch_on_host(&mut self.streams, launch, run_kernel_shaped)
+        let kernel = ir_kernel(launch.ir, launch.kernel)?;
+        let (lane, tier) = if self.use_ast_walker {
+            (None, None)
+        } else {
+            (
+                launch.lanes.kernel(launch.kernel),
+                launch.tiers.kernel(launch.kernel),
+            )
+        };
+        let slabs = &mut self.slabs;
+        dispatch_ir_on_host(&mut self.streams, launch, kernel, |k, b, outs, domain| {
+            ir_run_full(slabs, k, lane, tier, b, outs, domain)
+        })
     }
 
     fn reduce(
@@ -1149,18 +1074,17 @@ impl BackendExecutor for CpuBackend {
     ) -> Result<f32> {
         // The interpreters fold the actual kernel body, so the detected
         // canonical op is only needed by ladder-style backends.
-        if !self.use_ast_walker {
-            if let Some(k) = ir.kernel(kernel) {
-                // Admitted vectorized reduce: SIMD per-lane partials +
-                // reassociation-safe combine, proven bit-exact with the
-                // serial fold; faults rerun the serial fold for the
-                // canonical error surface.
-                if let Some(rk) = simd {
-                    return brook_ir::simd::run_reduce(rk, k, &self.streams[input].1).map_err(exec_err);
-                }
-                return ir_interp::run_reduce(k, &self.streams[input].1).map_err(exec_err);
-            }
+        if self.use_ast_walker {
+            return reduce_on_host(&self.streams, checked, kernel, input);
         }
-        reduce_on_host(&self.streams, checked, kernel, input)
+        let k = ir_kernel(ir, kernel)?;
+        // Admitted vectorized reduce: SIMD per-lane partials +
+        // reassociation-safe combine, proven bit-exact with the serial
+        // fold; faults rerun the serial fold for the canonical error
+        // surface.
+        if let Some(rk) = simd {
+            return brook_ir::simd::run_reduce(rk, k, &self.streams[input].1).map_err(exec_err);
+        }
+        ir_interp::run_reduce(k, &self.streams[input].1).map_err(exec_err)
     }
 }

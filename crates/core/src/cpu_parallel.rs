@@ -6,8 +6,7 @@
 //! argument *and* a parallelization licence: the output domain can be
 //! split into contiguous chunks evaluated on worker threads with zero
 //! synchronization beyond the final join. Each worker runs the same
-//! interpreter core as [`crate::cpu::CpuBackend`]
-//! ([`crate::cpu::run_kernel_range`]) over a disjoint domain range,
+//! IR engines as [`crate::cpu::CpuBackend`] over a disjoint domain range,
 //! writing into a disjoint slice of each output buffer, so results are
 //! **bit-identical** to the serial backend no matter how many workers
 //! run.
@@ -22,14 +21,13 @@
 //! association, so the map phase parallelizes across workers and the
 //! fold stays bit-identical to the serial backend by construction.
 
-use crate::backend::{BackendExecutor, KernelLaunch};
-use crate::cpu::{self, CpuBinding};
+use crate::backend::{ir_kernel, BackendExecutor, KernelLaunch};
+use crate::cpu;
 use crate::error::{BrookError, Result};
 use crate::stream::StreamDesc;
 use brook_ir::interp as ir_interp;
 use brook_ir::IrKernel;
 use brook_lang::{CheckedProgram, ReduceOp};
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// Below this many output elements the thread fan-out costs more than it
@@ -142,70 +140,14 @@ impl Default for ParallelCpuBackend {
     }
 }
 
-/// Runs `launch` over `domain_shape`, fanning contiguous domain chunks
+/// Runs a launch over `domain_shape`, fanning contiguous domain chunks
 /// out to scoped worker threads. Output buffers are pre-split into
-/// per-chunk slices so workers never share mutable state.
-fn run_parallel(
-    checked: &CheckedProgram,
-    kernel: &str,
-    bindings: &HashMap<String, CpuBinding<'_>>,
-    outputs: &mut [Vec<f32>],
-    domain_shape: &[usize],
-    workers: usize,
-) -> Result<()> {
-    let (dx, dy, _) = cpu::domain_extents(domain_shape);
-    let total = dx * dy;
-    let widths: Vec<usize> = outputs
-        .iter()
-        .map(|buf| {
-            debug_assert!(buf.len().is_multiple_of(total.max(1)));
-            buf.len() / total.max(1)
-        })
-        .collect();
-    let chunk = total.div_ceil(workers);
-    let ranges: Vec<Range<usize>> = (0..workers)
-        .map(|w| (w * chunk).min(total)..((w + 1) * chunk).min(total))
-        .filter(|r| !r.is_empty())
-        .collect();
-    // Carve each output buffer into one disjoint slice per chunk.
-    let mut per_chunk: Vec<Vec<&mut [f32]>> = ranges.iter().map(|_| Vec::new()).collect();
-    for (oi, buf) in outputs.iter_mut().enumerate() {
-        let mut rest: &mut [f32] = buf;
-        for (ci, r) in ranges.iter().enumerate() {
-            let (head, tail) = rest.split_at_mut(r.len() * widths[oi]);
-            per_chunk[ci].push(head);
-            rest = tail;
-        }
-    }
-    let results: Vec<Result<()>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .zip(per_chunk)
-            .map(|(range, mut outs)| {
-                let range = range.clone();
-                scope.spawn(move || {
-                    cpu::run_kernel_range(checked, kernel, bindings, &mut outs, domain_shape, range)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err(BrookError::Usage("parallel CPU worker panicked".into())))
-            })
-            .collect()
-    });
-    results.into_iter().collect()
-}
-
-/// IR flavour of [`run_parallel`]: the same chunking, with each worker
-/// running the flat IR engine over its disjoint range. Bit-exact with
-/// the serial IR backend for any worker count, by the same disjointness
-/// argument. When the kernel carries a lane plan, each worker executes
-/// the lane engine and chunk boundaries are aligned to lane-block
-/// multiples, so workers iterate whole register slabs — only the final
-/// chunk sees a remainder block.
+/// per-chunk slices so workers never share mutable state, and each
+/// worker runs the flat IR engine over its disjoint range — bit-exact
+/// with the serial IR backend for any worker count. When the kernel
+/// carries a lane plan, each worker executes the lane engine and chunk
+/// boundaries are aligned to lane-block multiples, so workers iterate
+/// whole register slabs — only the final chunk sees a remainder block.
 #[allow(clippy::too_many_arguments)]
 fn run_parallel_ir(
     kernel: &IrKernel,
@@ -327,58 +269,43 @@ impl BackendExecutor for ParallelCpuBackend {
             .iter()
             .all(|(_, i)| self.streams[*i].0.shape == domain_shape);
         let workers = self.workers;
-        if let Some(kernel) = launch.ir.kernel(launch.kernel) {
-            let lane = launch.lanes.kernel(launch.kernel);
-            let tier = launch.tiers.kernel(launch.kernel);
-            if self.parallelizable(dx * dy, uniform) {
-                cpu::dispatch_ir_on_host(&mut self.streams, launch, kernel, |k, bindings, outs, domain| {
-                    run_parallel_ir(k, lane, tier, bindings, outs, domain, workers)
-                })
-            } else {
-                let slabs = &mut self.slabs;
-                cpu::dispatch_ir_on_host(&mut self.streams, launch, kernel, |k, bindings, outs, domain| {
-                    cpu::ir_run_full(slabs, k, lane, tier, bindings, outs, domain)
-                })
-            }
-        } else if self.parallelizable(dx * dy, uniform) {
-            // AST fallback (kernels that could not lower).
-            cpu::dispatch_on_host(
-                &mut self.streams,
-                launch,
-                |checked, kernel, bindings, outs, domain| {
-                    run_parallel(checked, kernel, bindings, outs, domain, workers)
-                },
-            )
+        let kernel = ir_kernel(launch.ir, launch.kernel)?;
+        let lane = launch.lanes.kernel(launch.kernel);
+        let tier = launch.tiers.kernel(launch.kernel);
+        if self.parallelizable(dx * dy, uniform) {
+            cpu::dispatch_ir_on_host(&mut self.streams, launch, kernel, |k, bindings, outs, domain| {
+                run_parallel_ir(k, lane, tier, bindings, outs, domain, workers)
+            })
         } else {
-            cpu::dispatch_on_host(&mut self.streams, launch, cpu::run_kernel_shaped)
+            let slabs = &mut self.slabs;
+            cpu::dispatch_ir_on_host(&mut self.streams, launch, kernel, |k, bindings, outs, domain| {
+                cpu::ir_run_full(slabs, k, lane, tier, bindings, outs, domain)
+            })
         }
     }
 
     fn reduce(
         &mut self,
-        checked: &CheckedProgram,
+        _checked: &CheckedProgram,
         ir: &brook_ir::IrProgram,
         kernel: &str,
         _op: ReduceOp,
         simd: Option<&brook_ir::simd::ReduceKernel>,
         input: usize,
     ) -> Result<f32> {
-        if let Some(k) = ir.kernel(kernel) {
-            // Admitted vectorized reduce: the map phase parallelizes
-            // across workers over disjoint partial slices, and the
-            // combine is deterministic regardless of worker timing —
-            // partials land at fixed element indices and the fold walks
-            // them in index order (the admission proof makes any order
-            // bitwise-equal anyway). Any worker fault discards the
-            // partials and reruns the serial fold for the canonical
-            // error surface.
-            if let Some(rk) = simd {
-                return self.reduce_vectorized(rk, k, input);
-            }
-            // Serial on purpose — see the module docs.
-            return ir_interp::run_reduce(k, &self.streams[input].1).map_err(cpu::exec_err);
+        let k = ir_kernel(ir, kernel)?;
+        // Admitted vectorized reduce: the map phase parallelizes across
+        // workers over disjoint partial slices, and the combine is
+        // deterministic regardless of worker timing — partials land at
+        // fixed element indices and the fold walks them in index order
+        // (the admission proof makes any order bitwise-equal anyway).
+        // Any worker fault discards the partials and reruns the serial
+        // fold for the canonical error surface.
+        if let Some(rk) = simd {
+            return self.reduce_vectorized(rk, k, input);
         }
-        cpu::reduce_on_host(&self.streams, checked, kernel, input)
+        // Serial on purpose — see the module docs.
+        ir_interp::run_reduce(k, &self.streams[input].1).map_err(cpu::exec_err)
     }
 }
 
@@ -548,23 +475,21 @@ mod tests {
         let checked =
             brook_lang::parse_and_check("kernel void dbl(float a<>, out float o<>) { o = a * 2.0; }")
                 .expect("check");
+        let (ir, errors) = brook_ir::lower::lower_program(&checked);
+        assert!(errors.is_empty(), "{errors:?}");
+        let kernel = ir.kernel("dbl").expect("lowered");
         let shape: Vec<usize> = vec![0];
-        let bindings: HashMap<String, CpuBinding<'_>> = [
-            (
-                "a".to_string(),
-                CpuBinding::Elem {
-                    data: &[],
-                    shape: &shape,
-                    width: 1,
-                },
-            ),
-            ("o".to_string(), CpuBinding::Out(0)),
-        ]
-        .into_iter()
-        .collect();
+        let bindings = [
+            ir_interp::Binding::Elem {
+                data: &[],
+                shape: &shape,
+                width: 1,
+            },
+            ir_interp::Binding::Out(0),
+        ];
         let mut outputs = vec![Vec::<f32>::new()];
         for workers in [1usize, 4, 16] {
-            run_parallel(&checked, "dbl", &bindings, &mut outputs, &shape, workers)
+            run_parallel_ir(kernel, None, None, &bindings, &mut outputs, &shape, workers)
                 .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
             assert!(outputs[0].is_empty());
         }

@@ -5,8 +5,7 @@ use crate::backend::{BackendExecutor, KernelLaunch};
 use crate::error::{BrookError, Result};
 use crate::stream::{layout_for, StreamDesc, StreamLayout};
 use brook_codegen::{
-    generate_ir_kernel_shader, generate_kernel_shader, names, reduce_pass_shader, KernelShapes, ReduceAxis,
-    StorageMode, StreamRank,
+    generate_ir_kernel_shader, names, reduce_pass_shader, KernelShapes, ReduceAxis, StorageMode, StreamRank,
 };
 use brook_lang::{CheckedProgram, ReduceOp};
 use gles2_sim::{DeviceProfile, DrawMode, FramebufferId, Gl, ProgramId, TexFormat, TextureId, Value};
@@ -238,10 +237,8 @@ impl GpuState {
     ///
     /// `stream_args`: (param name, stream index) for every stream/gather
     /// param including outputs; `scalar_args`: (param name, value).
-    #[allow(clippy::too_many_arguments)]
     pub fn run_pass(
         &mut self,
-        checked: &CheckedProgram,
         ir: &brook_ir::IrProgram,
         module_key: u64,
         kernel: &str,
@@ -263,19 +260,12 @@ impl GpuState {
         let (program, generated) = match self.programs.get(&key) {
             Some(entry) => entry.clone(),
             None => {
-                // The live path generates GLSL from the optimized,
-                // re-certified BrookIR; kernels absent from the IR (only
-                // possible past a disabled certification gate) fall back
-                // to the legacy AST generator. The cache entry is
-                // inserted only once both generation and program
-                // creation succeed, so a failed compile leaves no trace
-                // and a corrected module under the same key compiles
-                // fresh.
-                let generated = if ir.kernel(kernel).is_some() {
-                    generate_ir_kernel_shader(ir, kernel, output, &shapes, self.storage)?
-                } else {
-                    generate_kernel_shader(checked, kernel, output, &shapes, self.storage)?
-                };
+                // GLSL comes from the optimized, re-certified BrookIR.
+                // The cache entry is inserted only once both generation
+                // and program creation succeed, so a failed compile
+                // leaves no trace and a corrected module under the same
+                // key compiles fresh.
+                let generated = generate_ir_kernel_shader(ir, kernel, output, &shapes, self.storage)?;
                 let p = self.gl.create_program(&generated.glsl)?;
                 self.programs.insert(key.clone(), (p, generated.clone()));
                 (p, generated)
@@ -553,7 +543,6 @@ impl BackendExecutor for GpuState {
         let scalar_args = launch.scalar_args();
         for (out_name, _) in &launch.outputs {
             self.run_pass(
-                launch.checked,
                 launch.ir,
                 launch.module_id,
                 launch.kernel,

@@ -488,8 +488,6 @@ impl<'ctx> BrookGraph<'ctx> {
     fn find_candidate(&self, rejected: &HashSet<(usize, usize)>) -> Option<(usize, usize, Stream)> {
         for j in 0..self.ops.len() {
             let OpKind::Launch {
-                module: c_module,
-                kernel: c_kernel,
                 args: c_args,
                 outputs: c_outputs,
                 ..
@@ -530,15 +528,6 @@ impl<'ctx> BrookGraph<'ctx> {
                 if p_outputs.len() != 1 {
                     continue;
                 }
-                // Both kernels must have lowered IR (always true behind
-                // an enforcing gate); helper calls are already inlined
-                // there, so they no longer veto fusion.
-                let Some(p_ir) = p_module.ir.kernel(p_kernel) else {
-                    continue;
-                };
-                if c_module.ir.kernel(c_kernel).is_none() {
-                    continue;
-                }
                 // Shape/width uniformity across the chain (gathers exempt).
                 let inter_desc = &self.virtuals[s.index];
                 if !self.elementwise_uniform(p_args, p_outputs, inter_desc)
@@ -546,7 +535,10 @@ impl<'ctx> BrookGraph<'ctx> {
                 {
                     continue;
                 }
-                let p_out_ty = p_ir.params.iter().find(|p| p.kind == ParamKind::OutStream);
+                let p_out_ty = p_module
+                    .ir
+                    .kernel(p_kernel)
+                    .and_then(|k| k.params.iter().find(|p| p.kind == ParamKind::OutStream));
                 let widths_ok = p_out_ty
                     .is_some_and(|p| p.ty.scalar == ScalarKind::Float && p.ty.width == inter_desc.width);
                 if !widths_ok {

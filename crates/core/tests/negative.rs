@@ -5,7 +5,7 @@
 //! runtime half of the certification story: the static gate rejects bad
 //! programs, the context rejects bad launches.
 
-use brook_auto::{registered_backends, Arg, BrookContext, BrookError};
+use brook_auto::{registered_backends, Arg, BrookContext, BrookError, DeviceProfile};
 
 const ADD: &str = "kernel void add(float a<>, float b<>, out float c<>) { c = a + b; }";
 const SAXPY: &str = "kernel void saxpy(float x<>, float alpha, out float r<>) { r = alpha * x; }";
@@ -502,5 +502,38 @@ fn reduce_width_mismatch_rejected_everywhere() {
         ctx.write(&wide, &[1.0; 16]).unwrap();
         let err = ctx.reduce(&module, "sum", &wide).unwrap_err();
         assert_usage(err, name, "float4 stream into a float reduce");
+    }
+}
+
+/// A recursive helper violates BA004 and cannot lower to BrookIR. Even
+/// with enforcement off, `compile` must reject it with the compliance
+/// report — no backend may ever receive a kernel it cannot execute.
+/// The kernel is never run, so where `compile` wrongly succeeds the
+/// test fails cleanly instead of crashing the process.
+#[test]
+fn recursive_helper_rejected_at_compile_without_enforcement() {
+    let src = "float twice(float x) { return twice(x); }
+        kernel void k(float a<>, out float o<>) { o = twice(a); }";
+    let contexts = [
+        BrookContext::cpu(),
+        BrookContext::cpu_parallel(),
+        BrookContext::gles2(DeviceProfile::videocore_iv()),
+        BrookContext::gles2(DeviceProfile::radeon_hd3400()),
+    ];
+    for mut ctx in contexts {
+        ctx.enforce_certification = false;
+        let name = ctx.backend_name();
+        match ctx.compile(src) {
+            Err(BrookError::Certification(report)) => assert!(
+                report
+                    .kernels
+                    .iter()
+                    .flat_map(|k| k.violations())
+                    .any(|f| f.rule.code() == "BA004"),
+                "{name}: the report must carry the BA004 error"
+            ),
+            Err(other) => panic!("{name}: expected BrookError::Certification, got: {other}"),
+            Ok(_) => panic!("{name}: a recursive helper must not compile"),
+        }
     }
 }

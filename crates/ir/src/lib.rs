@@ -170,8 +170,8 @@ pub enum Inst {
     /// Deliberate runtime fault, preserving the tree walker's dynamic
     /// error surface (e.g. reading a gather without an index). When
     /// `codegen_fatal` is set the construct is also rejected by the
-    /// shader generator (the tree-walking GLSL path did too); guarded
-    /// faults (helper fall-through checks) stay CPU-only.
+    /// shader generator; guarded faults (helper fall-through checks)
+    /// stay CPU-only.
     Fail { msg: String, codegen_fatal: bool },
 }
 

@@ -20,10 +20,9 @@
 //!   syntactic analysis.
 //!
 //! Lowering can fail only for programs that bypassed certification
-//! (`enforce_certification = false`): recursive helpers cannot be
-//! inlined. Such kernels are simply absent from the produced
-//! [`IrProgram`]; the CPU backends fall back to the tree walker and the
-//! GL backend to the legacy AST shader generator for them.
+//! (`enforce_certification = false`): recursive or over-deep helper
+//! chains cannot be inlined. The runtime rejects such programs at
+//! compile time, so every kernel a backend receives has IR.
 
 use crate::{Inst, IrKernel, IrParam, IrProgram, LoopKind, LoopNode, Node, Reg};
 use brook_lang::ast::*;
@@ -38,7 +37,9 @@ use std::collections::HashMap;
 /// low enough to reject recursion quickly in unchecked mode.
 const MAX_INLINE_DEPTH: usize = 32;
 
-/// Why one kernel could not be lowered.
+/// Why one kernel could not be lowered. Any such error rejects the
+/// whole program at compile time: a certification error (BA004 for
+/// recursion) when the report has one, an internal error otherwise.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LowerError {
     /// Kernel name.
@@ -55,7 +56,8 @@ impl std::fmt::Display for LowerError {
 
 /// Lowers every kernel of a checked program. Kernels that cannot lower
 /// (possible only past a disabled certification gate) are reported and
-/// omitted.
+/// omitted from the returned program; callers reject it when any error
+/// is reported.
 pub fn lower_program(checked: &CheckedProgram) -> (IrProgram, Vec<LowerError>) {
     let mut kernels = Vec::new();
     let mut errors = Vec::new();
