@@ -96,3 +96,18 @@ fn non_compliant_source_prints_no_shader_and_fails() {
         );
     }
 }
+
+#[test]
+fn over_deep_source_is_a_diagnostic_not_an_abort() {
+    let sum = format!(
+        "kernel void f(float a<>, out float o<>) {{ o = a{}; }}",
+        " + a".repeat(20_000)
+    );
+    let out = brookc(&sum, &["--emit-glsl"]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8");
+    assert!(
+        stderr.contains("expression nesting exceeds the depth limit 128 [P011]"),
+        "{stderr}"
+    );
+}

@@ -44,6 +44,7 @@
 pub mod absint;
 pub mod chain;
 pub mod concurrent;
+pub mod depth;
 pub mod differential;
 pub mod faults;
 pub mod gen;
@@ -58,6 +59,7 @@ pub mod tier;
 pub use absint::{run_absint_campaign, AbsintStats};
 pub use chain::{gen_chain, run_chain_campaign, run_chain_case, ChainCase, ChainConfig, ChainStats};
 pub use concurrent::{run_concurrent_campaign, ConcurrentStats};
+pub use depth::{gen_depth_case, run_depth_campaign, DepthCase, DepthStats};
 pub use differential::{compare, run_case, BackendOutput, CaseFailure, Divergence, Matrix};
 pub use faults::{run_faults_campaign, FaultCaseFailure, FaultsConfig, FaultsStats};
 pub use gen::{gen_case, gen_noncompliant, FuzzCase, GenConfig};

@@ -191,6 +191,23 @@ fn absint_campaign_48_cases_elision_bitwise_and_faults_rejected() {
     );
 }
 
+/// 128 generated kernels through the `frontend-depth` mode: the five
+/// nesting forms mixed at random depths around `MAX_EXPR_DEPTH` and
+/// `MAX_STMT_DEPTH`, each compiled on a thread with the default 2 MiB
+/// stack. Every verdict must be the one the generated depths predict —
+/// a module within both limits, P012 past the statement limit, P011
+/// past the expression limit — and a stack overflow aborts the run.
+/// This is the acceptance bar for compiling on the caller's stack.
+#[test]
+fn frontend_depth_campaign_128_cases_within_the_limits_or_diagnosed() {
+    let stats = brook_fuzz::run_depth_campaign(CI_SEED, 128).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(stats.cases, 128);
+    assert!(stats.accepted >= 32, "{stats:?}");
+    assert!(stats.rejected_expr >= 16, "{stats:?}");
+    assert!(stats.rejected_stmt >= 16, "{stats:?}");
+    assert!(stats.at_limit >= 8, "{stats:?}");
+}
+
 /// 128 random 2–5 kernel pipelines, each run eagerly and through the
 /// deferred fusing graph executor on every registered backend: zero
 /// divergence against the eager CPU oracle (bit-exact on CPU backends),

@@ -273,25 +273,17 @@ impl Shader {
 
 /// Compiles GLSL ES 1.00 fragment shader source.
 ///
+/// Compiling runs on the caller's stack: the parser's limits on
+/// expression tree depth and statement nesting (256 each) bound the
+/// recursion of the parser and the resolver, and that of
+/// [`crate::run_fragment`] within each function body.
+///
 /// # Errors
-/// Returns a [`ShaderError`] for syntax errors, unknown identifiers,
-/// unsupported constructs, or recursion (GLSL ES forbids it).
+/// Returns a [`ShaderError`] for syntax errors (a source over either
+/// nesting limit included), unknown identifiers, unsupported constructs,
+/// or recursion (GLSL ES forbids it).
 pub fn compile(src: &str) -> Result<Shader, ShaderError> {
-    // Parsing recurses with the expression depth; a dedicated stack makes
-    // the parser's MAX_EXPR_DEPTH bound the only limit regardless of the
-    // caller's thread stack size.
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .name("glsl-compiler".into())
-            .stack_size(16 * 1024 * 1024)
-            .spawn_scoped(scope, || {
-                let unit = syntax::parse(src)?;
-                resolve(&unit)
-            })
-            .expect("spawn compiler thread")
-            .join()
-            .expect("compiler thread panicked")
-    })
+    resolve(&syntax::parse(src)?)
 }
 
 struct Resolver {

@@ -333,25 +333,82 @@ pub enum PExpr {
 
 /// Parses a GLSL ES fragment shader.
 ///
+/// Binary and prefix operators parse by precedence climbing over
+/// explicit stacks. What still nests is bounded by two limits, 256 each:
+/// expression tree depth and statement nesting. They also bound the
+/// recursion of the resolver, and of the interpreter within a function.
+///
 /// # Errors
-/// Returns [`ShaderError::Parse`] describing the first syntax error.
+/// Returns [`ShaderError::Parse`] describing the first syntax error,
+/// including a source over either nesting limit.
 pub fn parse(src: &str) -> Result<Unit, ShaderError> {
     let toks = lex(src)?;
     let mut p = P {
         toks,
         pos: 0,
-        expr_depth: 0,
+        expr_frames: 0,
+        stmt_depth: 0,
     };
     p.unit()
 }
 
-/// Maximum expression nesting depth (compiler resource bound).
+/// Maximum expression tree depth, counted as the Brook parser counts
+/// it: a leaf is depth 1, every operator, call or swizzle node one more
+/// than its deepest child, and a parenthesis one more only around a
+/// leaf or another parenthesis.
 const MAX_EXPR_DEPTH: u32 = 256;
+
+/// Maximum statement nesting: a function body is level 1 and every
+/// block nested in it — `{ .. }` or an `if`, `else` or `for` body — adds
+/// one. Twice the Brook bound and more, because generated shaders nest
+/// deeper than their source: each Brook loop becomes a gate `for`
+/// around an `if`.
+const MAX_STMT_DEPTH: u32 = 256;
 
 struct P {
     toks: Vec<(Tok, u32)>,
     pos: usize,
-    expr_depth: u32,
+    /// Nested [`P::sub_expr`] calls: the only recursion in expression
+    /// parsing.
+    expr_frames: u32,
+    /// Blocks open around the current statement.
+    stmt_depth: u32,
+}
+
+/// A parsed expression with the depth of its tree (see [`MAX_EXPR_DEPTH`]).
+struct Sub {
+    expr: PExpr,
+    depth: u32,
+    /// Written in parentheses.
+    parenthesized: bool,
+}
+
+/// An operator waiting on the precedence-climbing stack.
+#[derive(Clone, Copy)]
+enum Pending {
+    Prefix(char),
+    /// A binary operator's spelling and precedence.
+    Binary(&'static str, u8),
+}
+
+/// The binary operators and their precedence, loosest first. All are
+/// left-associative.
+fn binary_op(tok: &Tok) -> Option<(&'static str, u8)> {
+    Some(match tok {
+        Tok::OrOr => ("||", 1),
+        Tok::AndAnd => ("&&", 2),
+        Tok::EqEq => ("==", 3),
+        Tok::Ne => ("!=", 3),
+        Tok::Lt => ("<", 4),
+        Tok::Le => ("<=", 4),
+        Tok::Gt => (">", 4),
+        Tok::Ge => (">=", 4),
+        Tok::Plus => ("+", 5),
+        Tok::Minus => ("-", 5),
+        Tok::Star => ("*", 6),
+        Tok::Slash => ("/", 6),
+        _ => return None,
+    })
 }
 
 impl P {
@@ -483,7 +540,21 @@ impl P {
         Ok(unit)
     }
 
+    /// Enters one more level of statement nesting, or fails when that
+    /// would pass [`MAX_STMT_DEPTH`].
+    fn enter_nesting(&mut self) -> Result<(), ShaderError> {
+        if self.stmt_depth >= MAX_STMT_DEPTH {
+            return Err(ShaderError::parse(
+                self.line(),
+                format!("statement nesting exceeds the depth limit {MAX_STMT_DEPTH}"),
+            ));
+        }
+        self.stmt_depth += 1;
+        Ok(())
+    }
+
     fn block(&mut self) -> Result<Vec<PStmt>, ShaderError> {
+        self.enter_nesting()?;
         self.expect(&Tok::LBrace)?;
         let mut stmts = Vec::new();
         while !self.eat(&Tok::RBrace) {
@@ -492,6 +563,7 @@ impl P {
             }
             stmts.push(self.stmt()?);
         }
+        self.stmt_depth -= 1;
         Ok(stmts)
     }
 
@@ -504,12 +576,10 @@ impl P {
                 let cond = self.expr()?;
                 self.expect(&Tok::RParen)?;
                 let then_body = self.block_or_single()?;
+                // `else if` chains nest: each `if` is the single
+                // statement of the previous one's `else` body.
                 let else_body = if self.eat(&Tok::Else) {
-                    if matches!(self.peek(), Tok::If) {
-                        vec![self.stmt()?]
-                    } else {
-                        self.block_or_single()?
-                    }
+                    self.block_or_single()?
                 } else {
                     Vec::new()
                 };
@@ -560,10 +630,12 @@ impl P {
 
     fn block_or_single(&mut self) -> Result<Vec<PStmt>, ShaderError> {
         if matches!(self.peek(), Tok::LBrace) {
-            self.block()
-        } else {
-            Ok(vec![self.stmt()?])
+            return self.block();
         }
+        self.enter_nesting()?;
+        let s = self.stmt()?;
+        self.stmt_depth -= 1;
+        Ok(vec![s])
     }
 
     fn simple_stmt(&mut self) -> Result<PStmt, ShaderError> {
@@ -608,86 +680,115 @@ impl P {
     }
 
     fn expr(&mut self) -> Result<PExpr, ShaderError> {
-        if self.expr_depth >= MAX_EXPR_DEPTH {
-            return Err(ShaderError::parse(
-                self.line(),
-                format!("expression nesting exceeds the depth limit {MAX_EXPR_DEPTH}"),
-            ));
+        self.sub_expr().map(|s| s.expr)
+    }
+
+    /// A full expression in its own frame: a statement's, or a
+    /// parenthesized one, a call argument or a ternary arm. Frames nest
+    /// by recursion, so their count is capped; each adds at least one
+    /// level of tree depth, so the cap rejects nothing that
+    /// [`MAX_EXPR_DEPTH`] would accept.
+    fn sub_expr(&mut self) -> Result<Sub, ShaderError> {
+        if self.expr_frames >= MAX_EXPR_DEPTH {
+            return Err(self.depth_error());
         }
-        self.expr_depth += 1;
-        let result = self.expr_inner();
-        self.expr_depth -= 1;
+        self.expr_frames += 1;
+        let result = self.ternary();
+        self.expr_frames -= 1;
         result
     }
 
-    fn expr_inner(&mut self) -> Result<PExpr, ShaderError> {
-        let cond = self.or_expr()?;
-        if self.eat(&Tok::Question) {
-            let t = self.expr()?;
-            self.expect(&Tok::Colon)?;
-            let e = self.expr()?;
-            return Ok(PExpr::Ternary(Box::new(cond), Box::new(t), Box::new(e)));
-        }
-        Ok(cond)
-    }
-
-    fn bin_level(
-        &mut self,
-        next: fn(&mut Self) -> Result<PExpr, ShaderError>,
-        ops: &[(Tok, &str)],
-    ) -> Result<PExpr, ShaderError> {
-        let mut lhs = next(self)?;
-        'outer: loop {
-            for (tok, name) in ops {
-                if self.peek() == tok {
-                    self.bump();
-                    let rhs = next(self)?;
-                    lhs = PExpr::Bin((*name).to_owned(), Box::new(lhs), Box::new(rhs));
-                    continue 'outer;
-                }
-            }
-            return Ok(lhs);
-        }
-    }
-
-    fn or_expr(&mut self) -> Result<PExpr, ShaderError> {
-        self.bin_level(Self::and_expr, &[(Tok::OrOr, "||")])
-    }
-
-    fn and_expr(&mut self) -> Result<PExpr, ShaderError> {
-        self.bin_level(Self::eq_expr, &[(Tok::AndAnd, "&&")])
-    }
-
-    fn eq_expr(&mut self) -> Result<PExpr, ShaderError> {
-        self.bin_level(Self::rel_expr, &[(Tok::EqEq, "=="), (Tok::Ne, "!=")])
-    }
-
-    fn rel_expr(&mut self) -> Result<PExpr, ShaderError> {
-        self.bin_level(
-            Self::add_expr,
-            &[(Tok::Lt, "<"), (Tok::Le, "<="), (Tok::Gt, ">"), (Tok::Ge, ">=")],
+    fn depth_error(&self) -> ShaderError {
+        ShaderError::parse(
+            self.line(),
+            format!("expression nesting exceeds the depth limit {MAX_EXPR_DEPTH}"),
         )
     }
 
-    fn add_expr(&mut self) -> Result<PExpr, ShaderError> {
-        self.bin_level(Self::mul_expr, &[(Tok::Plus, "+"), (Tok::Minus, "-")])
-    }
-
-    fn mul_expr(&mut self) -> Result<PExpr, ShaderError> {
-        self.bin_level(Self::unary_expr, &[(Tok::Star, "*"), (Tok::Slash, "/")])
-    }
-
-    fn unary_expr(&mut self) -> Result<PExpr, ShaderError> {
-        if self.eat(&Tok::Minus) {
-            return Ok(PExpr::Un('-', Box::new(self.unary_expr()?)));
+    /// A node one level above children whose deepest is `child_depth`
+    /// deep, or an error when that passes [`MAX_EXPR_DEPTH`].
+    fn node(&self, expr: PExpr, child_depth: u32) -> Result<Sub, ShaderError> {
+        let depth = child_depth + 1;
+        if depth > MAX_EXPR_DEPTH {
+            return Err(self.depth_error());
         }
-        if self.eat(&Tok::Bang) {
-            return Ok(PExpr::Un('!', Box::new(self.unary_expr()?)));
-        }
-        self.postfix_expr()
+        Ok(Sub {
+            expr,
+            depth,
+            parenthesized: false,
+        })
     }
 
-    fn postfix_expr(&mut self) -> Result<PExpr, ShaderError> {
+    fn ternary(&mut self) -> Result<Sub, ShaderError> {
+        let cond = self.binary()?;
+        if !self.eat(&Tok::Question) {
+            return Ok(cond);
+        }
+        let t = self.sub_expr()?;
+        self.expect(&Tok::Colon)?;
+        let e = self.sub_expr()?;
+        let depth = cond.depth.max(t.depth).max(e.depth);
+        let expr = PExpr::Ternary(Box::new(cond.expr), Box::new(t.expr), Box::new(e.expr));
+        self.node(expr, depth)
+    }
+
+    /// Binary and prefix operators by precedence climbing over explicit
+    /// operand and operator stacks: an operator is applied once the next
+    /// binary operator binds no tighter.
+    fn binary(&mut self) -> Result<Sub, ShaderError> {
+        let mut operands: Vec<Sub> = Vec::new();
+        let mut ops: Vec<Pending> = Vec::new();
+        loop {
+            let mut prefixes = 0;
+            loop {
+                let op = match self.peek() {
+                    Tok::Minus => '-',
+                    Tok::Bang => '!',
+                    _ => break,
+                };
+                // Each prefix adds a level, so a chain this long is over
+                // the bound before its operand is even read.
+                prefixes += 1;
+                if prefixes >= MAX_EXPR_DEPTH {
+                    return Err(self.depth_error());
+                }
+                self.bump();
+                ops.push(Pending::Prefix(op));
+            }
+            operands.push(self.postfix_expr()?);
+            let next = binary_op(self.peek());
+            while let Some(&top) = ops.last() {
+                let applies = match top {
+                    Pending::Prefix(_) => true,
+                    Pending::Binary(_, prec) => next.is_none_or(|(_, next_prec)| prec >= next_prec),
+                };
+                if !applies {
+                    break;
+                }
+                ops.pop();
+                let rhs = operands.pop().expect("an operand per operator");
+                let applied = match top {
+                    Pending::Prefix(op) => self.node(PExpr::Un(op, Box::new(rhs.expr)), rhs.depth)?,
+                    Pending::Binary(name, _) => {
+                        let lhs = operands.pop().expect("an operand per operator");
+                        let depth = lhs.depth.max(rhs.depth);
+                        let expr = PExpr::Bin(name.to_owned(), Box::new(lhs.expr), Box::new(rhs.expr));
+                        self.node(expr, depth)?
+                    }
+                };
+                operands.push(applied);
+            }
+            match next {
+                Some((name, prec)) => {
+                    self.bump();
+                    ops.push(Pending::Binary(name, prec));
+                }
+                None => return Ok(operands.pop().expect("one operand left")),
+            }
+        }
+    }
+
+    fn postfix_expr(&mut self) -> Result<Sub, ShaderError> {
         let mut e = self.primary_expr()?;
         while self.eat(&Tok::Dot) {
             let name = self.ident()?;
@@ -713,51 +814,66 @@ impl P {
                     _ => 'w',
                 })
                 .collect();
-            e = PExpr::Swizzle(Box::new(e), normalized);
+            e = self.node(PExpr::Swizzle(Box::new(e.expr), normalized), e.depth)?;
         }
         Ok(e)
     }
 
-    fn primary_expr(&mut self) -> Result<PExpr, ShaderError> {
+    /// `( args )` after a callee, as a call node.
+    fn call(&mut self, callee: String) -> Result<Sub, ShaderError> {
+        let mut args = Vec::new();
+        let mut depth = 0;
+        if !self.eat(&Tok::RParen) {
+            loop {
+                let arg = self.sub_expr()?;
+                depth = depth.max(arg.depth);
+                args.push(arg.expr);
+                if !self.eat(&Tok::Comma) {
+                    break;
+                }
+            }
+            self.expect(&Tok::RParen)?;
+        }
+        self.node(PExpr::Call(callee, args), depth)
+    }
+
+    fn primary_expr(&mut self) -> Result<Sub, ShaderError> {
+        let leaf = |expr| Sub {
+            expr,
+            depth: 1,
+            parenthesized: false,
+        };
         match self.bump() {
-            Tok::FloatLit(v) => Ok(PExpr::Float(v)),
-            Tok::IntLit(v) => Ok(PExpr::Int(v)),
-            Tok::BoolLit(v) => Ok(PExpr::Bool(v)),
+            Tok::FloatLit(v) => Ok(leaf(PExpr::Float(v))),
+            Tok::IntLit(v) => Ok(leaf(PExpr::Int(v))),
+            Tok::BoolLit(v) => Ok(leaf(PExpr::Bool(v))),
             Tok::LParen => {
-                let e = self.expr()?;
+                let inner = self.sub_expr()?;
                 self.expect(&Tok::RParen)?;
-                Ok(e)
+                // A parenthesis around a node adds no level of its own.
+                let depth = match inner.depth == 1 || inner.parenthesized {
+                    true => inner.depth + 1,
+                    false => inner.depth,
+                };
+                if depth > MAX_EXPR_DEPTH {
+                    return Err(self.depth_error());
+                }
+                Ok(Sub {
+                    expr: inner.expr,
+                    depth,
+                    parenthesized: true,
+                })
             }
             Tok::Type(t) => {
                 // Constructor call: vec4(...), float(...), int(...).
                 self.expect(&Tok::LParen)?;
-                let mut args = Vec::new();
-                if !self.eat(&Tok::RParen) {
-                    loop {
-                        args.push(self.expr()?);
-                        if !self.eat(&Tok::Comma) {
-                            break;
-                        }
-                    }
-                    self.expect(&Tok::RParen)?;
-                }
-                Ok(PExpr::Call(t.as_str().to_owned(), args))
+                self.call(t.as_str().to_owned())
             }
             Tok::Ident(name) => {
                 if self.eat(&Tok::LParen) {
-                    let mut args = Vec::new();
-                    if !self.eat(&Tok::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&Tok::Comma) {
-                                break;
-                            }
-                        }
-                        self.expect(&Tok::RParen)?;
-                    }
-                    Ok(PExpr::Call(name, args))
+                    self.call(name)
                 } else {
-                    Ok(PExpr::Var(name))
+                    Ok(leaf(PExpr::Var(name)))
                 }
             }
             other => Err(ShaderError::parse(

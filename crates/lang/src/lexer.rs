@@ -77,9 +77,16 @@ impl<'a> Lexer<'a> {
         *self.bytes.get(self.pos + ahead).unwrap_or(&0)
     }
 
+    /// Advances past one character — all of its UTF-8 bytes — and
+    /// returns its first byte.
     fn bump(&mut self) -> u8 {
         let c = self.bytes[self.pos];
-        self.pos += 1;
+        self.pos += match c {
+            0..=0x7F => 1,
+            0xC0..=0xDF => 2,
+            0xE0..=0xEF => 3,
+            _ => 4,
+        };
         if c == b'\n' {
             self.line += 1;
             self.col = 1;
@@ -91,7 +98,7 @@ impl<'a> Lexer<'a> {
 
     fn skip_trivia(&mut self) {
         loop {
-            while self.pos < self.bytes.len() && (self.bytes[self.pos] as char).is_whitespace() {
+            while self.pos < self.bytes.len() && matches!(self.bytes[self.pos], b' ' | b'\t'..=b'\r') {
                 self.bump();
             }
             if self.peek(0) == b'/' && self.peek(1) == b'/' {
@@ -250,10 +257,10 @@ impl<'a> Lexer<'a> {
             b'!' => two(self, b'=', TokenKind::Ne, TokenKind::Bang),
             b'&' => two(self, b'&', TokenKind::AmpAmp, TokenKind::Amp),
             b'|' => two(self, b'|', TokenKind::PipePipe, TokenKind::Pipe),
-            other => {
+            _ => {
                 self.diags.push(Diagnostic::error(
                     "L001",
-                    format!("unexpected character `{}`", other as char),
+                    format!("unexpected character `{}`", &self.src[start..self.pos]),
                     Span::new(start, self.pos, line, col),
                 ));
                 return None;
@@ -326,6 +333,35 @@ mod tests {
                 .count(),
             2
         );
+    }
+
+    #[test]
+    fn reports_each_non_ascii_character_once_and_whole() {
+        // `é` is two UTF-8 bytes and U+00A0 / U+0085 end in the bytes
+        // 0xA0 / 0x85: none may be reported byte by byte, nor skipped
+        // as whitespace.
+        let (toks, diags) = lex("a\u{c5} \u{e9} x\u{a0}y\u{85}z");
+        let messages: Vec<_> = diags.iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(
+            messages,
+            [
+                "unexpected character `\u{c5}`",
+                "unexpected character `\u{e9}`",
+                "unexpected character `\u{a0}`",
+                "unexpected character `\u{85}`",
+            ]
+        );
+        assert!(diags.iter().all(|d| d.code == "L001"));
+        let cols: Vec<_> = diags.iter().map(|d| d.span.col).collect();
+        assert_eq!(cols, [2, 4, 7, 9]);
+        let idents: Vec<_> = toks
+            .iter()
+            .filter_map(|t| match &t.kind {
+                TokenKind::Ident(s) => Some((s.as_str(), t.span.col)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(idents, [("a", 1), ("x", 6), ("y", 8), ("z", 10)]);
     }
 
     #[test]

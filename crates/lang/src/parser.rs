@@ -6,6 +6,12 @@
 //! and rejected with certification-rule diagnostics (BA001/BA007) so the
 //! error a user sees names the violated ISO 26262-motivated rule rather
 //! than a generic syntax error.
+//!
+//! Binary and prefix operators parse by precedence climbing over explicit
+//! stacks, so an operator chain costs no recursion. What still nests —
+//! statements inside statements, and parenthesized sub-expressions, call
+//! arguments, indices and ternary arms — is bounded by
+//! [`MAX_STMT_DEPTH`] (P012) and [`MAX_EXPR_DEPTH`] (P011).
 
 use crate::ast::*;
 use crate::diag::{CompileError, Diagnostic};
@@ -14,6 +20,14 @@ use crate::span::Span;
 use crate::token::{Keyword, Token, TokenKind};
 
 /// Parses a Brook translation unit.
+///
+/// Parsing runs on the caller's stack. Its recursion, and that of every
+/// later layer walking the tree (type checking, certification, lowering,
+/// the AST oracle), is bounded by the two nesting limits: expression
+/// tree depth [`MAX_EXPR_DEPTH`] (P011) and statement nesting
+/// [`MAX_STMT_DEPTH`] (P012), times the certified helper call depth
+/// where helpers are inlined. A source over either limit is rejected,
+/// never a stack overflow, on any thread with the default 2 MiB stack.
 ///
 /// # Errors
 /// Returns a [`CompileError`] carrying every lexical and syntactic
@@ -26,28 +40,14 @@ use crate::token::{Keyword, Token, TokenKind};
 /// # Ok::<(), brook_lang::diag::CompileError>(())
 /// ```
 pub fn parse(src: &str) -> Result<Program, CompileError> {
-    // Deeply nested expressions recurse through ~10 parser frames per
-    // level; a dedicated stack makes the MAX_EXPR_DEPTH bound the only
-    // limit, independent of the caller's (possibly small) thread stack.
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .name("brook-parser".into())
-            .stack_size(16 * 1024 * 1024)
-            .spawn_scoped(scope, || parse_on_current_stack(src))
-            .expect("spawn parser thread")
-            .join()
-            .expect("parser thread panicked")
-    })
-}
-
-fn parse_on_current_stack(src: &str) -> Result<Program, CompileError> {
     let (tokens, mut diags) = lex(src);
     let mut parser = Parser {
         tokens,
         pos: 0,
         diags: Vec::new(),
         next_id: 0,
-        expr_depth: 0,
+        expr_frames: 0,
+        stmt_depth: 0,
     };
     let program = parser.program();
     diags.extend(parser.diags);
@@ -58,17 +58,68 @@ fn parse_on_current_stack(src: &str) -> Result<Program, CompileError> {
     }
 }
 
-/// Maximum expression nesting depth the parser accepts. A bound here
+/// Maximum expression tree depth the parser accepts (P011). A leaf is
+/// depth 1; every operator, call, index or swizzle node is one more than
+/// its deepest operand, argument or base. A parenthesis counts as a
+/// level when it wraps a leaf or another parenthesis; around a node it
+/// adds nothing, as the node already counted its level. A bound here
 /// keeps the compiler itself within statically verifiable resources —
 /// the same discipline the language imposes on kernels (BA003/BA009).
-const MAX_EXPR_DEPTH: u32 = 128;
+pub const MAX_EXPR_DEPTH: u32 = 128;
+
+/// Maximum statement nesting depth the parser accepts (P012). A kernel
+/// or function body is level 1; every block nested in it — `{ .. }` or
+/// the body of an `if`, `else`, `for`, `while` or `do` — adds a level.
+pub const MAX_STMT_DEPTH: u32 = 64;
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     diags: Vec<Diagnostic>,
     next_id: NodeId,
-    expr_depth: u32,
+    /// Nested [`Parser::sub_expr`] calls: the only recursion in
+    /// expression parsing.
+    expr_frames: u32,
+    /// Blocks open around the current statement.
+    stmt_depth: u32,
+}
+
+/// A parsed expression with the depth of its tree (see [`MAX_EXPR_DEPTH`]).
+struct Sub {
+    expr: Expr,
+    depth: u32,
+    /// Written in parentheses.
+    parenthesized: bool,
+}
+
+/// An operator waiting on the precedence-climbing stack.
+#[derive(Clone, Copy)]
+enum Pending {
+    /// A prefix operator and the span of its token.
+    Prefix(UnOp, Span),
+    /// A binary operator and its precedence.
+    Binary(BinOp, u8),
+}
+
+/// The binary operators and their precedence, loosest first. All are
+/// left-associative.
+fn binary_op(tok: &TokenKind) -> Option<(BinOp, u8)> {
+    Some(match tok {
+        TokenKind::PipePipe => (BinOp::Or, 1),
+        TokenKind::AmpAmp => (BinOp::And, 2),
+        TokenKind::EqEq => (BinOp::Eq, 3),
+        TokenKind::Ne => (BinOp::Ne, 3),
+        TokenKind::Lt => (BinOp::Lt, 4),
+        TokenKind::Le => (BinOp::Le, 4),
+        TokenKind::Gt => (BinOp::Gt, 4),
+        TokenKind::Ge => (BinOp::Ge, 4),
+        TokenKind::Plus => (BinOp::Add, 5),
+        TokenKind::Minus => (BinOp::Sub, 5),
+        TokenKind::Star => (BinOp::Mul, 6),
+        TokenKind::Slash => (BinOp::Div, 6),
+        TokenKind::Percent => (BinOp::Rem, 6),
+        _ => return None,
+    })
 }
 
 impl Parser {
@@ -137,8 +188,9 @@ impl Parser {
         }
     }
 
-    /// Skips tokens until a likely item boundary, for error recovery.
-    fn recover_to_item(&mut self) {
+    /// Skips tokens through the `}` that closes the first `{` skipped
+    /// (or an unmatched `}`), for error recovery.
+    fn skip_braced(&mut self) {
         let mut depth = 0usize;
         loop {
             match self.peek() {
@@ -161,6 +213,39 @@ impl Parser {
         }
     }
 
+    /// Skips one statement that does not start with `{`, for error
+    /// recovery: through the first `;` or `}` outside any brackets —
+    /// on past an `else` that follows, and past the body of a `do` to
+    /// its `;` — but never past the `}` of the enclosing block.
+    fn skip_stmt(&mut self) {
+        let is_do = matches!(self.peek(), TokenKind::Keyword(Keyword::Do));
+        let mut depth = 0usize;
+        loop {
+            let ends = match self.peek() {
+                TokenKind::Eof => return,
+                TokenKind::RBrace if depth == 0 => return,
+                TokenKind::LParen | TokenKind::LBracket | TokenKind::LBrace => {
+                    depth += 1;
+                    false
+                }
+                TokenKind::RParen | TokenKind::RBracket => {
+                    depth = depth.saturating_sub(1);
+                    false
+                }
+                TokenKind::RBrace => {
+                    depth -= 1;
+                    depth == 0 && !is_do
+                }
+                TokenKind::Semicolon => depth == 0,
+                _ => false,
+            };
+            self.bump();
+            if ends && !matches!(self.peek(), TokenKind::Keyword(Keyword::Else)) {
+                return;
+            }
+        }
+    }
+
     // ---- items ------------------------------------------------------
 
     fn program(&mut self) -> Program {
@@ -173,7 +258,7 @@ impl Parser {
                     if self.pos == before {
                         self.bump();
                     }
-                    self.recover_to_item();
+                    self.skip_braced();
                 }
             }
         }
@@ -336,7 +421,43 @@ impl Parser {
 
     // ---- statements --------------------------------------------------
 
+    /// Enters one more level of statement nesting, or reports P012 when
+    /// that would pass [`MAX_STMT_DEPTH`].
+    fn enter_nesting(&mut self) -> bool {
+        if self.stmt_depth >= MAX_STMT_DEPTH {
+            self.error(
+                "P012",
+                format!("statement nesting exceeds the depth limit {MAX_STMT_DEPTH}"),
+            );
+            return false;
+        }
+        self.stmt_depth += 1;
+        true
+    }
+
+    /// An empty block standing in for a body skipped past P012, so the
+    /// statement around it still parses.
+    fn skipped_body(&self, start: Span) -> Option<Block> {
+        Some(Block {
+            stmts: Vec::new(),
+            span: start.merge(self.prev_span()),
+        })
+    }
+
     fn block(&mut self) -> Option<Block> {
+        let start = self.span();
+        if !self.enter_nesting() {
+            if matches!(self.peek(), TokenKind::LBrace) {
+                self.skip_braced();
+            }
+            return self.skipped_body(start);
+        }
+        let block = self.block_body();
+        self.stmt_depth -= 1;
+        block
+    }
+
+    fn block_body(&mut self) -> Option<Block> {
         let start = self.span();
         if !self.expect(&TokenKind::LBrace) {
             return None;
@@ -382,18 +503,10 @@ impl Parser {
                 let cond = self.expr()?;
                 self.expect(&TokenKind::RParen);
                 let then_block = self.block_or_single()?;
+                // `else if` chains nest: each `if` is the single
+                // statement of the previous one's `else` block.
                 let else_block = if self.eat_kw(Keyword::Else) {
-                    if matches!(self.peek(), TokenKind::Keyword(Keyword::If)) {
-                        // `else if` chains become a single-statement block.
-                        let nested = self.stmt()?;
-                        let span = nested.span();
-                        Some(Block {
-                            stmts: vec![nested],
-                            span,
-                        })
-                    } else {
-                        Some(self.block_or_single()?)
-                    }
+                    Some(self.block_or_single()?)
                 } else {
                     None
                 };
@@ -485,15 +598,22 @@ impl Parser {
         }
     }
 
-    /// A single statement used as a loop body is wrapped in a block.
+    /// A single statement used as an `if`, `else` or loop body is wrapped
+    /// in a block.
     fn block_or_single(&mut self) -> Option<Block> {
         if matches!(self.peek(), TokenKind::LBrace) {
-            self.block()
-        } else {
-            let s = self.stmt()?;
-            let span = s.span();
-            Some(Block { stmts: vec![s], span })
+            return self.block();
         }
+        let start = self.span();
+        if !self.enter_nesting() {
+            self.skip_stmt();
+            return self.skipped_body(start);
+        }
+        let s = self.stmt();
+        self.stmt_depth -= 1;
+        let s = s?;
+        let span = s.span();
+        Some(Block { stmts: vec![s], span })
     }
 
     /// Declaration, assignment, increment or expression — the statement
@@ -592,218 +712,242 @@ impl Parser {
     // ---- expressions --------------------------------------------------
 
     fn expr(&mut self) -> Option<Expr> {
-        if self.expr_depth >= MAX_EXPR_DEPTH {
-            self.error(
-                "P011",
-                format!("expression nesting exceeds the depth limit {MAX_EXPR_DEPTH}"),
-            );
+        self.sub_expr().map(|s| s.expr)
+    }
+
+    /// A full expression in its own frame: the statement-level one, or a
+    /// parenthesized one, a call argument, an index or a ternary arm.
+    /// Frames nest by recursion, so their count is capped; each frame
+    /// adds at least one level of tree depth, so the cap rejects nothing
+    /// that [`MAX_EXPR_DEPTH`] would accept.
+    fn sub_expr(&mut self) -> Option<Sub> {
+        if self.expr_frames >= MAX_EXPR_DEPTH {
+            self.depth_error();
             return None;
         }
-        self.expr_depth += 1;
+        self.expr_frames += 1;
         let result = self.ternary();
-        self.expr_depth -= 1;
+        self.expr_frames -= 1;
         result
     }
 
-    fn ternary(&mut self) -> Option<Expr> {
-        let cond = self.logic_or()?;
-        if self.eat(&TokenKind::Question) {
-            let then_expr = self.expr()?;
-            self.expect(&TokenKind::Colon);
-            let else_expr = self.expr()?;
-            let span = cond.span.merge(else_expr.span);
-            return Some(self.expr_node(
-                ExprKind::Ternary {
-                    cond: Box::new(cond),
-                    then_expr: Box::new(then_expr),
-                    else_expr: Box::new(else_expr),
-                },
-                span,
-            ));
-        }
-        Some(cond)
+    fn depth_error(&mut self) {
+        self.error(
+            "P011",
+            format!("expression nesting exceeds the depth limit {MAX_EXPR_DEPTH}"),
+        );
     }
 
-    fn binary_level(
-        &mut self,
-        next: fn(&mut Self) -> Option<Expr>,
-        table: &[(TokenKind, BinOp)],
-    ) -> Option<Expr> {
-        let mut lhs = next(self)?;
-        'outer: loop {
-            for (tok, op) in table {
-                if self.peek() == tok {
-                    self.bump();
-                    let rhs = next(self)?;
-                    let span = lhs.span.merge(rhs.span);
-                    lhs = self.expr_node(
-                        ExprKind::Binary {
-                            op: *op,
-                            lhs: Box::new(lhs),
-                            rhs: Box::new(rhs),
-                        },
-                        span,
-                    );
-                    continue 'outer;
+    fn leaf(&mut self, kind: ExprKind, span: Span) -> Sub {
+        Sub {
+            expr: self.expr_node(kind, span),
+            depth: 1,
+            parenthesized: false,
+        }
+    }
+
+    /// A node one level above children whose deepest is `child_depth`
+    /// deep, or P011 when that passes [`MAX_EXPR_DEPTH`].
+    fn node(&mut self, kind: ExprKind, span: Span, child_depth: u32) -> Option<Sub> {
+        let depth = child_depth + 1;
+        if depth > MAX_EXPR_DEPTH {
+            self.depth_error();
+            return None;
+        }
+        Some(Sub {
+            expr: self.expr_node(kind, span),
+            depth,
+            parenthesized: false,
+        })
+    }
+
+    fn ternary(&mut self) -> Option<Sub> {
+        let cond = self.binary()?;
+        if !self.eat(&TokenKind::Question) {
+            return Some(cond);
+        }
+        let then_expr = self.sub_expr()?;
+        self.expect(&TokenKind::Colon);
+        let else_expr = self.sub_expr()?;
+        let span = cond.expr.span.merge(else_expr.expr.span);
+        let depth = cond.depth.max(then_expr.depth).max(else_expr.depth);
+        self.node(
+            ExprKind::Ternary {
+                cond: Box::new(cond.expr),
+                then_expr: Box::new(then_expr.expr),
+                else_expr: Box::new(else_expr.expr),
+            },
+            span,
+            depth,
+        )
+    }
+
+    /// Binary and prefix operators by precedence climbing: operands and
+    /// pending operators live on explicit stacks, and an operator is
+    /// applied once the next binary operator binds no tighter. Nodes are
+    /// built in the order a recursive-descent parser would build them.
+    fn binary(&mut self) -> Option<Sub> {
+        let mut operands: Vec<Sub> = Vec::new();
+        let mut ops: Vec<Pending> = Vec::new();
+        loop {
+            let mut prefixes = 0;
+            loop {
+                let start = self.span();
+                let op = match self.peek() {
+                    TokenKind::Minus => UnOp::Neg,
+                    TokenKind::Bang => UnOp::Not,
+                    TokenKind::Amp => {
+                        self.bump();
+                        self.error(
+                            "BA001",
+                            "address-of is forbidden in Brook Auto (ISO 26262 restricted pointer use)",
+                        );
+                        return None;
+                    }
+                    // A leading `*` can only be a dereference attempt here.
+                    TokenKind::Star if !matches!(self.peek_at(1), TokenKind::Eof) => {
+                        self.error(
+                            "BA001",
+                            "pointer dereference is forbidden in Brook Auto (ISO 26262 restricted pointer use)",
+                        );
+                        return None;
+                    }
+                    _ => break,
+                };
+                // Each prefix adds a level, so a chain this long is over
+                // the bound before its operand is even read.
+                prefixes += 1;
+                if prefixes >= MAX_EXPR_DEPTH {
+                    self.depth_error();
+                    return None;
                 }
+                self.bump();
+                ops.push(Pending::Prefix(op, start));
             }
-            return Some(lhs);
+            operands.push(self.postfix()?);
+            let next = binary_op(self.peek());
+            while let Some(&top) = ops.last() {
+                let applies = match top {
+                    Pending::Prefix(..) => true,
+                    Pending::Binary(_, prec) => next.is_none_or(|(_, next_prec)| prec >= next_prec),
+                };
+                if !applies {
+                    break;
+                }
+                ops.pop();
+                let rhs = operands.pop().expect("an operand per operator");
+                let applied = match top {
+                    Pending::Prefix(op, start) => {
+                        let span = start.merge(rhs.expr.span);
+                        let kind = ExprKind::Unary {
+                            op,
+                            operand: Box::new(rhs.expr),
+                        };
+                        self.node(kind, span, rhs.depth)?
+                    }
+                    Pending::Binary(op, _) => {
+                        let lhs = operands.pop().expect("an operand per operator");
+                        let span = lhs.expr.span.merge(rhs.expr.span);
+                        let depth = lhs.depth.max(rhs.depth);
+                        let kind = ExprKind::Binary {
+                            op,
+                            lhs: Box::new(lhs.expr),
+                            rhs: Box::new(rhs.expr),
+                        };
+                        self.node(kind, span, depth)?
+                    }
+                };
+                operands.push(applied);
+            }
+            match next {
+                Some((op, prec)) => {
+                    self.bump();
+                    ops.push(Pending::Binary(op, prec));
+                }
+                None => return operands.pop(),
+            }
         }
     }
 
-    fn logic_or(&mut self) -> Option<Expr> {
-        self.binary_level(Self::logic_and, &[(TokenKind::PipePipe, BinOp::Or)])
-    }
-
-    fn logic_and(&mut self) -> Option<Expr> {
-        self.binary_level(Self::equality, &[(TokenKind::AmpAmp, BinOp::And)])
-    }
-
-    fn equality(&mut self) -> Option<Expr> {
-        self.binary_level(
-            Self::relational,
-            &[(TokenKind::EqEq, BinOp::Eq), (TokenKind::Ne, BinOp::Ne)],
-        )
-    }
-
-    fn relational(&mut self) -> Option<Expr> {
-        self.binary_level(
-            Self::additive,
-            &[
-                (TokenKind::Lt, BinOp::Lt),
-                (TokenKind::Le, BinOp::Le),
-                (TokenKind::Gt, BinOp::Gt),
-                (TokenKind::Ge, BinOp::Ge),
-            ],
-        )
-    }
-
-    fn additive(&mut self) -> Option<Expr> {
-        self.binary_level(
-            Self::multiplicative,
-            &[(TokenKind::Plus, BinOp::Add), (TokenKind::Minus, BinOp::Sub)],
-        )
-    }
-
-    fn multiplicative(&mut self) -> Option<Expr> {
-        self.binary_level(
-            Self::unary,
-            &[
-                (TokenKind::Star, BinOp::Mul),
-                (TokenKind::Slash, BinOp::Div),
-                (TokenKind::Percent, BinOp::Rem),
-            ],
-        )
-    }
-
-    fn unary(&mut self) -> Option<Expr> {
-        let start = self.span();
-        if self.eat(&TokenKind::Minus) {
-            let operand = self.unary()?;
-            let span = start.merge(operand.span);
-            return Some(self.expr_node(
-                ExprKind::Unary {
-                    op: UnOp::Neg,
-                    operand: Box::new(operand),
-                },
-                span,
-            ));
-        }
-        if self.eat(&TokenKind::Bang) {
-            let operand = self.unary()?;
-            let span = start.merge(operand.span);
-            return Some(self.expr_node(
-                ExprKind::Unary {
-                    op: UnOp::Not,
-                    operand: Box::new(operand),
-                },
-                span,
-            ));
-        }
-        if self.eat(&TokenKind::Amp) {
-            self.error(
-                "BA001",
-                "address-of is forbidden in Brook Auto (ISO 26262 restricted pointer use)",
-            );
-            return None;
-        }
-        if matches!(self.peek(), TokenKind::Star) && !matches!(self.peek_at(1), TokenKind::Eof) {
-            // A leading `*` can only be a dereference attempt here.
-            self.error(
-                "BA001",
-                "pointer dereference is forbidden in Brook Auto (ISO 26262 restricted pointer use)",
-            );
-            return None;
-        }
-        self.postfix()
-    }
-
-    fn postfix(&mut self) -> Option<Expr> {
+    fn postfix(&mut self) -> Option<Sub> {
         let mut e = self.primary()?;
         loop {
             match self.peek() {
                 TokenKind::LBracket => {
                     let mut indices = Vec::new();
+                    let mut depth = e.depth;
                     while self.eat(&TokenKind::LBracket) {
-                        indices.push(self.expr()?);
+                        let index = self.sub_expr()?;
+                        depth = depth.max(index.depth);
+                        indices.push(index.expr);
                         self.expect(&TokenKind::RBracket);
                     }
-                    let span = e.span.merge(self.prev_span());
-                    e = self.expr_node(
-                        ExprKind::Index {
-                            base: Box::new(e),
-                            indices,
-                        },
-                        span,
-                    );
+                    let span = e.expr.span.merge(self.prev_span());
+                    let kind = ExprKind::Index {
+                        base: Box::new(e.expr),
+                        indices,
+                    };
+                    e = self.node(kind, span, depth)?;
                 }
                 TokenKind::Dot => {
                     self.bump();
                     let name = self.ident()?;
-                    let norm = normalize_swizzle(&name);
-                    match norm {
-                        Some(components) => {
-                            let span = e.span.merge(self.prev_span());
-                            e = self.expr_node(
-                                ExprKind::Swizzle {
-                                    base: Box::new(e),
-                                    components,
-                                },
-                                span,
-                            );
-                        }
-                        None => {
-                            self.error(
-                                "P009",
-                                format!("invalid swizzle `{name}` (components must be from xyzw/rgba)"),
-                            );
-                            return None;
-                        }
-                    }
+                    let Some(components) = normalize_swizzle(&name) else {
+                        self.error(
+                            "P009",
+                            format!("invalid swizzle `{name}` (components must be from xyzw/rgba)"),
+                        );
+                        return None;
+                    };
+                    let span = e.expr.span.merge(self.prev_span());
+                    let kind = ExprKind::Swizzle {
+                        base: Box::new(e.expr),
+                        components,
+                    };
+                    e = self.node(kind, span, e.depth)?;
                 }
                 _ => return Some(e),
             }
         }
     }
 
-    fn primary(&mut self) -> Option<Expr> {
+    /// `( args )` after a callee, with the depth of the deepest argument.
+    fn call_args(&mut self) -> Option<(Vec<Expr>, u32)> {
+        self.expect(&TokenKind::LParen);
+        let mut args = Vec::new();
+        let mut depth = 0;
+        if !self.eat(&TokenKind::RParen) {
+            loop {
+                let arg = self.sub_expr()?;
+                depth = depth.max(arg.depth);
+                args.push(arg.expr);
+                if !self.eat(&TokenKind::Comma) {
+                    break;
+                }
+            }
+            self.expect(&TokenKind::RParen);
+        }
+        Some((args, depth))
+    }
+
+    fn primary(&mut self) -> Option<Sub> {
         let start = self.span();
         match self.peek().clone() {
             TokenKind::FloatLit(v) => {
                 self.bump();
-                Some(self.expr_node(ExprKind::FloatLit(v), start))
+                Some(self.leaf(ExprKind::FloatLit(v), start))
             }
             TokenKind::IntLit(v) => {
                 self.bump();
-                Some(self.expr_node(ExprKind::IntLit(v), start))
+                Some(self.leaf(ExprKind::IntLit(v), start))
             }
             TokenKind::Keyword(Keyword::True) => {
                 self.bump();
-                Some(self.expr_node(ExprKind::BoolLit(true), start))
+                Some(self.leaf(ExprKind::BoolLit(true), start))
             }
             TokenKind::Keyword(Keyword::False) => {
                 self.bump();
-                Some(self.expr_node(ExprKind::BoolLit(false), start))
+                Some(self.leaf(ExprKind::BoolLit(false), start))
             }
             TokenKind::Keyword(Keyword::Indexof) => {
                 self.bump();
@@ -811,57 +955,44 @@ impl Parser {
                 let stream = self.ident()?;
                 self.expect(&TokenKind::RParen);
                 let span = start.merge(self.prev_span());
-                Some(self.expr_node(ExprKind::Indexof { stream }, span))
+                Some(self.leaf(ExprKind::Indexof { stream }, span))
             }
             TokenKind::Keyword(
                 kw @ (Keyword::Float | Keyword::Float2 | Keyword::Float3 | Keyword::Float4 | Keyword::Int),
             ) => {
                 // Constructor / cast call: float2(a, b), float(x), int(x).
                 self.bump();
-                self.expect(&TokenKind::LParen);
-                let mut args = Vec::new();
-                if !self.eat(&TokenKind::RParen) {
-                    loop {
-                        args.push(self.expr()?);
-                        if !self.eat(&TokenKind::Comma) {
-                            break;
-                        }
-                    }
-                    self.expect(&TokenKind::RParen);
-                }
+                let (args, depth) = self.call_args()?;
                 let span = start.merge(self.prev_span());
-                Some(self.expr_node(
-                    ExprKind::Call {
-                        callee: kw.as_str().to_owned(),
-                        args,
-                    },
-                    span,
-                ))
+                let callee = kw.as_str().to_owned();
+                self.node(ExprKind::Call { callee, args }, span, depth)
             }
             TokenKind::Ident(name) => {
                 self.bump();
-                if self.eat(&TokenKind::LParen) {
-                    let mut args = Vec::new();
-                    if !self.eat(&TokenKind::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&TokenKind::Comma) {
-                                break;
-                            }
-                        }
-                        self.expect(&TokenKind::RParen);
-                    }
-                    let span = start.merge(self.prev_span());
-                    Some(self.expr_node(ExprKind::Call { callee: name, args }, span))
-                } else {
-                    Some(self.expr_node(ExprKind::Var(name), start))
+                if !matches!(self.peek(), TokenKind::LParen) {
+                    return Some(self.leaf(ExprKind::Var(name), start));
                 }
+                let (args, depth) = self.call_args()?;
+                let span = start.merge(self.prev_span());
+                self.node(ExprKind::Call { callee: name, args }, span, depth)
             }
             TokenKind::LParen => {
                 self.bump();
-                let e = self.expr()?;
+                let inner = self.sub_expr()?;
                 self.expect(&TokenKind::RParen);
-                Some(e)
+                let depth = match inner.depth == 1 || inner.parenthesized {
+                    true => inner.depth + 1,
+                    false => inner.depth,
+                };
+                if depth > MAX_EXPR_DEPTH {
+                    self.depth_error();
+                    return None;
+                }
+                Some(Sub {
+                    expr: inner.expr,
+                    depth,
+                    parenthesized: true,
+                })
             }
             other => {
                 let msg = format!("expected expression, found {other}");

@@ -265,6 +265,44 @@ fn usage_errors_fail_the_request_not_the_connection() {
 }
 
 #[test]
+fn hostile_sources_get_compile_errors_and_the_connection_keeps_serving() {
+    let header = "kernel void f(float a<>, out float o<>) {";
+    let braces = format!("{header} {} o = a; {} }}", "{ ".repeat(9_000), "} ".repeat(9_000));
+    let sum = format!("{header} o = a{}; }}", " + a".repeat(6_000));
+    let minus = format!("{header} o = {}a; }}", "- ".repeat(15_000));
+    let server = start(ServerConfig::default());
+    let mut c = Client::connect(server.local_addr(), "t").expect("connect");
+    for (src, code) in [(&braces, "P012"), (&sum, "P011"), (&minus, "P011")] {
+        assert!((20_000..=40_000).contains(&src.len()), "{} bytes", src.len());
+        let err = c.compile(src).expect_err("over a nesting limit");
+        assert_eq!(err.code(), Some(ErrorCode::Compile), "{err}");
+        assert!(err.to_string().contains(code), "expected {code}: {err}");
+    }
+    let (xs, ys) = ([1.0, -2.5, 3.25, 1e-3], [0.5, 0.25, -4.0, 7.0]);
+    let module = c.compile(SAXPY).expect("compile");
+    let x = c.create_stream(&[4], 1).expect("x");
+    let y = c.create_stream(&[4], 1).expect("y");
+    let r = c.create_stream(&[4], 1).expect("r");
+    c.write(x, &xs).expect("write x");
+    c.write(y, &ys).expect("write y");
+    let args = [
+        WireArg::Stream(x),
+        WireArg::Stream(y),
+        WireArg::Float(1.5),
+        WireArg::Stream(r),
+    ];
+    c.run(module, "saxpy", &args).expect("run");
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&c.read(r).expect("read")),
+        bits(&serial_saxpy(&xs, &ys, 1.5)),
+        "bit-exact vs serial execution"
+    );
+    assert_eq!(stat(&c.stats().expect("stats"), "panics"), 0);
+    server.shutdown();
+}
+
+#[test]
 fn malformed_frames_get_structured_errors() {
     use brook_serve::wire::{read_frame, write_frame, Response};
     use std::net::TcpStream;
