@@ -1,13 +1,14 @@
 //! CI resilience-cost gate: the injection hook must be (nearly) free
 //! when idle.
 //!
-//! Times every `BENCH_simd` workload on a plain CPU context and on one
-//! armed with an **empty** fault plan (hook installed, nothing ever
-//! injected), prints the comparison, writes the `BENCH_fault.json`
-//! trajectory file, and exits nonzero if any row exceeds the 2%
-//! overhead budget (modulo the absolute noise floor — see
-//! `brook_bench::resilience`). Outputs are cross-checked bitwise
-//! before timing, so a hook that perturbed results fails loudly.
+//! Times the execution ladder's four map workloads on a plain CPU
+//! context and on one armed with an **empty** fault plan (hook
+//! installed, nothing ever injected), prints the comparison, writes
+//! the `BENCH_fault.json` trajectory file, and exits nonzero if any
+//! row exceeds the 2% overhead budget (modulo the absolute noise
+//! floor — see `brook_bench::resilience`). Outputs are cross-checked
+//! bitwise before timing, so a hook that perturbed results fails
+//! loudly.
 //!
 //! The recovery ladder's *behavior* under live faults is gated
 //! elsewhere: `cargo run --release -p brook-fuzz --example

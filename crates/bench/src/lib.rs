@@ -8,7 +8,7 @@
 //! | Figure 2 (non-scalable programs) | [`figures::fig2`] | `fig2_nonscalable` |
 //! | Figure 3 (scalable programs) | [`figures::fig3`] | `fig3_scalable` |
 //! | Figure 4 + §6.3 (hand-written comparison, productivity) | [`figures::fig4`] | `fig4_handwritten` |
-//! | AST-walk vs BrookIR interpreter (perf-smoke) | [`interp::compare_interpreters`] | `interp_report` |
+//! | Execution ladder: five CPU engines, each strictly faster than the one below (perf-smoke) | [`ladder::check_ladder`], [`ladder::time_ladder`] | `ladder_report` |
 //!
 //! Run all of them with `cargo run --release -p brook-bench --bin <name>`.
 //! Criterion benches in `benches/` wall-clock the substrate itself
@@ -17,20 +17,15 @@
 pub mod analysis;
 pub mod figures;
 pub mod fusion;
-pub mod interp;
-pub mod lanes;
+pub mod ladder;
 pub mod render;
 pub mod resilience;
 pub mod serve;
-pub mod simd;
-pub mod tier;
 
 pub use analysis::{analysis_json, analyze_apps, render_analysis_table, run_apps_once, KernelRow};
 pub use figures::{fig1, fig2, fig3, fig4, Fig4Point, FigureSeries};
 pub use fusion::{chains, run_chain, ChainComparison};
-pub use interp::{compare_interpreters, interp_json, render_interp_table, InterpComparison};
+pub use ladder::{check_ladder, ladder_json, render_ladder_table, time_ladder, LadderRow, Rung};
 pub use render::{render_series, render_speedup_table};
 pub use resilience::{measure_hook_overhead, overhead_json, render_overhead_table, HookOverheadRow};
 pub use serve::{render_service_table, service_json, service_load, ServiceLoadReport};
-pub use simd::{compare_simd, render_simd_table, simd_json, SimdComparison};
-pub use tier::{compare_tiers, render_tier_table, tier_json, TierComparison};

@@ -7,7 +7,8 @@
 //! is exactly the configuration a production deployment pays for when
 //! fault injection is compiled in but idle, so the gate here bounds it:
 //! the armed context must dispatch within [`MAX_OVERHEAD_PCT`] of the
-//! plain context on every `BENCH_simd` workload, modulo an absolute
+//! plain context on every map workload of the execution ladder
+//! ([`crate::ladder::workloads`]), modulo an absolute
 //! per-dispatch noise floor ([`NOISE_FLOOR_NS`]) that keeps the 2%
 //! criterion meaningful on dispatches where timing jitter on a shared
 //! box exceeds any real hook cost.
@@ -30,7 +31,7 @@
 //! cross-checked bitwise before timing, so a hook that perturbed
 //! results would fail before any timing happened.
 
-use crate::lanes::{dispatch, prepare, workloads};
+use crate::ladder::{bitwise_equal, dispatch, dispatch_output, prepare, workloads, Prepared};
 use brook_auto::{BrookContext, BrookError, FaultPlan};
 use std::time::Instant;
 
@@ -45,7 +46,7 @@ pub const NOISE_FLOOR_NS: i128 = 25_000;
 /// One workload's plain-vs-armed timing.
 #[derive(Debug, Clone)]
 pub struct HookOverheadRow {
-    /// App name (the `BENCH_simd` workload suite).
+    /// App name (the ladder's map workloads).
     pub app: &'static str,
     /// Output elements per dispatch.
     pub elements: usize,
@@ -83,7 +84,7 @@ fn median<T: Copy + Ord>(samples: &mut [T]) -> T {
     samples[samples.len() / 2]
 }
 
-/// Times every `BENCH_simd` workload on two identical CPU contexts —
+/// Times every map workload of the ladder on two identical CPU contexts —
 /// one plain, one with an empty [`FaultPlan`] armed — after a bitwise
 /// cross-check proving the idle hook changes nothing. `reps` is the
 /// number of interleaved sample pairs per workload (odd keeps the
@@ -94,7 +95,7 @@ fn median<T: Copy + Ord>(samples: &mut [T]) -> T {
 /// and armed contexts (which would mean the "idle" hook is not idle).
 pub fn measure_hook_overhead(reps: usize) -> Result<Vec<HookOverheadRow>, BrookError> {
     let mut rows = Vec::new();
-    for w in workloads() {
+    for w in workloads().into_iter().filter(|w| !w.is_reduce()) {
         let mut plain = prepare(&w, BrookContext::cpu())?;
         let mut armed_ctx = BrookContext::cpu();
         // An empty plan: the injector is installed and consulted on
@@ -102,25 +103,20 @@ pub fn measure_hook_overhead(reps: usize) -> Result<Vec<HookOverheadRow>, BrookE
         armed_ctx.set_fault_plan(FaultPlan::new());
         let mut armed = prepare(&w, armed_ctx)?;
         // Correctness first (doubles as the first warm-up round).
-        dispatch(&mut plain, &w)?;
-        dispatch(&mut armed, &w)?;
-        let a = plain.ctx.read(&plain.out)?;
-        let b = armed.ctx.read(&armed.out)?;
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-            if x.to_bits() != y.to_bits() {
-                return Err(BrookError::Usage(format!(
-                    "{}: the idle injection hook changed element {i}: {x} vs {y}",
-                    w.app
-                )));
-            }
-        }
+        let a = dispatch_output(&mut plain, &w)?;
+        let b = dispatch_output(&mut armed, &w)?;
+        bitwise_equal(
+            &format!("{}: the idle injection hook changed the output", w.app),
+            &a,
+            &b,
+        )?;
         // One more warm-up so the timed pairs see steady state only.
         dispatch(&mut plain, &w)?;
         dispatch(&mut armed, &w)?;
         let mut plain_samples = Vec::with_capacity(reps);
         let mut armed_samples = Vec::with_capacity(reps);
         let mut deltas = Vec::with_capacity(reps);
-        let time_one = |p: &mut crate::lanes::Prepared, w| -> Result<u128, BrookError> {
+        let time_one = |p: &mut Prepared, w| -> Result<u128, BrookError> {
             let t = Instant::now();
             dispatch(p, w)?;
             Ok(t.elapsed().as_nanos())
@@ -144,7 +140,7 @@ pub fn measure_hook_overhead(reps: usize) -> Result<Vec<HookOverheadRow>, BrookE
         let mut abs_dev: Vec<i128> = deltas.iter().map(|d| (d - delta_ns).abs()).collect();
         rows.push(HookOverheadRow {
             app: w.app,
-            elements: w.out_shape.iter().product(),
+            elements: w.elements(),
             plain_ns: median(&mut plain_samples),
             armed_ns: median(&mut armed_samples),
             delta_ns,

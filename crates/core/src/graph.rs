@@ -709,10 +709,16 @@ impl<'ctx> BrookGraph<'ctx> {
         };
         let lane_plans = crate::context::lane_plan_records(&lanes);
         // Fused kernels are tier-compiled at fuse time, exactly like
-        // `compile` does: the collapsed producer->consumer chain goes
-        // straight to the closure-threaded engine when admitted.
+        // `compile` does, at the context's SIMD level: the collapsed
+        // producer->consumer chain goes straight to the closure-threaded
+        // engine when admitted.
         let tiers = if self.ctx.lane_execution && self.ctx.tier_execution {
-            brook_ir::tier::TierProgram::compile_program_with(&ir, &lanes, &facts)
+            brook_ir::tier::TierProgram::compile_program_simd(
+                &ir,
+                &lanes,
+                &facts,
+                self.ctx.simd_mode.resolve(),
+            )
         } else {
             brook_ir::tier::TierProgram::default()
         };
@@ -1134,5 +1140,42 @@ fn lookup_stream_desc<'d>(
             .ok_or_else(|| BrookError::Usage("unknown virtual stream".into()))
     } else {
         Err(BrookError::Usage("stream belongs to a different context".into()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fused chain is tier-compiled at the context's SIMD level, not
+    /// the environment default.
+    #[test]
+    fn fused_chain_honors_the_context_simd_mode() {
+        let mut ctx = BrookContext::cpu();
+        ctx.simd_mode = brook_ir::simd::SimdMode::Off;
+        let m = ctx
+            .compile(
+                "kernel void dbl(float a<>, out float o<>) { o = a * 2.0; }
+                 kernel void inc(float a<>, out float o<>) { o = a + 1.0; }",
+            )
+            .expect("compile");
+        let (a, out) = (ctx.stream(&[64]).expect("a"), ctx.stream(&[64]).expect("out"));
+        let mut g = ctx.graph();
+        let tmp = g.stream(&[64]).expect("virtual");
+        g.run(&m, "dbl", &[Arg::Stream(&a), Arg::Stream(&tmp)])
+            .expect("dbl");
+        g.run(&m, "inc", &[Arg::Stream(&tmp), Arg::Stream(&out)])
+            .expect("inc");
+        assert_eq!(g.fuse_pass().1.len(), 1);
+        let OpKind::Launch { module, kernel, .. } = &g.ops[0].kind else {
+            panic!("the fused chain is a launch");
+        };
+        let plan = module.report.tier_plans.iter().find(|p| p.kernel == *kernel);
+        let plan = plan.expect("fused kernel has a tier plan");
+        assert!(
+            plan.compiled && plan.detail.contains("simd scalar"),
+            "{}",
+            plan.detail
+        );
     }
 }
