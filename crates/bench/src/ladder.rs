@@ -344,6 +344,19 @@ fn check_reduce_admission() -> Result<(), BrookError> {
     Ok(())
 }
 
+/// Binds `w` on `rung`, checks its engine ([`Rung::check`]) and its
+/// output against `want`, the AST oracle's, with one dispatch.
+///
+/// # Errors
+/// Compile/run failures, another engine, or a bitwise disagreement.
+fn check_rung(rung: Rung, w: &Workload, want: &[f32]) -> Result<Prepared, BrookError> {
+    let mut p = prepare(w, rung.context())?;
+    rung.check(&p, w)?;
+    let got = dispatch_output(&mut p, w)?;
+    bitwise_equal(&format!("{}: rung {rung:?} vs the AST oracle", w.app), want, &got)?;
+    Ok(p)
+}
+
 /// One workload bound on every rung that runs it, engine-checked and
 /// bitwise-agreed with the AST oracle.
 pub struct CheckedRow {
@@ -374,15 +387,7 @@ pub fn check_ladder() -> Result<Vec<CheckedRow>, BrookError> {
             rungs.push((Rung::Ast, oracle));
         }
         for rung in Rung::ALL[1..].iter().copied().filter(|r| r.runs(&w)) {
-            let mut p = prepare(&w, rung.context())?;
-            rung.check(&p, &w)?;
-            let got = dispatch_output(&mut p, &w)?;
-            bitwise_equal(
-                &format!("{}: rung {rung:?} vs the AST oracle", w.app),
-                &want,
-                &got,
-            )?;
-            rungs.push((rung, p));
+            rungs.push((rung, check_rung(rung, &w, &want)?));
         }
         rows.push(CheckedRow { workload: w, rungs });
     }
@@ -499,8 +504,62 @@ pub fn ladder_json(rows: &[LadderRow], reps: usize) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// The AST oracle's output for every workload, engine-checked,
+    /// computed once and shared by the per-rung tests.
+    fn oracle_outputs() -> &'static [Vec<f32>] {
+        static OUTPUTS: OnceLock<Vec<Vec<f32>>> = OnceLock::new();
+        OUTPUTS.get_or_init(|| {
+            workloads()
+                .iter()
+                .map(|w| {
+                    let mut p = prepare(w, Rung::Ast.context()).expect("prepare");
+                    Rung::Ast.check(&p, w).expect("AST engine");
+                    dispatch_output(&mut p, w).expect("AST dispatch")
+                })
+                .collect()
+        })
+    }
+
+    /// One rung alone: its engine and bitwise agreement with the oracle
+    /// on each of the `rows` rows it runs (the `Simd` rung adds the
+    /// reduce admissions), then its column of the table and the JSON.
+    pub(crate) fn check_one_rung(rung: Rung, rows: usize) {
+        if rung == Rung::Simd {
+            check_reduce_admission().expect("reduce admissions");
+        }
+        let apps: Vec<&str> = workloads()
+            .iter()
+            .zip(oracle_outputs())
+            .filter(|(w, _)| rung.runs(w))
+            .map(|(w, want)| {
+                check_rung(rung, w, want).unwrap_or_else(|e| panic!("{e}"));
+                w.app
+            })
+            .collect();
+        assert_eq!(apps.len(), rows, "{rung:?} runs {apps:?}");
+        assert_eq!(apps[0], "mandelbrot");
+        let mut ns = [None; 5];
+        ns[rung as usize] = Some(1_500_000);
+        let row = LadderRow {
+            app: apps[0],
+            elements: 1,
+            ns,
+        };
+        assert!(row.regressions().is_empty());
+        let name = format!("{rung:?}").to_lowercase();
+        let json = ladder_json(std::slice::from_ref(&row), 1);
+        assert!(json.contains("\"bench\": \"ladder\""));
+        assert!(json.contains(&format!("\"{name}_ns\": 1500000")), "{json}");
+        let table = render_ladder_table(&[row], 1);
+        assert!(
+            table.contains("mandelbrot") && table.contains(" 1.500"),
+            "{table}"
+        );
+    }
 
     /// Engines and bitwise agreement, one dispatch per rung; no timing.
     #[test]

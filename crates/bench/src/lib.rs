@@ -29,3 +29,45 @@ pub use ladder::{check_ladder, ladder_json, render_ladder_table, time_ladder, La
 pub use render::{render_series, render_speedup_table};
 pub use resilience::{measure_hook_overhead, overhead_json, render_overhead_table, HookOverheadRow};
 pub use serve::{render_service_table, service_json, service_load, ServiceLoadReport};
+
+// One test module per rung above the AST oracle, so a failing check
+// names the engine at fault.
+#[cfg(test)]
+mod interp {
+    mod tests {
+        #[test]
+        fn interpreters_agree_and_json_is_well_formed() {
+            crate::ladder::tests::check_one_rung(crate::Rung::Interp, 5);
+        }
+    }
+}
+
+#[cfg(test)]
+mod lanes {
+    mod tests {
+        #[test]
+        fn engines_agree_and_json_is_well_formed() {
+            crate::ladder::tests::check_one_rung(crate::Rung::Lanes, 4);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tier {
+    mod tests {
+        #[test]
+        fn engines_agree_and_json_is_well_formed() {
+            crate::ladder::tests::check_one_rung(crate::Rung::Tier, 4);
+        }
+    }
+}
+
+#[cfg(test)]
+mod simd {
+    mod tests {
+        #[test]
+        fn engines_agree_and_json_is_well_formed() {
+            crate::ladder::tests::check_one_rung(crate::Rung::Simd, 5);
+        }
+    }
+}
