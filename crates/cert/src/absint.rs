@@ -318,7 +318,7 @@ pub struct KernelOutcome {
     /// Report entry.
     pub analysis: KernelAnalysis,
     /// Planner facts consumed by `lanes::plan_with` /
-    /// `tier::compile_with_facts`.
+    /// `tier::compile_simd`.
     pub facts: KernelFacts,
     /// Proven per-dimension ranges for each `Gather` pc whose every
     /// dimension was resolved.

@@ -119,7 +119,7 @@ impl KernelReport {
 }
 
 /// One kernel's lane-vectorization decision, recorded at compile time
-/// when the runtime consults `brook_ir::lanes::plan`: the certification
+/// when the runtime consults `brook_ir::lanes::plan_with`: the certification
 /// data package names which kernels execute on the lane engine and why
 /// the rest fall back to the scalar interpreter.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,7 +133,7 @@ pub struct LanePlan {
 }
 
 /// One kernel's Tier-2 closure-threading decision, recorded at
-/// compile time when the runtime consults `brook_ir::tier::compile`:
+/// compile time when the runtime consults `brook_ir::tier::compile_simd`:
 /// which kernels execute as pre-compiled closure chains and why the
 /// rest stay on the lane engine (or scalar interpreter).
 #[derive(Debug, Clone, PartialEq)]
@@ -174,11 +174,11 @@ pub struct ComplianceReport {
     /// (see `ir_check::optimize_program`). Empty before lowering.
     pub passes: Vec<crate::ir_check::PassRecord>,
     /// Lane-vectorization decisions, one per lowered kernel (see
-    /// `brook_ir::lanes::plan`). Empty before lowering or when lane
+    /// `brook_ir::lanes::plan_with`). Empty before lowering or when lane
     /// execution is disabled on the compiling context.
     pub lane_plans: Vec<LanePlan>,
     /// Tier-2 closure-threading decisions, one per lowered kernel (see
-    /// `brook_ir::tier::compile`). Empty before lowering or when tier
+    /// `brook_ir::tier::compile_simd`). Empty before lowering or when tier
     /// execution is disabled on the compiling context.
     pub tier_plans: Vec<TierPlan>,
     /// Vectorized-reduce admission decisions, one per reduce kernel

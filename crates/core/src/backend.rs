@@ -62,12 +62,12 @@ pub struct KernelLaunch<'a> {
     /// kernel; sources whose kernels cannot lower fail to compile.
     pub ir: &'a brook_ir::IrProgram,
     /// Lane-vectorization plans for the unit, decided once at compile
-    /// time (`brook_ir::lanes::plan`). CPU backends execute kernels
+    /// time (`brook_ir::lanes::plan_with`). CPU backends execute kernels
     /// present here through the lane engine in element blocks; rejected
     /// kernels run the scalar IR interpreter.
     pub lanes: &'a brook_ir::lanes::LaneProgram,
     /// Tier-2 closure-chain plans for the unit, compiled once at
-    /// compile time (`brook_ir::tier::compile`) from the lane plans.
+    /// compile time (`brook_ir::tier::compile_simd`) from the lane plans.
     /// CPU backends execute kernels present here through the
     /// closure-threaded engine; rejected kernels keep the lane engine
     /// (or the scalar interpreter).
@@ -319,8 +319,9 @@ mod tests {
             assert!(errs.is_empty(), "{errs:?}");
             p
         };
-        let lanes = brook_ir::lanes::LaneProgram::plan_program(&ir);
-        let tiers = brook_ir::tier::TierProgram::compile_program(&ir, &lanes);
+        let lanes = brook_ir::lanes::LaneProgram::plan_program_with(&ir, &[]);
+        let tiers =
+            brook_ir::tier::TierProgram::compile_program_simd(&ir, &lanes, &[], brook_ir::simd::auto());
         let launch = KernelLaunch {
             checked: &checked,
             ir: &ir,

@@ -52,13 +52,13 @@ pub struct BrookModule {
     /// sources with a kernel that cannot lower fail to compile.
     pub(crate) ir: Arc<IrProgram>,
     /// Lane-vectorization plans, decided once at compile time by
-    /// `brook_ir::lanes::plan` and recorded in the report's
+    /// `brook_ir::lanes::plan_with` and recorded in the report's
     /// `lane_plans`. CPU backends execute admitted kernels in element
     /// blocks; rejected kernels keep the scalar interpreter. Empty when
     /// the compiling context disabled lane execution.
     pub(crate) lanes: Arc<brook_ir::lanes::LaneProgram>,
     /// Tier-2 closure-chain plans, compiled once at compile time by
-    /// `brook_ir::tier::compile` from the lane plans and recorded in
+    /// `brook_ir::tier::compile_simd` from the lane plans and recorded in
     /// the report's `tier_plans`. CPU backends execute admitted kernels
     /// as pre-compiled closure chains; rejected kernels keep the lane
     /// engine. Empty when the compiling context disabled tier (or lane)
@@ -174,19 +174,19 @@ pub struct BrookContext {
     /// as long as every kernel still lowers to BrookIR.
     pub enforce_certification: bool,
     /// When false, `compile` skips the BrookIR optimization pipeline
-    /// (used by the optimized-vs-unoptimized differential campaigns and
-    /// the interpreter benches; execution still runs the flat IR).
+    /// (the fuzzer's `cpu-noopt` rung and the AST oracle; execution
+    /// still runs the flat IR).
     pub ir_optimize: bool,
     /// When false, `compile` skips lane-vectorization planning, so the
     /// CPU backends execute the scalar IR interpreter for every kernel
-    /// (used by the lane differential campaigns and the lane benches as
-    /// the scalar baseline).
+    /// (the fuzzer's `cpu-scalar` rung and the ladder's interpreter
+    /// rung).
     pub lane_execution: bool,
     /// When false, `compile` skips Tier-2 closure-chain compilation, so
-    /// admitted kernels execute on the lane engine instead (used by the
-    /// tier differential campaigns and the tier benches as the lane
-    /// baseline). Has no effect when `lane_execution` is false: Tier-2
-    /// builds on the lane plan.
+    /// admitted kernels execute on the lane engine instead (the
+    /// fuzzer's `cpu-lanes` rung and the ladder's lane rung). Has no
+    /// effect when `lane_execution` is false: Tier-2 builds on the lane
+    /// plan.
     pub tier_execution: bool,
     /// When false, `compile` skips attaching the abstract interpreter's
     /// proven gather-index ranges to the IR, so every backend keeps the
@@ -334,21 +334,11 @@ impl BrookContext {
                 )));
             }
         }
-        // Optimize under the cert rollback gate, recording provenance.
-        if self.ir_optimize {
-            report.passes = brook_cert::ir_check::optimize_program(
-                &mut ir,
-                &self.cert_config,
-                &brook_ir::passes::default_passes(),
-            );
-        }
-        // Abstract interpretation over the optimized IR: value-range
-        // facts, provable-fault findings (BA013/BA014), gather proofs
-        // for clamp elision, reachability for the planners, and the
-        // refined admission estimate. Runs strictly after the pass
-        // pipeline so passes never see (or have to preserve) proofs.
-        let (analysis, facts) = brook_cert::absint::analyze_and_annotate_program(&mut ir, self.clamp_elision);
-        for ka in &analysis.kernels {
+        // Optimize, analyze and plan the engines. Abstract
+        // interpretation contributes provable-fault findings (BA013/
+        // BA014) and the refined admission estimate to each kernel.
+        let engines = self.optimize_and_plan(&mut ir, &mut report);
+        for ka in &report.analysis.kernels {
             let Some(kr) = report.kernels.iter_mut().find(|r| r.kernel == ka.kernel) else {
                 continue;
             };
@@ -366,27 +356,60 @@ impl BrookContext {
                 "refined estimate above the AST estimate — analyzer bug"
             );
         }
-        report.analysis = analysis;
         if self.enforce_certification && !report.is_compliant() {
             return Err(BrookError::Certification(Box::new(report)));
         }
+        Ok(ModuleArtifact {
+            checked: Arc::new(checked),
+            ir_rejects: verify_module_ir(&ir),
+            ir: Arc::new(ir),
+            lanes: Arc::new(engines.lanes),
+            tiers: Arc::new(engines.tiers),
+            simds: Arc::new(engines.simds),
+            report,
+            cert_fingerprint: self.cert_config.fingerprint(),
+            toggles: self.pipeline_toggles(engines.simd_level),
+        })
+    }
+
+    /// The post-lowering spine [`compile_artifact`](Self::compile_artifact)
+    /// and graph fusion share, under this context's toggles: the
+    /// cert-gated pass pipeline, abstract interpretation, lane
+    /// planning, Tier-2 compilation and vectorized-reduce planning.
+    /// Records the passes, the analysis and every plan decision in
+    /// `report`.
+    pub(crate) fn optimize_and_plan(&self, ir: &mut IrProgram, report: &mut ComplianceReport) -> Engines {
+        // Optimize under the cert rollback gate, recording provenance.
+        if self.ir_optimize {
+            report.passes = brook_cert::ir_check::optimize_program(
+                ir,
+                &self.cert_config,
+                &brook_ir::passes::default_passes(),
+            );
+        }
+        // Abstract interpretation over the optimized IR: value-range
+        // facts, provable-fault findings, gather proofs for clamp
+        // elision, reachability for the planners, and the refined
+        // admission estimate. Runs strictly after the pass pipeline so
+        // passes never see (or have to preserve) proofs.
+        let (analysis, facts) = brook_cert::absint::analyze_and_annotate_program(ir, self.clamp_elision);
+        report.analysis = analysis;
         // Lane-vectorization planning: consulted once here, recorded in
         // the report, executed by the CPU backends per launch. Rejected
         // kernels keep the scalar interpreter — semantics are identical
         // by construction, so this can only change speed, never results.
         let lanes = if self.lane_execution {
-            brook_ir::lanes::LaneProgram::plan_program_with(&ir, &facts)
+            brook_ir::lanes::LaneProgram::plan_program_with(ir, &facts)
         } else {
             brook_ir::lanes::LaneProgram::default()
         };
         report.lane_plans = lane_plan_records(&lanes);
         // Tier-2 compilation: lane-admitted kernels become closure
-        // chains here, once; the decision (and the compile summary) is
-        // part of the certification data package. Same fallback story
-        // as lanes — rejection changes speed, never results.
+        // chains here, once, at the context's SIMD level. Same fallback
+        // story as lanes — rejection changes speed, never results.
         let simd_level = self.simd_mode.resolve();
         let tiers = if self.lane_execution && self.tier_execution {
-            brook_ir::tier::TierProgram::compile_program_simd(&ir, &lanes, &facts, simd_level)
+            brook_ir::tier::TierProgram::compile_program_simd(ir, &lanes, &facts, simd_level)
         } else {
             brook_ir::tier::TierProgram::default()
         };
@@ -394,32 +417,33 @@ impl BrookContext {
         // Vectorized-reduce planning: structurally matched reduce
         // kernels whose combine operand the analyzer proved NaN-free
         // and sign-definite fold through SIMD per-lane partials; every
-        // other reduce keeps the serial scalar fold. The decision is
-        // recorded per kernel like every other admission.
+        // other reduce keeps the serial scalar fold. Map kernels get no
+        // record.
         let simds = if self.lane_execution && simd_level != brook_ir::simd::SimdLevel::Scalar {
-            brook_ir::simd::ReduceProgram::plan_program_with(&ir, &facts, simd_level)
+            brook_ir::simd::ReduceProgram::plan_program_with(ir, &facts, simd_level)
         } else {
             brook_ir::simd::ReduceProgram::default()
         };
         report.simd_reduces = simd_reduce_records(&simds);
-        Ok(ModuleArtifact {
-            checked: Arc::new(checked),
-            ir_rejects: verify_module_ir(&ir),
-            ir: Arc::new(ir),
-            lanes: Arc::new(lanes),
-            tiers: Arc::new(tiers),
-            simds: Arc::new(simds),
-            report,
-            cert_fingerprint: self.cert_config.fingerprint(),
-            toggles: (
-                self.enforce_certification,
-                self.ir_optimize,
-                self.lane_execution,
-                self.tier_execution,
-                self.clamp_elision,
-                simd_level as u8,
-            ),
-        })
+        Engines {
+            lanes,
+            tiers,
+            simds,
+            simd_level,
+        }
+    }
+
+    /// The pipeline toggles a [`ModuleArtifact`] records and adoption
+    /// must match, at the resolved SIMD level `simd_level`.
+    fn pipeline_toggles(&self, simd_level: brook_ir::simd::SimdLevel) -> (bool, bool, bool, bool, bool, u8) {
+        (
+            self.enforce_certification,
+            self.ir_optimize,
+            self.lane_execution,
+            self.tier_execution,
+            self.clamp_elision,
+            simd_level as u8,
+        )
     }
 
     /// Stamps a [`ModuleArtifact`] into a [`BrookModule`] owned by this
@@ -441,15 +465,7 @@ impl BrookContext {
                     .into(),
             ));
         }
-        let toggles = (
-            self.enforce_certification,
-            self.ir_optimize,
-            self.lane_execution,
-            self.tier_execution,
-            self.clamp_elision,
-            self.simd_mode.resolve() as u8,
-        );
-        if artifact.toggles != toggles {
+        if artifact.toggles != self.pipeline_toggles(self.simd_mode.resolve()) {
             return Err(BrookError::Usage(
                 "artifact was compiled under different pipeline toggles (certification/\
                  optimization/lane/tier/elision/simd) than this context uses"
@@ -842,10 +858,19 @@ impl BrookContext {
     }
 }
 
+/// The engine programs [`BrookContext::optimize_and_plan`] builds for
+/// one lowered program.
+pub(crate) struct Engines {
+    pub(crate) lanes: brook_ir::lanes::LaneProgram,
+    pub(crate) tiers: brook_ir::tier::TierProgram,
+    pub(crate) simds: brook_ir::simd::ReduceProgram,
+    /// The SIMD level the engines were built at.
+    pub(crate) simd_level: brook_ir::simd::SimdLevel,
+}
+
 /// Renders lane-plan decisions into the report records the compliance
-/// data package carries. Shared by `compile` and the graph executor's
-/// fused-module path.
-pub(crate) fn lane_plan_records(lanes: &brook_ir::lanes::LaneProgram) -> Vec<brook_cert::LanePlan> {
+/// data package carries.
+fn lane_plan_records(lanes: &brook_ir::lanes::LaneProgram) -> Vec<brook_cert::LanePlan> {
     lanes
         .kernels
         .iter()
@@ -861,9 +886,8 @@ pub(crate) fn lane_plan_records(lanes: &brook_ir::lanes::LaneProgram) -> Vec<bro
 }
 
 /// Renders Tier-2 decisions into the report records the compliance
-/// data package carries. Shared by `compile` and the graph executor's
-/// fused-module path.
-pub(crate) fn tier_plan_records(tiers: &brook_ir::tier::TierProgram) -> Vec<brook_cert::TierPlan> {
+/// data package carries.
+fn tier_plan_records(tiers: &brook_ir::tier::TierProgram) -> Vec<brook_cert::TierPlan> {
     tiers
         .kernels
         .iter()
@@ -880,7 +904,7 @@ pub(crate) fn tier_plan_records(tiers: &brook_ir::tier::TierProgram) -> Vec<broo
 
 /// Renders vectorized-reduce admission decisions into the report
 /// records the compliance data package carries.
-pub(crate) fn simd_reduce_records(simds: &brook_ir::simd::ReduceProgram) -> Vec<brook_cert::SimdReduce> {
+fn simd_reduce_records(simds: &brook_ir::simd::ReduceProgram) -> Vec<brook_cert::SimdReduce> {
     simds
         .kernels
         .iter()

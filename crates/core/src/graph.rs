@@ -672,75 +672,33 @@ impl<'ctx> BrookGraph<'ctx> {
         };
         let (kernel, args, outputs, replaced, name, checked) = built?;
         // The real gate: verify the fused IR and re-run the IR-level
-        // certification check under this context's limits, then the
-        // cert-gated pass pipeline — the same spine `compile` applies.
-        // Any rejection leaves the chain unfused.
+        // certification check under this context's limits. Any
+        // rejection leaves the chain unfused.
         brook_ir::verify::verify(&kernel).ok()?;
         if !brook_cert::ir_check::check_kernel(&kernel, self.ctx.cert_config()).is_compliant() {
             return None;
         }
+        // Fused kernels take the same post-lowering spine as `compile`
+        // (passes, analysis, lane/tier/reduce planning under this
+        // context's toggles); provable faults unfuse the chain.
         let mut program = IrProgram {
             kernels: vec![kernel],
         };
-        let passes = if self.ctx.ir_optimize {
-            brook_cert::ir_check::optimize_program(
-                &mut program,
-                self.ctx.cert_config(),
-                &brook_ir::passes::default_passes(),
-            )
-        } else {
-            Vec::new()
-        };
-        // Fused kernels take the same post-pass analysis spine as
-        // `compile`: provable faults unfuse the chain, gather proofs
-        // carry into the fused module, planner facts feed lanes/tier.
-        let (analysis, facts) =
-            brook_cert::absint::analyze_and_annotate_program(&mut program, self.ctx.clamp_elision);
-        if analysis.kernels.iter().any(|k| !k.faults.is_empty()) {
+        let mut report = brook_cert::ComplianceReport::default();
+        let engines = self.ctx.optimize_and_plan(&mut program, &mut report);
+        if report.analysis.kernels.iter().any(|k| !k.faults.is_empty()) {
             return None;
         }
         let ir = Arc::new(program);
-        // Fused kernels are ordinary IrKernels, so they inherit lane
-        // vectorization for free: plan them exactly as `compile` does.
-        let lanes = if self.ctx.lane_execution {
-            brook_ir::lanes::LaneProgram::plan_program_with(&ir, &facts)
-        } else {
-            brook_ir::lanes::LaneProgram::default()
-        };
-        let lane_plans = crate::context::lane_plan_records(&lanes);
-        // Fused kernels are tier-compiled at fuse time, exactly like
-        // `compile` does, at the context's SIMD level: the collapsed
-        // producer->consumer chain goes straight to the closure-threaded
-        // engine when admitted.
-        let tiers = if self.ctx.lane_execution && self.ctx.tier_execution {
-            brook_ir::tier::TierProgram::compile_program_simd(
-                &ir,
-                &lanes,
-                &facts,
-                self.ctx.simd_mode.resolve(),
-            )
-        } else {
-            brook_ir::tier::TierProgram::default()
-        };
-        let tier_plans = crate::context::tier_plan_records(&tiers);
         let source = brook_ir::pretty::print_program(&ir);
         let module = BrookModule {
             checked,
             ir_rejects: crate::context::verify_module_ir(&ir),
             ir: ir.clone(),
-            lanes: Arc::new(lanes),
-            tiers: Arc::new(tiers),
-            // Fused chains are map kernels, never reductions.
-            simds: Arc::new(brook_ir::simd::ReduceProgram::default()),
-            report: brook_cert::ComplianceReport {
-                kernels: Vec::new(),
-                passes,
-                lane_plans,
-                tier_plans,
-                simd_reduces: Vec::new(),
-                analysis,
-                resilience: Default::default(),
-            },
+            lanes: Arc::new(engines.lanes),
+            tiers: Arc::new(engines.tiers),
+            simds: Arc::new(engines.simds),
+            report,
             id: crate::context::fresh_module_id(),
             context_id: self.ctx.context_id,
         };

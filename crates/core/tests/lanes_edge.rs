@@ -89,7 +89,7 @@ fn zero_length_domain_runs_no_blocks() {
         .expect("check");
     let kdef = checked.program.kernels().next().expect("kernel");
     let kernel = brook_ir::lower::lower_kernel(&checked, kdef).expect("lower");
-    let lane = brook_ir::lanes::plan(&kernel).expect("plan");
+    let lane = brook_ir::lanes::plan_with(&kernel, None).expect("plan");
     let shape: Vec<usize> = vec![0];
     let bindings = vec![
         brook_ir::interp::Binding::Elem {

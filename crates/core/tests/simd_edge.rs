@@ -216,7 +216,7 @@ fn mid_block_fault_matches_scalar_error_and_partial_writes() {
     let checked = brook_lang::parse_and_check(src).expect("check");
     let kdef = checked.program.kernels().next().expect("kernel");
     let k = brook_ir::lower::lower_kernel(&checked, kdef).expect("lower");
-    let lane = brook_ir::lanes::plan(&k).expect("lane plan");
+    let lane = brook_ir::lanes::plan_with(&k, None).expect("lane plan");
     let n = 2 * LANES + 7;
     let bad = LANES + 5; // mid-lane of the second block
     let input: Vec<f32> = (0..n)

@@ -285,22 +285,16 @@ mod tests {
         let source = "kernel void f(float t[], out float o<>) {\n\
             float2 p = indexof(o);\n\
             o = t[p.x];\n\
-            }"
-        .to_owned();
-        let program = brook_lang::parse(&source).expect("fixture parses");
+            }";
         let data: Vec<f32> = (0..n).map(|i| (i % 251) as f32).collect();
-        let case = FuzzCase {
-            name: "absint_big_linear_domain".to_owned(),
+        let gather = crate::gen::GatherData { shape: vec![n], data };
+        let case = FuzzCase::fixed(
+            "absint_big_linear_domain".into(),
             source,
-            program,
-            domain_shape: vec![n],
-            inputs: Vec::new(),
-            gather: Some(crate::gen::GatherData { shape: vec![n], data }),
-            scalars: Vec::new(),
-            n_outputs: 1,
-            data_seed: 0,
-            special_floats: false,
-        };
+            vec![n],
+            vec![],
+            Some(gather),
+        );
         for spec in registered_backends() {
             if !spec.name.starts_with("cpu") {
                 continue;

@@ -18,8 +18,8 @@
 //! and non-finite intermediates would trip the packed-storage
 //! canonicalization into false divergences.
 
-use crate::differential::{compare, BackendOutput, Matrix};
-use brook_auto::{Arg, BrookContext, GraphReport};
+use crate::differential::{compare, compile_shared, BackendOutput, Matrix};
+use brook_auto::{Arg, BrookContext, BrookModule, GraphReport, Stream};
 use brook_lang::ast::{BinOp, ParamKind, Type};
 use brook_lang::build::AstBuilder;
 use brook_lang::pretty::print_program;
@@ -257,9 +257,9 @@ impl std::fmt::Display for ChainFailure {
 fn stage_args<'a>(
     case: &ChainCase,
     i: usize,
-    prev: &'a brook_auto::Stream,
-    extra: &'a Option<brook_auto::Stream>,
-    out: &'a brook_auto::Stream,
+    prev: &'a Stream,
+    extra: &'a Option<Stream>,
+    out: &'a Stream,
 ) -> Vec<Arg<'a>> {
     let mut args: Vec<Arg<'a>> = vec![Arg::Stream(prev)];
     if let Some(e) = extra {
@@ -272,23 +272,28 @@ fn stage_args<'a>(
     args
 }
 
+/// Writes `case`'s initial stream and per-stage extra inputs into `ctx`.
+fn write_inputs(ctx: &mut BrookContext, case: &ChainCase) -> Result<(Stream, Vec<Option<Stream>>), String> {
+    let mut write = |data: &[f32]| {
+        let s = ctx.stream(&case.domain_shape).map_err(|e| e.to_string())?;
+        ctx.write(&s, data).map_err(|e| e.to_string())?;
+        Ok::<_, String>(s)
+    };
+    let first = write(&case.initial)?;
+    let extras = case
+        .extras
+        .iter()
+        .map(|d| d.as_deref().map(&mut write).transpose());
+    Ok((first, extras.collect::<Result<_, _>>()?))
+}
+
 /// Runs `case` eagerly (real intermediates, one launch per stage).
-fn run_eager(ctx: &mut BrookContext, case: &ChainCase) -> Result<Vec<f32>, String> {
-    let module = ctx.compile(&case.source).map_err(|e| format!("compile: {e}"))?;
-    let mut prev = ctx.stream(&case.domain_shape).map_err(|e| e.to_string())?;
-    ctx.write(&prev, &case.initial).map_err(|e| e.to_string())?;
-    for i in 0..case.stages() {
-        let extra = match &case.extras[i] {
-            Some(data) => {
-                let s = ctx.stream(&case.domain_shape).map_err(|e| e.to_string())?;
-                ctx.write(&s, data).map_err(|e| e.to_string())?;
-                Some(s)
-            }
-            None => None,
-        };
+fn run_eager(ctx: &mut BrookContext, module: &BrookModule, case: &ChainCase) -> Result<Vec<f32>, String> {
+    let (mut prev, extras) = write_inputs(ctx, case)?;
+    for (i, extra) in extras.iter().enumerate() {
         let out = ctx.stream(&case.domain_shape).map_err(|e| e.to_string())?;
-        let args = stage_args(case, i, &prev, &extra, &out);
-        ctx.run(&module, &case.kernels[i], &args)
+        let args = stage_args(case, i, &prev, extra, &out);
+        ctx.run(module, &case.kernels[i], &args)
             .map_err(|e| format!("stage {i}: {e}"))?;
         prev = out;
     }
@@ -297,21 +302,12 @@ fn run_eager(ctx: &mut BrookContext, case: &ChainCase) -> Result<Vec<f32>, Strin
 
 /// Runs `case` through the deferred graph executor (virtual
 /// intermediates, fused plan).
-fn run_fused(ctx: &mut BrookContext, case: &ChainCase) -> Result<(Vec<f32>, GraphReport), String> {
-    let module = ctx.compile(&case.source).map_err(|e| format!("compile: {e}"))?;
-    let first = ctx.stream(&case.domain_shape).map_err(|e| e.to_string())?;
-    ctx.write(&first, &case.initial).map_err(|e| e.to_string())?;
-    let mut extra_streams = Vec::new();
-    for data in case.extras.iter() {
-        extra_streams.push(match data {
-            Some(d) => {
-                let s = ctx.stream(&case.domain_shape).map_err(|e| e.to_string())?;
-                ctx.write(&s, d).map_err(|e| e.to_string())?;
-                Some(s)
-            }
-            None => None,
-        });
-    }
+fn run_fused(
+    ctx: &mut BrookContext,
+    module: &BrookModule,
+    case: &ChainCase,
+) -> Result<(Vec<f32>, GraphReport), String> {
+    let (first, extra_streams) = write_inputs(ctx, case)?;
     let last = ctx.stream(&case.domain_shape).map_err(|e| e.to_string())?;
     let report = {
         let mut g = ctx.graph();
@@ -323,7 +319,7 @@ fn run_fused(ctx: &mut BrookContext, case: &ChainCase) -> Result<(Vec<f32>, Grap
                 g.stream(&case.domain_shape).map_err(|e| e.to_string())?
             };
             let args = stage_args(case, i, &prev, extra, &out);
-            g.run(&module, &case.kernels[i], &args)
+            g.run(module, &case.kernels[i], &args)
                 .map_err(|e| format!("record stage {i}: {e}"))?;
             prev = out;
         }
@@ -340,25 +336,27 @@ fn run_fused(ctx: &mut BrookContext, case: &ChainCase) -> Result<(Vec<f32>, Grap
 /// # Errors
 /// The first [`ChainFailure`] encountered.
 pub fn run_chain_case(case: &ChainCase, matrix: &Matrix) -> Result<Vec<ChainRun>, ChainFailure> {
-    assert_eq!(
-        matrix.specs.first().map(|s| s.name),
-        Some("cpu"),
-        "the matrix must lead with the serial CPU reference"
+    assert!(
+        matrix.specs.first().is_some_and(|s| s.name.starts_with("cpu")),
+        "the matrix must lead with a CPU reference"
     );
     let mut runs = Vec::new();
+    let mut artifacts = Vec::new();
     for spec in &matrix.specs {
-        let mut ctx = (spec.make)();
-        let eager = run_eager(&mut ctx, case).map_err(|message| ChainFailure::Setup {
+        let setup = |mode, message| ChainFailure::Setup {
             backend: spec.name,
-            mode: "eager",
+            mode,
             message,
-        })?;
+        };
+        // Each mode runs on a fresh context of the spec.
         let mut ctx = (spec.make)();
-        let (fused, report) = run_fused(&mut ctx, case).map_err(|message| ChainFailure::Setup {
-            backend: spec.name,
-            mode: "fused",
-            message,
-        })?;
+        let eager = compile_shared(&mut ctx, &case.source, &mut artifacts)
+            .and_then(|module| run_eager(&mut ctx, &module, case))
+            .map_err(|m| setup("eager", m))?;
+        let mut ctx = (spec.make)();
+        let (fused, report) = compile_shared(&mut ctx, &case.source, &mut artifacts)
+            .and_then(|module| run_fused(&mut ctx, &module, case))
+            .map_err(|m| setup("fused", m))?;
         runs.push(ChainRun {
             backend: spec.name,
             eager,
@@ -367,14 +365,16 @@ pub fn run_chain_case(case: &ChainCase, matrix: &Matrix) -> Result<Vec<ChainRun>
         });
     }
     let oracle = BackendOutput {
-        backend: "cpu",
+        backend: runs[0].backend,
         outputs: vec![runs[0].eager.clone()],
+        ..BackendOutput::default()
     };
     for run in &runs {
         for (mode, out) in [("eager", &run.eager), ("fused", &run.fused)] {
             let candidate = BackendOutput {
                 backend: run.backend,
                 outputs: vec![out.clone()],
+                ..BackendOutput::default()
             };
             if let Some(d) = compare(&oracle, &candidate, matrix.tolerance) {
                 return Err(ChainFailure::Divergence {

@@ -1,18 +1,74 @@
-//! Driving one generated case through every registered backend and
-//! cross-checking the results.
+//! Driving one generated case through the CPU engine ladder and every
+//! registered device backend, and cross-checking the results.
 //!
 //! The comparison policy generalizes the paper's validation story (§6:
 //! "the correctness of the GPU implementation is retained by validating
 //! it with the CPU output"):
 //!
-//! * the first backend in the matrix must be the serial CPU reference;
-//! * every backend whose name starts with `cpu` must match the reference
-//!   **bit-for-bit** (same interpreter core, different scheduling);
+//! * the first spec in the matrix is the reference — `cpu-ast`, the AST
+//!   tree walker, which never touches BrookIR;
+//! * every spec whose name starts with `cpu` must match the reference
+//!   **bit-for-bit**;
 //! * device backends (`gles2-*`) must match within the storage
 //!   tolerance, scaled relatively as in the app-level matrix.
+//!
+//! The ladder ([`cpu_ladder`]) has one spec per link of the compilation
+//! and execution chain, so which rungs diverge localizes the fault:
+//!
+//! | spec                    | engine                               | diverging alone points at |
+//! |-------------------------|--------------------------------------|---------------------------|
+//! | `cpu-ast`               | AST tree walker (reference)          | —                         |
+//! | `cpu-noopt`             | Tier-2 + SIMD on the unoptimized IR  | lowering                  |
+//! | `cpu-scalar`            | scalar flat-IR interpreter           | the pass pipeline         |
+//! | `cpu-lanes`             | lane engine, Tier-2 off              | the lane engine           |
+//! | `cpu-simd-off`          | Tier-2 closure chains, SIMD off      | the tier compiler         |
+//! | `cpu-sse2`              | Tier-2 with the SSE2 kernels         | the SSE2 kernels          |
+//! | `cpu`                   | Tier-2 with the host's widest SIMD   | the AVX2 kernels          |
+//! | `cpu-parallel-simd-off` | Tier-2 in worker chunks, SIMD off    | chunking or slab reuse    |
+//! | `cpu-parallel`          | Tier-2 + SIMD in worker chunks       | SIMD under chunking       |
+//!
+//! A forced SIMD level above the host's resolves down (`compile` caps
+//! it at `detect()`), so the ladder is portable. Every run also records
+//! the spec's [`Admissions`], read from its compliance report.
 
 use crate::gen::FuzzCase;
-use brook_auto::{registered_backends, Arg, BackendSpec, BrookContext};
+use brook_auto::{registered_backends, Arg, BackendSpec, BrookContext, BrookModule, ModuleArtifact};
+use brook_cert::ComplianceReport;
+use brook_ir::simd::SimdMode;
+
+/// The CPU engine ladder, reference first (see the module docs).
+pub fn cpu_ladder() -> Vec<BackendSpec> {
+    fn spec(name: &'static str, make: fn() -> BrookContext) -> BackendSpec {
+        BackendSpec { name, make }
+    }
+    fn tuned(mut ctx: BrookContext, knob: impl FnOnce(&mut BrookContext)) -> BrookContext {
+        knob(&mut ctx);
+        ctx
+    }
+    vec![
+        spec("cpu-ast", BrookContext::cpu_ast_oracle),
+        spec("cpu-noopt", || {
+            tuned(BrookContext::cpu(), |c| c.ir_optimize = false)
+        }),
+        spec("cpu-scalar", || {
+            tuned(BrookContext::cpu(), |c| c.lane_execution = false)
+        }),
+        spec("cpu-lanes", || {
+            tuned(BrookContext::cpu(), |c| c.tier_execution = false)
+        }),
+        spec("cpu-simd-off", || {
+            tuned(BrookContext::cpu(), |c| c.simd_mode = SimdMode::Off)
+        }),
+        spec("cpu-sse2", || {
+            tuned(BrookContext::cpu(), |c| c.simd_mode = SimdMode::Sse2)
+        }),
+        spec("cpu", BrookContext::cpu),
+        spec("cpu-parallel-simd-off", || {
+            tuned(BrookContext::cpu_parallel(), |c| c.simd_mode = SimdMode::Off)
+        }),
+        spec("cpu-parallel", BrookContext::cpu_parallel),
+    ]
+}
 
 /// The backend matrix one case runs against, plus the comparison
 /// tolerance for device backends.
@@ -23,23 +79,109 @@ pub struct Matrix {
     pub tolerance: f32,
 }
 
-impl Default for Matrix {
-    /// All in-tree backends with the app-level storage tolerance.
-    fn default() -> Self {
+impl Matrix {
+    /// The CPU ladder alone, bitwise everywhere — for campaigns whose
+    /// inputs the device cannot take (special floats, inputs shaped
+    /// unlike the domain, the counted-loop kernels).
+    pub fn cpu() -> Self {
         Matrix {
-            specs: registered_backends(),
+            specs: cpu_ladder(),
+            tolerance: 0.0,
+        }
+    }
+}
+
+impl Default for Matrix {
+    /// The CPU ladder plus every registered device backend, with the
+    /// app-level storage tolerance.
+    fn default() -> Self {
+        let mut specs = cpu_ladder();
+        specs.extend(
+            registered_backends()
+                .into_iter()
+                .filter(|s| !s.name.starts_with("cpu")),
+        );
+        Matrix {
+            specs,
             tolerance: 1e-3,
         }
     }
 }
 
+/// One spec's admission decisions for a case, counted over its kernels
+/// from the compliance report of its compile. A spec with an engine
+/// switched off records no decisions for it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Admissions {
+    /// Kernels the lane planner admitted.
+    pub lane_vectorized: u32,
+    /// Kernels the lane planner rejected.
+    pub lane_fallback: u32,
+    /// Kernels compiled to Tier-2 closure chains.
+    pub tier_compiled: u32,
+    /// Kernels Tier-2 rejected (lane rejections included).
+    pub tier_fallback: u32,
+    /// Tier-2 kernels whose block steps use a SIMD level.
+    pub simd_compiled: u32,
+    /// Loops Tier-2 runs on a static trip count.
+    pub counted_loops: u32,
+    /// Counted loops that take the quiescent exit.
+    pub quiescent_loops: u32,
+}
+
+impl Admissions {
+    /// Counts the decisions `report` records.
+    pub fn of(report: &ComplianceReport) -> Self {
+        let mut a = Admissions::default();
+        for plan in &report.lane_plans {
+            if plan.vectorized {
+                a.lane_vectorized += 1;
+            } else {
+                a.lane_fallback += 1;
+            }
+        }
+        for plan in report.tier_plans.iter() {
+            if !plan.compiled {
+                a.tier_fallback += 1;
+                continue;
+            }
+            a.tier_compiled += 1;
+            a.simd_compiled += u32::from(!plan.detail.contains("simd scalar"));
+            // The detail ends in `N counted loops (M quiescent-exit)`.
+            let loops = plan.detail.rsplit_once(", ").and_then(|(_, tail)| {
+                let (c, q) = tail
+                    .strip_suffix(" quiescent-exit)")?
+                    .split_once(" counted loops (")?;
+                Some((c.parse::<u32>().ok()?, q.parse::<u32>().ok()?))
+            });
+            let (counted, quiescent) = loops.unwrap_or_default();
+            a.counted_loops += counted;
+            a.quiescent_loops += quiescent;
+        }
+        a
+    }
+
+    /// Adds `other`'s counts to these.
+    pub fn add(&mut self, other: &Admissions) {
+        self.lane_vectorized += other.lane_vectorized;
+        self.lane_fallback += other.lane_fallback;
+        self.tier_compiled += other.tier_compiled;
+        self.tier_fallback += other.tier_fallback;
+        self.simd_compiled += other.simd_compiled;
+        self.counted_loops += other.counted_loops;
+        self.quiescent_loops += other.quiescent_loops;
+    }
+}
+
 /// One backend's outputs for one case (one buffer per `out` stream).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BackendOutput {
     /// Backend name from the spec.
     pub backend: &'static str,
     /// Output buffers in declaration order.
     pub outputs: Vec<Vec<f32>>,
+    /// The spec's admission decisions for the case's kernels.
+    pub admissions: Admissions,
 }
 
 /// A cross-backend disagreement.
@@ -94,23 +236,54 @@ impl std::fmt::Display for CaseFailure {
 }
 
 /// The case's own inputs, each bound to a stream of the domain's shape.
-fn domain_inputs(case: &FuzzCase) -> Vec<(&[usize], &[f32])> {
+pub(crate) fn domain_inputs(case: &FuzzCase) -> Vec<(&[usize], &[f32])> {
     case.inputs
         .iter()
         .map(|data| (case.domain_shape.as_slice(), data.as_slice()))
         .collect()
 }
 
+/// Compiles `source` on `ctx`, adopting one of `artifacts` when one was
+/// compiled under the same configuration and adding a new one when none
+/// was. `compile` is `compile_artifact`, a function of the source and
+/// the context's certification config and pipeline toggles, followed by
+/// `adopt_artifact`, which refuses an artifact of another
+/// configuration; so the module is the one `ctx.compile` would build,
+/// and each configuration on the ladder compiles a case once.
+///
+/// # Errors
+/// Compile failures.
+pub(crate) fn compile_shared(
+    ctx: &mut BrookContext,
+    source: &str,
+    artifacts: &mut Vec<ModuleArtifact>,
+) -> Result<BrookModule, String> {
+    if let Some(module) = artifacts.iter().find_map(|a| ctx.adopt_artifact(a).ok()) {
+        return Ok(module);
+    }
+    let artifact = ctx
+        .compile_artifact(source)
+        .map_err(|e| format!("compile: {e}"))?;
+    let module = ctx.adopt_artifact(&artifact).map_err(|e| format!("adopt: {e}"))?;
+    artifacts.push(artifact);
+    Ok(module)
+}
+
 /// Runs `case` with `inputs` on one backend and returns its output
-/// buffers.
+/// buffers and admission decisions.
 fn run_on(
     spec: &BackendSpec,
     case: &FuzzCase,
     inputs: &[(&[usize], &[f32])],
-) -> Result<Vec<Vec<f32>>, String> {
+    artifacts: &mut Vec<ModuleArtifact>,
+) -> Result<BackendOutput, String> {
     let mut ctx: BrookContext = (spec.make)();
-    let module = ctx.compile(&case.source).map_err(|e| format!("compile: {e}"))?;
-    run_with_inputs(&mut ctx, &module, case, inputs)
+    let module = compile_shared(&mut ctx, &case.source, artifacts)?;
+    Ok(BackendOutput {
+        backend: spec.name,
+        outputs: run_with_inputs(&mut ctx, &module, case, inputs)?,
+        admissions: Admissions::of(&module.report),
+    })
 }
 
 /// Runs an already-compiled `case` in `ctx` (streams and launch only) —
@@ -210,18 +383,17 @@ pub(crate) fn run_case_with_inputs(
             .first()
             .map(|s| s.name)
             .is_some_and(|n| n.starts_with("cpu")),
-        "the matrix must lead with a CPU reference (serial interpreter or AST oracle)"
+        "the matrix must lead with a CPU reference"
     );
     let mut runs: Vec<BackendOutput> = Vec::new();
+    let mut artifacts = Vec::new();
     for spec in &matrix.specs {
-        let outputs = run_on(spec, case, inputs).map_err(|message| CaseFailure::Setup {
-            backend: spec.name,
-            message,
-        })?;
-        runs.push(BackendOutput {
-            backend: spec.name,
-            outputs,
-        });
+        runs.push(
+            run_on(spec, case, inputs, &mut artifacts).map_err(|message| CaseFailure::Setup {
+                backend: spec.name,
+                message,
+            })?,
+        );
     }
     let reference = runs[0].clone();
     for run in &runs[1..] {
@@ -236,17 +408,11 @@ pub(crate) fn run_case_with_inputs(
 /// whatever outputs each backend produces (backends that error are
 /// skipped). Used to assemble repro bundles after a divergence.
 pub fn collect_backend_outputs(case: &FuzzCase, matrix: &Matrix) -> Vec<BackendOutput> {
+    let mut artifacts = Vec::new();
     matrix
         .specs
         .iter()
-        .filter_map(|spec| {
-            run_on(spec, case, &domain_inputs(case))
-                .ok()
-                .map(|outputs| BackendOutput {
-                    backend: spec.name,
-                    outputs,
-                })
-        })
+        .filter_map(|spec| run_on(spec, case, &domain_inputs(case), &mut artifacts).ok())
         .collect()
 }
 
@@ -302,9 +468,77 @@ pub fn compare(reference: &BackendOutput, run: &BackendOutput, tol: f32) -> Opti
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::gen::{gen_case, GenConfig};
+    use brook_ir::simd::{auto, detect, SimdLevel};
+
+    /// Checks, from the compliance report of `source` compiled on spec
+    /// `name`, that the spec runs the engine its name claims — the
+    /// conditions the benchmark's execution ladder checks its rungs by.
+    fn check_engine(name: &str, source: &str) -> Result<(), String> {
+        let spec = cpu_ladder()
+            .into_iter()
+            .find(|s| s.name == name)
+            .ok_or(format!("no spec `{name}`"))?;
+        let mut ctx = (spec.make)();
+        let module = ctx.compile(source).map_err(|e| format!("{name}: compile: {e}"))?;
+        let report = &module.report;
+        let backend = ctx.backend_name();
+        let vectorized = report.lane_plans.first().is_some_and(|p| p.vectorized);
+        let tier = report.tier_plans.first();
+        let compiled = tier.is_some_and(|p| p.compiled);
+        let detail = tier.map_or("", |p| p.detail.as_str());
+        let scalar_steps = detail.contains("simd scalar");
+        // `Auto` may resolve to scalar under `BROOK_SIMD=off`; a forced
+        // SSE2 only on a host without it.
+        let auto_simd = auto() != SimdLevel::Scalar;
+        let sse2 = if detect() == SimdLevel::Scalar {
+            "simd scalar"
+        } else {
+            "simd sse2"
+        };
+        let optimized = !report.passes.is_empty();
+        let ok = match name {
+            "cpu-ast" => backend == "cpu-ast" && !optimized,
+            "cpu-noopt" => backend == "cpu" && !optimized && compiled && scalar_steps != auto_simd,
+            "cpu-scalar" => backend == "cpu" && optimized && report.lane_plans.is_empty() && !compiled,
+            "cpu-lanes" => backend == "cpu" && optimized && vectorized && report.tier_plans.is_empty(),
+            "cpu-simd-off" => backend == "cpu" && optimized && compiled && scalar_steps,
+            "cpu-sse2" => backend == "cpu" && optimized && compiled && detail.contains(sse2),
+            "cpu" => backend == "cpu" && optimized && compiled && scalar_steps != auto_simd,
+            "cpu-parallel-simd-off" => backend == "cpu-parallel" && optimized && compiled && scalar_steps,
+            "cpu-parallel" => backend == "cpu-parallel" && optimized && compiled && scalar_steps != auto_simd,
+            _ => false,
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!(
+                "spec `{name}` ran another engine: backend {backend}, {} passes, lane {vectorized}, \
+                 tier `{detail}`\n{source}",
+                report.passes.len()
+            ))
+        }
+    }
+
+    /// Checks the rungs `names` on one generated case and one counted
+    /// loop, both lane-vectorized and tier-compiled on the ladder's top.
+    pub(crate) fn check_rungs(names: &[&str]) {
+        let case = gen_case(0xB400_A070, 0, &GenConfig::default());
+        let (loop_case, _) = crate::tier::gen_loop_case(0x100F_5EED, 1);
+        for name in names {
+            for source in [&case.source, &loop_case.source] {
+                check_engine(name, source).unwrap_or_else(|e| panic!("{e}"));
+            }
+        }
+    }
+
+    #[test]
+    fn each_spec_runs_the_engine_its_name_claims() {
+        let names: Vec<&str> = cpu_ladder().iter().map(|s| s.name).collect();
+        check_rungs(&names);
+    }
 
     #[test]
     fn simple_case_agrees_everywhere() {
@@ -312,8 +546,8 @@ mod tests {
         let runs = run_case(&case, &Matrix::default()).unwrap_or_else(|f| {
             panic!("case failed: {f}\n{}", case.source);
         });
-        assert_eq!(runs.len(), registered_backends().len());
-        assert_eq!(runs[0].backend, "cpu");
+        assert_eq!(runs.len(), 9 + 2, "the CPU ladder and both device backends");
+        assert_eq!(runs[0].backend, "cpu-ast");
         assert_eq!(runs[0].outputs.len(), case.n_outputs);
     }
 
@@ -322,6 +556,7 @@ mod tests {
         let reference = BackendOutput {
             backend: "cpu",
             outputs: vec![vec![1.0, 2.0]],
+            ..BackendOutput::default()
         };
         let mut other = reference.clone();
         other.backend = "cpu-parallel";
@@ -335,6 +570,7 @@ mod tests {
         let reference = BackendOutput {
             backend: "cpu",
             outputs: vec![vec![1000.0]],
+            ..BackendOutput::default()
         };
         let mut gpu = reference.clone();
         gpu.backend = "gles2-packed";

@@ -120,6 +120,31 @@ pub struct FuzzCase {
 }
 
 impl FuzzCase {
+    /// A case over a fixed one-kernel `source` (streams in canonical
+    /// parameter order, one output) with the given domain, inputs and
+    /// gather table, and data seed 0.
+    pub(crate) fn fixed(
+        name: String,
+        source: &str,
+        domain_shape: Vec<usize>,
+        inputs: Vec<Vec<f32>>,
+        gather: Option<GatherData>,
+    ) -> FuzzCase {
+        let program = brook_lang::parse(source).unwrap_or_else(|e| panic!("fixed kernel: {e}\n{source}"));
+        FuzzCase {
+            name,
+            source: print_program(&program),
+            program,
+            domain_shape,
+            inputs,
+            gather,
+            scalars: Vec::new(),
+            n_outputs: 1,
+            data_seed: 0,
+            special_floats: false,
+        }
+    }
+
     /// Number of elements in the output domain.
     pub fn domain_len(&self) -> usize {
         self.domain_shape.iter().product()

@@ -13,9 +13,12 @@
 //!   ([`gen::gen_case`] stays inside the certifiable subset and keeps
 //!   magnitudes bounded; [`gen::gen_noncompliant`] steps outside it by
 //!   exactly one rule so the gate's rejection can be asserted);
-//! * [`differential`] — runs one case across the backend matrix
-//!   (`cpu` reference, `cpu-parallel` bit-exact, `gles2-*` within
-//!   storage tolerance);
+//! * [`differential`] — runs one case across the backend matrix: the
+//!   CPU engine ladder ([`differential::cpu_ladder`]: the `cpu-ast`
+//!   reference, then one spec per engine configuration from the
+//!   unoptimized IR to parallel SIMD, all bit-exact) and every
+//!   registered device backend (`gles2-*`, within storage tolerance),
+//!   recording each spec's planner [`Admissions`];
 //! * [`shrink`] — minimizes a diverging case by statement removal,
 //!   control-flow flattening, loop-bound and shape reduction, each
 //!   candidate revalidated through the real front-end and gate;
@@ -23,7 +26,16 @@
 //!   per-backend outputs, README) under `target/fuzz-repros/`;
 //! * [`run_campaign`] — the whole loop, plus the front-end round-trip
 //!   check (print → reparse → print must be a fixed point) on every
-//!   generated program.
+//!   generated program and the fixed planner-rejected set
+//!   ([`tier::LANE_REJECTED_SOURCES`], [`tier::TIER_REJECTED_SOURCES`])
+//!   with its admission decisions checked.
+//!
+//! The other modules are campaigns over inputs the main loop does not
+//! generate. [`tier`]'s input shapes and counted loops, [`simd`]'s
+//! special floats and reduces and [`chain`]'s fused pipelines run on the
+//! same ladder; [`absint`], [`concurrent`], [`depth`] and [`faults`]
+//! check clamp elision, shared artifacts, front-end depth limits and
+//! fault recovery.
 //!
 //! Determinism: a campaign is a pure function of its [`FuzzConfig`]; CI
 //! runs a fixed seed, and a failure report names the seed so the exact
@@ -48,9 +60,7 @@ pub mod depth;
 pub mod differential;
 pub mod faults;
 pub mod gen;
-pub mod lanes;
 pub mod mutation;
-pub mod optdiff;
 pub mod repro;
 pub mod shrink;
 pub mod simd;
@@ -60,18 +70,16 @@ pub use absint::{run_absint_campaign, AbsintStats};
 pub use chain::{gen_chain, run_chain_campaign, run_chain_case, ChainCase, ChainConfig, ChainStats};
 pub use concurrent::{run_concurrent_campaign, ConcurrentStats};
 pub use depth::{gen_depth_case, run_depth_campaign, DepthCase, DepthStats};
-pub use differential::{compare, run_case, BackendOutput, CaseFailure, Divergence, Matrix};
+pub use differential::{
+    compare, cpu_ladder, run_case, Admissions, BackendOutput, CaseFailure, Divergence, Matrix,
+};
 pub use faults::{run_faults_campaign, FaultCaseFailure, FaultsConfig, FaultsStats};
 pub use gen::{gen_case, gen_noncompliant, FuzzCase, GenConfig};
-pub use lanes::{lanes_matrix, run_lanes_campaign, LanesStats};
 pub use mutation::SaboteurBackend;
-pub use optdiff::{opt_matrix, run_optdiff_campaign, OptDiffStats};
 pub use repro::{repro_root, write_repro};
 pub use shrink::shrink;
-pub use simd::{run_simd_campaign, simd_matrix, SimdStats};
-pub use tier::{
-    run_tier_campaign, run_tier_loop_campaign, run_tier_shape_campaign, tier_matrix, TierLoopStats, TierStats,
-};
+pub use simd::{run_simd_campaign, SimdStats};
+pub use tier::{run_tier_loop_campaign, run_tier_shape_campaign, TierLoopStats, TierStats};
 
 use brook_auto::BrookError;
 use brook_cert::{certify, violates, CertConfig, RuleId};
@@ -110,6 +118,14 @@ impl Default for FuzzConfig {
 pub struct CampaignStats {
     /// Differential cases generated, validated and cross-checked.
     pub positive_cases: u32,
+    /// Planner-rejected kernels cross-checked with their admission
+    /// decisions confirmed.
+    pub fixed_cases: u32,
+    /// Admission decisions summed over every cross-checked case, per
+    /// spec.
+    pub admissions: BTreeMap<&'static str, Admissions>,
+    /// Output elements cross-checked against the reference.
+    pub elements_checked: u64,
     /// Non-compliant cases correctly rejected by the gate.
     pub negative_cases: u32,
     /// Gate rejections grouped by the violated rule.
@@ -138,6 +154,14 @@ pub enum CampaignFailure {
         /// Offending case.
         case: Box<FuzzCase>,
         /// What went wrong.
+        message: String,
+    },
+    /// A planner-rejected kernel got another admission decision than
+    /// the one it was built for.
+    Admission {
+        /// The program source.
+        source: String,
+        /// The decision that differs.
         message: String,
     },
     /// A deliberately non-compliant program slipped through the gate.
@@ -187,6 +211,9 @@ impl std::fmt::Display for CampaignFailure {
                     case.name, case.source
                 )
             }
+            CampaignFailure::Admission { source, message } => {
+                write!(f, "planner-rejected kernel: {message}\n{source}")
+            }
             CampaignFailure::GateEscape {
                 source,
                 expected_rule,
@@ -224,6 +251,42 @@ fn check_roundtrip(case: &FuzzCase) -> Result<(), String> {
     Ok(())
 }
 
+/// Runs `case` across `matrix` and adds each spec's admissions to
+/// `stats`; a failing case is minimized and bundled.
+fn check_case(
+    case: FuzzCase,
+    matrix: &Matrix,
+    seed: u64,
+    stats: &mut CampaignStats,
+) -> Result<Vec<BackendOutput>, CampaignFailure> {
+    match run_case(&case, matrix) {
+        Ok(runs) => {
+            for run in &runs {
+                stats
+                    .admissions
+                    .entry(run.backend)
+                    .or_default()
+                    .add(&run.admissions);
+            }
+            stats.elements_checked += runs[0].outputs.iter().map(|o| o.len() as u64).sum::<u64>();
+            Ok(runs)
+        }
+        Err(failure) => {
+            // Minimize while the failure reproduces, then bundle it.
+            let minimized = shrink(&case, |cand| run_case(cand, matrix).is_err());
+            let failure = run_case(&minimized, matrix).err().unwrap_or(failure);
+            let outputs = differential::collect_backend_outputs(&minimized, matrix);
+            let repro = write_repro(&minimized, &failure, &outputs, seed).ok();
+            Err(CampaignFailure::CaseFailed {
+                minimized: Box::new(minimized),
+                original: Box::new(case),
+                failure,
+                repro,
+            })
+        }
+    }
+}
+
 /// Runs a full campaign on the default backend matrix.
 ///
 /// # Errors
@@ -256,20 +319,20 @@ pub fn run_campaign_on(cfg: &FuzzConfig, matrix: &Matrix) -> Result<CampaignStat
                 message,
             });
         }
-        if let Err(failure) = run_case(&case, matrix) {
-            // Minimize while the failure reproduces, then bundle it.
-            let minimized = shrink(&case, |cand| run_case(cand, matrix).is_err());
-            let failure = run_case(&minimized, matrix).err().unwrap_or(failure);
-            let outputs = differential::collect_backend_outputs(&minimized, matrix);
-            let repro = write_repro(&minimized, &failure, &outputs, cfg.seed).ok();
-            return Err(CampaignFailure::CaseFailed {
-                minimized: Box::new(minimized),
-                original: Box::new(case),
-                failure,
-                repro,
-            });
-        }
+        check_case(case, matrix, cfg.seed, &mut stats)?;
         stats.positive_cases += 1;
+    }
+
+    // The fixed planner-rejected set: every fallback path runs, agrees
+    // and is taken for the reason it was built for.
+    for (case, want) in tier::rejected_cases() {
+        let source = case.source.clone();
+        let runs = check_case(case, matrix, cfg.seed, &mut stats)?;
+        if let Some(cpu) = runs.iter().find(|r| r.backend == "cpu" && r.admissions != want) {
+            let message = format!("planner decisions {:?}, built for {want:?}", cpu.admissions);
+            return Err(CampaignFailure::Admission { source, message });
+        }
+        stats.fixed_cases += 1;
     }
 
     for i in 0..cfg.negative_cases {
@@ -313,19 +376,31 @@ pub fn run_campaign_on(cfg: &FuzzConfig, matrix: &Matrix) -> Result<CampaignStat
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// One small campaign on the default matrix, shared by the tests
+    /// that check its rungs.
+    pub(crate) fn small_campaign() -> &'static CampaignStats {
+        static STATS: OnceLock<CampaignStats> = OnceLock::new();
+        STATS.get_or_init(|| {
+            run_campaign(&FuzzConfig {
+                cases: 8,
+                negative_cases: 8,
+                ..FuzzConfig::default()
+            })
+            .unwrap_or_else(|f| panic!("{f}"))
+        })
+    }
 
     #[test]
     fn small_campaign_passes() {
-        let stats = run_campaign(&FuzzConfig {
-            cases: 8,
-            negative_cases: 8,
-            ..FuzzConfig::default()
-        })
-        .unwrap_or_else(|f| panic!("{f}"));
+        let stats = small_campaign();
         assert_eq!(stats.positive_cases, 8);
+        assert_eq!(stats.fixed_cases, 4);
         assert_eq!(stats.negative_cases, 8);
+        assert_eq!(stats.admissions.len(), Matrix::default().specs.len());
     }
 
     #[test]
@@ -341,5 +416,46 @@ mod tests {
             "expected variety, got {:?}",
             stats.rejected_by_rule
         );
+    }
+}
+
+/// The lane and optimizer differential modes are rungs of the ladder;
+/// their checks keep their test paths.
+#[cfg(test)]
+mod lanes {
+    mod tests {
+        #[test]
+        fn matrix_leads_with_the_ast_oracle() {
+            crate::differential::tests::check_rungs(&["cpu-ast", "cpu-scalar", "cpu-lanes"]);
+        }
+
+        #[test]
+        fn rejected_sources_certify_but_fall_back() {
+            crate::tier::tests::check_rejected_set(false);
+        }
+
+        #[test]
+        fn small_campaign_is_bit_exact() {
+            let stats = crate::tests::small_campaign();
+            let cpu = &stats.admissions["cpu"];
+            assert!(cpu.lane_vectorized > 0 && cpu.lane_fallback >= 2, "{stats:?}");
+            assert_eq!(stats.admissions["cpu-scalar"], Default::default(), "{stats:?}");
+        }
+    }
+}
+
+#[cfg(test)]
+mod optdiff {
+    mod tests {
+        #[test]
+        fn matrix_leads_with_the_ast_oracle() {
+            crate::differential::tests::check_rungs(&["cpu-ast", "cpu-noopt"]);
+        }
+
+        #[test]
+        fn small_campaign_is_bit_exact() {
+            let stats = crate::tests::small_campaign();
+            assert!(stats.admissions["cpu-noopt"].tier_compiled > 0, "{stats:?}");
+        }
     }
 }

@@ -114,6 +114,7 @@ mod tests {
         let outputs = vec![BackendOutput {
             backend: "cpu",
             outputs: vec![vec![0.0; case.domain_len()]; case.n_outputs],
+            ..BackendOutput::default()
         }];
         let dir = write_repro(&case, &failure, &outputs, 0xEE).expect("write bundle");
         assert!(dir.join("program.br").is_file());

@@ -13,10 +13,10 @@
 //!
 //! Two comparison layers:
 //!
-//! * a widened all-CPU matrix (AST oracle, scalar IR, lane engine,
-//!   Tier-2 forced scalar, forced SSE2, auto SIMD, parallel with and
-//!   without SIMD) — bitwise everywhere, so a single flipped NaN
-//!   payload or zero sign is a divergence;
+//! * the CPU ladder ([`Matrix::cpu`]: the AST oracle, every engine
+//!   tier, SIMD forced off, forced to SSE2 and auto, serial and
+//!   parallel) — bitwise everywhere, so a single flipped NaN payload
+//!   or zero sign is a divergence;
 //! * per-device pairs: each registered GL backend runs every case
 //!   twice, `SimdMode::Off` vs `SimdMode::Auto`, compared bitwise —
 //!   the toggle must be invisible on backends that never dispatch to
@@ -29,84 +29,10 @@
 //! which still must agree bitwise through the serial scalar fallback
 //! — proving the fallback runs, on special data.
 
-use crate::differential::{run_case, run_with_module, CaseFailure, Matrix};
+use crate::differential::{compile_shared, cpu_ladder, run_case, run_with_module, Matrix};
 use crate::gen::{gen_case, gen_values, special_overlay, FuzzCase, GenConfig};
-use brook_auto::{registered_backends, BackendSpec, BrookContext};
-use brook_ir::simd::{detect, SimdLevel, SimdMode};
-
-fn cpu_scalar_ir() -> BrookContext {
-    let mut ctx = BrookContext::cpu();
-    ctx.lane_execution = false;
-    ctx
-}
-
-fn cpu_lanes_only() -> BrookContext {
-    let mut ctx = BrookContext::cpu();
-    ctx.tier_execution = false;
-    ctx
-}
-
-fn cpu_simd_off() -> BrookContext {
-    let mut ctx = BrookContext::cpu();
-    ctx.simd_mode = SimdMode::Off;
-    ctx
-}
-
-fn cpu_simd_sse2() -> BrookContext {
-    let mut ctx = BrookContext::cpu();
-    ctx.simd_mode = SimdMode::Sse2;
-    ctx
-}
-
-fn cpu_parallel_simd_off() -> BrookContext {
-    let mut ctx = BrookContext::cpu_parallel();
-    ctx.simd_mode = SimdMode::Off;
-    ctx
-}
-
-/// The all-CPU matrix: every engine tier with SIMD forced off, forced
-/// to SSE2, and auto-detected, all compared bitwise against the AST
-/// oracle. A forced level above the host's capability resolves down
-/// (`compile` clamps to `detect()`), so the matrix is portable.
-pub fn simd_matrix() -> Matrix {
-    Matrix {
-        specs: vec![
-            BackendSpec {
-                name: "cpu-ast",
-                make: BrookContext::cpu_ast_oracle,
-            },
-            BackendSpec {
-                name: "cpu-scalar",
-                make: cpu_scalar_ir,
-            },
-            BackendSpec {
-                name: "cpu-lanes",
-                make: cpu_lanes_only,
-            },
-            BackendSpec {
-                name: "cpu-simd-off",
-                make: cpu_simd_off,
-            },
-            BackendSpec {
-                name: "cpu-sse2",
-                make: cpu_simd_sse2,
-            },
-            BackendSpec {
-                name: "cpu",
-                make: BrookContext::cpu,
-            },
-            BackendSpec {
-                name: "cpu-parallel-simd-off",
-                make: cpu_parallel_simd_off,
-            },
-            BackendSpec {
-                name: "cpu-parallel",
-                make: BrookContext::cpu_parallel,
-            },
-        ],
-        tolerance: 0.0,
-    }
-}
+use brook_auto::registered_backends;
+use brook_ir::simd::{auto, SimdLevel, SimdMode};
 
 /// Statistics of one SIMD differential campaign.
 #[derive(Debug, Clone, Default)]
@@ -130,7 +56,7 @@ pub struct SimdStats {
 /// A combine the analyzer can prove reassociation-safe: `clamp` bounds
 /// the operand to `[0.5, 2.0]` (NaN-free and sign-definite), so the
 /// lattice `min` has one well-defined bit pattern under any fold
-/// order. Must be admitted whenever the host has any SIMD level.
+/// order. Must be admitted whenever `SimdMode::Auto` resolves to a SIMD level.
 pub const SIMD_REDUCE_ADMITTED: &str =
     "reduce void rmin(float a<>, reduce float r<>) { r = min(r, clamp(a, 0.5, 2.0)); }";
 
@@ -142,23 +68,6 @@ pub const SIMD_REDUCE_REJECTED: &[&str] = &[
     "reduce void rsum(float a<>, reduce float r<>) { r = r + a; }",
     "reduce void rmin(float a<>, reduce float r<>) { r = min(r, a); }",
 ];
-
-/// Compile-probes the Tier-2 SIMD decision on the auto context:
-/// `(simd, scalar)` kernel counts from the recorded plan details.
-fn probe_simd_plans(source: &str) -> Result<(u32, u32), String> {
-    let mut ctx = BrookContext::cpu();
-    let module = ctx.compile(source).map_err(|e| format!("probe compile: {e}"))?;
-    let mut simd = 0;
-    let mut scalar = 0;
-    for plan in &module.report.tier_plans {
-        if plan.compiled && !plan.detail.contains("simd scalar") {
-            simd += 1;
-        } else {
-            scalar += 1;
-        }
-    }
-    Ok((simd, scalar))
-}
 
 /// Runs one case on every registered *device* backend twice —
 /// `SimdMode::Off` vs `SimdMode::Auto` — and requires bit identity.
@@ -197,25 +106,9 @@ fn run_device_pairs(case: &FuzzCase) -> Result<u64, String> {
     Ok(checked)
 }
 
-/// A named context factory of the reduce matrix.
-type ReduceSpec = (&'static str, fn() -> BrookContext);
-
-/// The reduce contexts: AST oracle, serial and parallel CPU with the
-/// SIMD toggle off, forced SSE2, and auto.
-fn reduce_contexts() -> Vec<ReduceSpec> {
-    vec![
-        ("cpu-ast", BrookContext::cpu_ast_oracle as fn() -> BrookContext),
-        ("cpu-simd-off", cpu_simd_off),
-        ("cpu-sse2", cpu_simd_sse2),
-        ("cpu", BrookContext::cpu),
-        ("cpu-parallel-simd-off", cpu_parallel_simd_off),
-        ("cpu-parallel", BrookContext::cpu_parallel),
-    ]
-}
-
 /// Runs one fixed reduce source over special-float-biased data on
-/// every reduce context, requiring bitwise identical scalars; returns
-/// whether the auto context admitted it to the vectorized reduce.
+/// every rung of the CPU ladder, requiring bitwise identical scalars;
+/// returns whether the `cpu` spec admitted it to the vectorized reduce.
 ///
 /// # Errors
 /// Compile/run failures and fold divergences.
@@ -225,11 +118,12 @@ fn run_reduce_diff(source: &str, n: usize, data_seed: u64) -> Result<(bool, u64)
     let mut reference: Option<(&'static str, f32)> = None;
     let mut admitted = false;
     let mut checked = 0u64;
-    for (name, make) in reduce_contexts() {
-        let mut ctx = make();
-        let module = ctx
-            .compile(source)
-            .map_err(|e| format!("{name}: compile: {e}\n{source}"))?;
+    let mut artifacts = Vec::new();
+    for spec in cpu_ladder() {
+        let name = spec.name;
+        let mut ctx = (spec.make)();
+        let module =
+            compile_shared(&mut ctx, source, &mut artifacts).map_err(|e| format!("{name}: {e}\n{source}"))?;
         let kernel = module.kernels().first().cloned().ok_or("no kernel")?;
         if name == "cpu" {
             admitted = module
@@ -259,7 +153,7 @@ fn run_reduce_diff(source: &str, n: usize, data_seed: u64) -> Result<(bool, u64)
 }
 
 /// Runs `cases` seeded kernels (special-float-biased data) through the
-/// CPU SIMD matrix and the device on/off pairs, then the fixed reduce
+/// CPU ladder and the device on/off pairs, then the fixed reduce
 /// set with its admission assertions.
 ///
 /// # Errors
@@ -270,38 +164,32 @@ pub fn run_simd_campaign(seed: u64, cases: u32, cfg: &GenConfig) -> Result<SimdS
         special_floats: true,
         ..cfg.clone()
     };
-    let matrix = simd_matrix();
+    let matrix = Matrix::cpu();
     let mut stats = SimdStats::default();
     for index in 0..cases {
         let case = gen_case(seed, index, &cfg);
-        let (simd, scalar) = probe_simd_plans(&case.source)
-            .map_err(|e| format!("case {} (seed {seed:#x}, index {index}): {e}", case.name))?;
-        stats.simd_kernels += simd;
-        stats.scalar_kernels += scalar;
         let runs = run_case(&case, &matrix).map_err(|f| {
-            let detail = match &f {
-                CaseFailure::Setup { backend, message } => format!("{backend}: {message}"),
-                CaseFailure::Divergence(d) => d.to_string(),
-            };
             format!(
-                "case {} (seed {seed:#x}, index {index}): {detail}\n{}",
+                "case {} (seed {seed:#x}, index {index}): {f}\n{}",
                 case.name, case.source
             )
         })?;
-        stats.elements_checked += runs
-            .first()
-            .map(|r| r.outputs.iter().map(|o| o.len() as u64).sum::<u64>())
-            .unwrap_or(0);
+        if let Some(cpu) = runs.iter().find(|r| r.backend == "cpu") {
+            let a = &cpu.admissions;
+            stats.simd_kernels += a.simd_compiled;
+            stats.scalar_kernels += a.tier_compiled + a.tier_fallback - a.simd_compiled;
+        }
+        stats.elements_checked += runs[0].outputs.iter().map(|o| o.len() as u64).sum::<u64>();
         stats.elements_checked += run_device_pairs(&case)
             .map_err(|e| format!("case {} (seed {seed:#x}, index {index}): {e}", case.name))?;
         stats.cases += 1;
     }
     // The fixed reduce set: one provably-safe combine that must be
-    // admitted (on hosts with a SIMD level), and the unsafe combines
+    // admitted (when `Auto` resolves to a SIMD level), and the unsafe combines
     // that must fall back to the serial scalar fold.
     let n = 4 * brook_ir::lanes::LANES + 7;
     let (admitted, checked) = run_reduce_diff(SIMD_REDUCE_ADMITTED, n, seed ^ 0x51D0)?;
-    if detect() != SimdLevel::Scalar && !admitted {
+    if auto() != SimdLevel::Scalar && !admitted {
         return Err(format!(
             "planner refused the provably reassociation-safe reduce:\n{SIMD_REDUCE_ADMITTED}"
         ));
@@ -329,33 +217,20 @@ mod tests {
 
     #[test]
     fn matrix_toggles_are_what_they_claim() {
-        let m = simd_matrix();
-        let names: Vec<_> = m.specs.iter().map(|s| s.name).collect();
-        assert_eq!(
-            names,
-            vec![
-                "cpu-ast",
-                "cpu-scalar",
-                "cpu-lanes",
-                "cpu-simd-off",
-                "cpu-sse2",
-                "cpu",
-                "cpu-parallel-simd-off",
-                "cpu-parallel"
-            ]
-        );
-        let ctx = (m.specs[3].make)();
-        assert_eq!(ctx.simd_mode, SimdMode::Off);
-        assert!(ctx.lane_execution && ctx.tier_execution);
-        let ctx = (m.specs[5].make)();
-        assert_eq!(ctx.simd_mode, SimdMode::Auto);
+        crate::differential::tests::check_rungs(&[
+            "cpu-simd-off",
+            "cpu-sse2",
+            "cpu",
+            "cpu-parallel-simd-off",
+            "cpu-parallel",
+        ]);
     }
 
     #[test]
     fn reduce_set_admission_decisions_hold() {
         let (admitted, _) =
             run_reduce_diff(SIMD_REDUCE_ADMITTED, 77, 0xDEC0).unwrap_or_else(|e| panic!("{e}"));
-        if detect() != SimdLevel::Scalar {
+        if auto() != SimdLevel::Scalar {
             assert!(admitted, "safe combine must be admitted");
         }
         for source in SIMD_REDUCE_REJECTED {

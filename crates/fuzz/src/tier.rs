@@ -1,114 +1,74 @@
-//! Tier-2 differential mode.
+//! Tier-2 differential mode: the axes the main campaign's generated
+//! cases do not reach, plus the planner-boundary kernels every campaign
+//! runs.
 //!
 //! The closure-threaded executor (`brook_ir::tier`) promises
 //! **bit-exactness with the lane engine and the scalar IR interpreter
 //! by construction**: admission only compiles ops the closure model
 //! covers, and unmodeled bindings or faulting blocks re-run through
-//! the lane engine (which itself re-runs scalar). This module widens
-//! the lane differential matrix by one engine tier to assert that
-//! promise on every generated kernel:
+//! the lane engine (which itself re-runs scalar). The main campaign
+//! ([`crate::run_campaign`]) asserts that promise on every generated
+//! kernel across the whole ladder ([`crate::differential::cpu_ladder`]).
+//! This module adds:
 //!
-//! | spec           | engine                                      | policy  |
-//! |----------------|---------------------------------------------|---------|
-//! | `cpu-ast`      | AST tree walker (oracle)                    | reference |
-//! | `cpu-scalar`   | scalar flat-IR interpreter (lanes off)      | bitwise |
-//! | `cpu-lanes`    | lane engine (tier compilation off)          | bitwise |
-//! | `cpu`          | Tier-2 closure chains (admitted kernels)    | bitwise |
-//! | `cpu-parallel` | Tier-2 in workers, reused per-worker slabs  | bitwise |
+//! * the **planner-rejected set** ([`LANE_REJECTED_SOURCES`],
+//!   [`TIER_REJECTED_SOURCES`]): certifiable kernels the lane planner
+//!   or the tier compiler must refuse, run by the main campaign with
+//!   their admission decisions checked, so each fallback path is
+//!   exercised and bit-exact too;
+//! * the **input-shape axis** ([`run_tier_shape_campaign`]), which
+//!   re-binds generated kernels to inputs shaped unlike their output
+//!   domain, so the engines' clamped and resampled element framing is
+//!   fuzzed too, not only the same-shape (contiguous) path;
+//! * the **counted-loop axis** ([`run_tier_loop_campaign`]), which
+//!   generates the guarded fixed-bound loops of the paper's escape-time
+//!   and binary-search kernels, plus near-miss variants, and checks
+//!   both the Tier-2 loop plan each one compiles to and its results
+//!   across the ladder.
 //!
-//! One diverging case localizes the bug: `cpu-lanes` vs `cpu-scalar`
-//! is a lane-engine fault, `cpu` vs `cpu-lanes` is a tier-compiler
-//! fault (fusion, hoisting or closure semantics), `cpu-parallel` vs
-//! `cpu` is a chunking/slab-reuse fault.
-//!
-//! Every case is also compile-probed to record the tier decision, and
-//! the campaign runs a fixed set of certifiable kernels the lane
-//! planner *admits* but the tier compiler *rejects* (cross-component
-//! reductions), proving the lane-engine fallback path is actually
-//! exercised and bit-exact too.
-//!
-//! The **input-shape axis** ([`run_tier_shape_campaign`]) re-binds
-//! generated kernels to inputs shaped unlike their output domain, so
-//! the engines' clamped and resampled element framing is fuzzed too,
-//! not only the same-shape (contiguous) path.
-//!
-//! The **counted-loop axis** ([`run_tier_loop_campaign`]) generates the
-//! guarded fixed-bound loops of the paper's escape-time and
-//! binary-search kernels, plus near-miss variants, and checks both the
-//! Tier-2 loop plan each one compiles to and its results across the
-//! matrix.
+//! Both axes run on the CPU ladder alone ([`Matrix::cpu`]).
 
-use crate::differential::{run_case_with_inputs, BackendOutput, CaseFailure, Matrix};
+use crate::differential::{domain_inputs, run_case_with_inputs, Admissions, Matrix};
 use crate::gen::{gen_case, gen_values, special_overlay, FuzzCase, GatherData, GenConfig};
-use brook_auto::{Arg, BackendSpec, BrookContext};
 use brook_ir::lanes::LANES;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn cpu_scalar() -> BrookContext {
-    let mut ctx = BrookContext::cpu();
-    ctx.lane_execution = false;
-    ctx
-}
-
-fn cpu_lanes_only() -> BrookContext {
-    let mut ctx = BrookContext::cpu();
-    ctx.tier_execution = false;
-    ctx
-}
-
-/// The widened matrix: AST oracle, scalar IR interpreter, lane engine
-/// with tier compilation disabled, Tier-2 closure chains, and the
-/// parallel backend running Tier-2 inside workers — all CPU specs, so
-/// the comparison policy is bitwise everywhere.
-pub fn tier_matrix() -> Matrix {
-    Matrix {
-        specs: vec![
-            BackendSpec {
-                name: "cpu-ast",
-                make: BrookContext::cpu_ast_oracle,
-            },
-            BackendSpec {
-                name: "cpu-scalar",
-                make: cpu_scalar,
-            },
-            BackendSpec {
-                name: "cpu-lanes",
-                make: cpu_lanes_only,
-            },
-            BackendSpec {
-                name: "cpu",
-                make: BrookContext::cpu,
-            },
-            BackendSpec {
-                name: "cpu-parallel",
-                make: BrookContext::cpu_parallel,
-            },
-        ],
-        tolerance: 0.0,
-    }
-}
-
 /// Statistics of one tier differential campaign.
 #[derive(Debug, Clone, Default)]
 pub struct TierStats {
-    /// Cases that ran and agreed bitwise across the whole matrix.
+    /// Cases that ran and agreed bitwise across the whole ladder.
     pub cases: u32,
-    /// Kernels the compiler admitted to Tier-2.
+    /// Kernels the `cpu` spec compiled to Tier-2.
     pub tier_kernels: u32,
-    /// Kernels the compiler rejected (lane/scalar fallback exercised),
-    /// including the fixed rejected set.
+    /// Kernels the `cpu` spec left on the lane or scalar engine.
     pub fallback_kernels: u32,
     /// Total output elements cross-checked.
     pub elements_checked: u64,
 }
 
+/// Certifiable kernels the lane planner must *reject* — their ternary
+/// arms carry lane-divergent runtime types (int vs float), which the
+/// scalar interpreter resolves per element but a lane slab cannot
+/// represent. They must still agree bitwise through the scalar
+/// fallback.
+pub const LANE_REJECTED_SOURCES: &[&str] = &[
+    "kernel void mixed_arms(float a<>, out float o<>) {
+        o = a > 2.0 ? 1 : a * 0.5;
+    }",
+    "kernel void mixed_arms_deep(float a<>, out float o<>) {
+        float s = 0.0;
+        int i;
+        for (i = 0; i < 4; i++) { s += a > float(i) ? 1 : 0.25; }
+        o = s;
+    }",
+];
+
 /// Certifiable kernels the lane planner *admits* but the tier compiler
 /// must *reject* — cross-component reductions (`dot`, `length`,
-/// `normalize`) are not closure-threaded. They compile, certify,
-/// lane-vectorize, and must still agree bitwise across the matrix
-/// through the lane-engine fallback.
-const TIER_REJECTED_SOURCES: &[&str] = &[
+/// `normalize`) are not closure-threaded. They must still agree
+/// bitwise through the lane-engine fallback.
+pub const TIER_REJECTED_SOURCES: &[&str] = &[
     "kernel void dotted(float a<>, out float o<>) {
         float2 v = float2(a, a * 0.5);
         o = dot(v, v) + 1.0;
@@ -119,137 +79,50 @@ const TIER_REJECTED_SOURCES: &[&str] = &[
     }",
 ];
 
-/// Compile-probes one source on a tier-enabled CPU context and returns
-/// `(tier, fallback)` kernel counts from the recorded tier plans.
-///
-/// # Errors
-/// Compile failures.
-fn probe_plans(source: &str) -> Result<(u32, u32), String> {
-    let mut ctx = BrookContext::cpu();
-    let module = ctx.compile(source).map_err(|e| format!("probe compile: {e}"))?;
-    let mut tiered = 0;
-    let mut fallback = 0;
-    for plan in &module.report.tier_plans {
-        if plan.compiled {
-            tiered += 1;
-        } else {
-            fallback += 1;
-        }
-    }
-    Ok((tiered, fallback))
+/// The planner-rejected set as cases over a ramp input spanning three
+/// lane blocks and a tail, each with the admissions its `cpu` run must
+/// record: one kernel, never tier-compiled, lane-vectorized only when
+/// it is one of the tier-rejected kernels.
+pub(crate) fn rejected_cases() -> Vec<(FuzzCase, Admissions)> {
+    let n = 3 * LANES + 5;
+    let ramp: Vec<f32> = (0..n).map(|i| (i as f32) * 0.73 - 3.0).collect();
+    let lane = LANE_REJECTED_SOURCES.iter().map(|s| (s, false));
+    let tier = TIER_REJECTED_SOURCES.iter().map(|s| (s, true));
+    lane.chain(tier)
+        .enumerate()
+        .map(|(i, (source, lane_admitted))| {
+            let case = FuzzCase::fixed(format!("rejected_{i}"), source, vec![n], vec![ramp.clone()], None);
+            let want = Admissions {
+                lane_vectorized: u32::from(lane_admitted),
+                lane_fallback: u32::from(!lane_admitted),
+                tier_fallback: 1,
+                ..Admissions::default()
+            };
+            (case, want)
+        })
+        .collect()
 }
 
-/// Compile-probes the *lane* decision for a source (the rejected set
-/// must stay lane-admitted, or it would not prove the lane fallback).
-fn probe_lane_admitted(source: &str) -> Result<bool, String> {
-    let mut ctx = BrookContext::cpu();
-    let module = ctx.compile(source).map_err(|e| format!("probe compile: {e}"))?;
-    Ok(module.report.lane_plans.iter().all(|p| p.vectorized))
-}
-
-/// Runs one fixed source across the matrix with a deterministic ramp
-/// input, requiring bitwise agreement with the AST oracle.
-///
-/// # Errors
-/// Compile/run failures and divergences, rendered with the source.
-fn run_fixed(source: &str, n: usize) -> Result<u64, String> {
-    let input: Vec<f32> = (0..n).map(|i| (i as f32) * 0.73 - 3.0).collect();
-    let mut reference: Option<(&'static str, Vec<f32>)> = None;
-    let mut checked = 0u64;
-    for spec in tier_matrix().specs {
-        let mut ctx = (spec.make)();
-        let module = ctx
-            .compile(source)
-            .map_err(|e| format!("{}: compile: {e}\n{source}", spec.name))?;
-        let kernel = module.kernels().first().cloned().ok_or("no kernel")?;
-        let a = ctx.stream(&[n]).map_err(|e| format!("{}: {e}", spec.name))?;
-        let o = ctx.stream(&[n]).map_err(|e| format!("{}: {e}", spec.name))?;
-        ctx.write(&a, &input).map_err(|e| format!("{}: {e}", spec.name))?;
-        ctx.run(&module, &kernel, &[Arg::Stream(&a), Arg::Stream(&o)])
-            .map_err(|e| format!("{}: run: {e}\n{source}", spec.name))?;
-        let out = ctx.read(&o).map_err(|e| format!("{}: {e}", spec.name))?;
-        match &reference {
-            None => reference = Some((spec.name, out)),
-            Some((ref_name, r)) => {
-                for (i, (x, y)) in r.iter().zip(&out).enumerate() {
-                    if x.to_bits() != y.to_bits() {
-                        return Err(format!(
-                            "{} diverged from {ref_name} at element {i}: {x} vs {y}\n{source}",
-                            spec.name
-                        ));
-                    }
-                }
-                checked += out.len() as u64;
-            }
-        }
-    }
-    Ok(checked)
-}
-
-/// Runs `cases` seeded kernels through the tier matrix, plus the fixed
-/// tier-rejected set.
-///
-/// # Errors
-/// The first case failure, annotated with the case name (the seed and
-/// index regenerate it anywhere).
-pub fn run_tier_campaign(seed: u64, cases: u32, cfg: &GenConfig) -> Result<TierStats, String> {
-    let matrix = tier_matrix();
-    let mut stats = TierStats::default();
-    for index in 0..cases {
-        let case = gen_case(seed, index, cfg);
-        let inputs: Vec<(&[usize], &[f32])> = case
-            .inputs
-            .iter()
-            .map(|data| (case.domain_shape.as_slice(), data.as_slice()))
-            .collect();
-        check_case(&case, &inputs, &matrix, &mut stats)
-            .map_err(|e| format!("case {} (seed {seed:#x}, index {index}): {e}", case.name))?;
-    }
-    // The forced-fallback set: certifiable, lane-admitted, tier-rejected,
-    // bit-exact through the lane engine on every spec.
-    for source in TIER_REJECTED_SOURCES {
-        if !probe_lane_admitted(source)? {
-            return Err(format!(
-                "lane planner unexpectedly rejected a tier-fallback kernel:\n{source}"
-            ));
-        }
-        let (tiered, fallback) = probe_plans(source)?;
-        if tiered != 0 || fallback == 0 {
-            return Err(format!(
-                "tier compiler unexpectedly admitted a kernel built to be rejected:\n{source}"
-            ));
-        }
-        stats.fallback_kernels += fallback;
-        stats.elements_checked += run_fixed(source, 3 * brook_ir::lanes::LANES + 5)?;
-        stats.cases += 1;
-    }
-    Ok(stats)
-}
-
-/// Compile-probes `case` and runs it with `inputs` across `matrix`,
-/// adding its tier decisions and checked elements to `stats`.
+/// Runs `case` with `inputs` across the CPU ladder, adding the `cpu`
+/// spec's tier decisions and the checked elements to `stats`; returns
+/// that spec's admissions.
 fn check_case(
     case: &FuzzCase,
     inputs: &[(&[usize], &[f32])],
-    matrix: &Matrix,
     stats: &mut TierStats,
-) -> Result<(), String> {
-    let (tiered, fallback) = probe_plans(&case.source)?;
-    stats.tier_kernels += tiered;
-    stats.fallback_kernels += fallback;
-    let runs: Vec<BackendOutput> = run_case_with_inputs(case, matrix, inputs).map_err(|f| {
-        let detail = match &f {
-            CaseFailure::Setup { backend, message } => format!("{backend}: {message}"),
-            CaseFailure::Divergence(d) => d.to_string(),
-        };
-        format!("{detail}\n{}", case.source)
-    })?;
+) -> Result<Admissions, String> {
+    let runs =
+        run_case_with_inputs(case, &Matrix::cpu(), inputs).map_err(|f| format!("{f}\n{}", case.source))?;
+    let cpu = runs
+        .iter()
+        .find(|r| r.backend == "cpu")
+        .map(|r| r.admissions)
+        .unwrap_or_default();
+    stats.tier_kernels += cpu.tier_compiled;
+    stats.fallback_kernels += cpu.tier_fallback;
     stats.cases += 1;
-    stats.elements_checked += runs
-        .first()
-        .map(|r| r.outputs.iter().map(|o| o.len() as u64).sum::<u64>())
-        .unwrap_or(0);
-    Ok(())
+    stats.elements_checked += runs[0].outputs.iter().map(|o| o.len() as u64).sum::<u64>();
+    Ok(cpu)
 }
 
 /// A domain of the same rank with at least two full lane blocks and a
@@ -289,7 +162,6 @@ fn input_shape(rng: &mut StdRng, domain: &[usize]) -> Vec<usize> {
 /// The first case failure, annotated with the case name and the input
 /// shapes (the seed and index regenerate it anywhere).
 pub fn run_tier_shape_campaign(seed: u64, cases: u32, cfg: &GenConfig) -> Result<TierStats, String> {
-    let matrix = tier_matrix();
     let mut stats = TierStats::default();
     for index in 0..cases {
         let mut case = gen_case(seed, index, cfg);
@@ -310,7 +182,7 @@ pub fn run_tier_shape_campaign(seed: u64, cases: u32, cfg: &GenConfig) -> Result
             .collect();
         let inputs: Vec<(&[usize], &[f32])> =
             shaped.iter().map(|(s, d)| (s.as_slice(), d.as_slice())).collect();
-        check_case(&case, &inputs, &matrix, &mut stats).map_err(|e| {
+        check_case(&case, &inputs, &mut stats).map_err(|e| {
             let shapes: Vec<&[usize]> = inputs.iter().map(|(s, _)| *s).collect();
             format!(
                 "shaped case {} (seed {seed:#x}, index {index}, domain {:?}, inputs {shapes:?}): {e}",
@@ -414,7 +286,7 @@ fn loop_header(rng: &mut StdRng, variant: LoopVariant, trips: i64) -> String {
 /// Generates counted-loop case `index` of `seed`: its kernel, inputs
 /// and domain, plus the `(counted, quiescent-exit)` counts its Tier-2
 /// plan must report.
-fn gen_loop_case(seed: u64, index: u32) -> (FuzzCase, (usize, usize)) {
+pub(crate) fn gen_loop_case(seed: u64, index: u32) -> (FuzzCase, (usize, usize)) {
     let mut rng = StdRng::seed_from_u64(seed ^ (u64::from(index) << 32) ^ 0x100F);
     let shape = if index.is_multiple_of(2) {
         LoopShape::EscapeTime
@@ -534,42 +406,19 @@ fn gen_loop_case(seed: u64, index: u32) -> (FuzzCase, (usize, usize)) {
             (source, vec![gen_values(data_seed, len)], Some(gather))
         }
     };
-    let program =
-        brook_lang::parse(&source).unwrap_or_else(|e| panic!("generated loop kernel: {e}\n{source}"));
+    // The data seed regenerates the inputs when the shrinker resizes
+    // the domain.
     let case = FuzzCase {
-        name: format!("loop_{seed:x}_{index}"),
-        source: brook_lang::pretty::print_program(&program),
-        program,
-        domain_shape,
-        inputs,
-        gather,
-        scalars: Vec::new(),
-        n_outputs: 1,
         data_seed,
-        special_floats: false,
+        ..FuzzCase::fixed(
+            format!("loop_{seed:x}_{index}"),
+            &source,
+            domain_shape,
+            inputs,
+            gather,
+        )
     };
     (case, variant.expected())
-}
-
-/// The `(counted, quiescent-exit)` loop counts Tier-2 reports for the
-/// first kernel of `source` (from its compliance-report detail).
-///
-/// # Errors
-/// Compile failures, a tier rejection or a detail without the counts.
-fn probe_loop_plan(source: &str) -> Result<(usize, usize), String> {
-    let mut ctx = BrookContext::cpu();
-    let module = ctx.compile(source).map_err(|e| format!("probe compile: {e}"))?;
-    let plan = module.report.tier_plans.first().ok_or("no tier plan")?;
-    if !plan.compiled {
-        return Err(format!("tier compiler rejected the kernel: {}", plan.detail));
-    }
-    let counts = plan
-        .detail
-        .rsplit_once(", ")
-        .and_then(|(_, tail)| tail.strip_suffix(" quiescent-exit)"))
-        .and_then(|tail| tail.split_once(" counted loops ("))
-        .and_then(|(c, q)| Some((c.parse().ok()?, q.parse().ok()?)));
-    counts.ok_or_else(|| format!("no counted-loop counts in `{}`", plan.detail))
 }
 
 /// Runs `cases` generated counted-loop kernels through the tier
@@ -587,25 +436,20 @@ fn probe_loop_plan(source: &str) -> Result<(usize, usize), String> {
 /// The first case whose plan or results differ, annotated with the
 /// case name and source (the seed and index regenerate it anywhere).
 pub fn run_tier_loop_campaign(seed: u64, cases: u32) -> Result<TierLoopStats, String> {
-    let matrix = tier_matrix();
     let mut stats = TierLoopStats::default();
     for index in 0..cases {
         let (case, want) = gen_loop_case(seed, index);
         let fail = |e: String| format!("loop case {} (seed {seed:#x}, index {index}): {e}", case.name);
-        let got = probe_loop_plan(&case.source).map_err(|e| fail(format!("{e}\n{}", case.source)))?;
-        if got != want {
+        let mut tier = TierStats::default();
+        let cpu = check_case(&case, &domain_inputs(&case), &mut tier).map_err(fail)?;
+        let got = (cpu.counted_loops as usize, cpu.quiescent_loops as usize);
+        if cpu.tier_compiled != 1 || got != want {
             return Err(fail(format!(
-                "compiled to {got:?} (counted, quiescent-exit) loops, expected {want:?}\n{}",
-                case.source
+                "compiled to {got:?} (counted, quiescent-exit) loops on {} tier kernels, \
+                 expected {want:?} on one\n{}",
+                cpu.tier_compiled, case.source
             )));
         }
-        let mut tier = TierStats::default();
-        let inputs: Vec<(&[usize], &[f32])> = case
-            .inputs
-            .iter()
-            .map(|data| (case.domain_shape.as_slice(), data.as_slice()))
-            .collect();
-        check_case(&case, &inputs, &matrix, &mut tier).map_err(fail)?;
         stats.cases += 1;
         stats.counted_loops += got.0 as u32;
         stats.quiescent_loops += got.1 as u32;
@@ -616,37 +460,37 @@ pub fn run_tier_loop_campaign(seed: u64, cases: u32) -> Result<TierLoopStats, St
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
     fn matrix_interposes_the_lane_only_spec() {
-        let m = tier_matrix();
-        let names: Vec<_> = m.specs.iter().map(|s| s.name).collect();
-        assert_eq!(
-            names,
-            vec!["cpu-ast", "cpu-scalar", "cpu-lanes", "cpu", "cpu-parallel"]
-        );
-        // The lane-only spec really is the tier-disabled lane engine.
-        let ctx = (m.specs[2].make)();
-        assert!(ctx.lane_execution);
-        assert!(!ctx.tier_execution);
-        // And the full spec has both tiers on.
-        let ctx = (m.specs[3].make)();
-        assert!(ctx.lane_execution && ctx.tier_execution);
+        let names: Vec<_> = Matrix::cpu().specs.iter().map(|s| s.name).collect();
+        let at = |n: &str| names.iter().position(|s| *s == n);
+        assert_eq!(at("cpu-lanes"), at("cpu-scalar").map(|i| i + 1), "{names:?}");
+        assert_eq!(at("cpu-simd-off"), at("cpu-lanes").map(|i| i + 1), "{names:?}");
+        crate::differential::tests::check_rungs(&["cpu-scalar", "cpu-lanes", "cpu-simd-off"]);
+    }
+
+    /// Runs the rejected kernels the lane planner must admit (or not)
+    /// across the CPU ladder and checks their decisions.
+    pub(crate) fn check_rejected_set(lane_admitted: bool) {
+        let cases: Vec<_> = rejected_cases()
+            .into_iter()
+            .filter(|(_, want)| (want.lane_vectorized == 1) == lane_admitted)
+            .collect();
+        assert_eq!(cases.len(), 2);
+        for (case, want) in cases {
+            let runs =
+                crate::run_case(&case, &Matrix::cpu()).unwrap_or_else(|f| panic!("{f}\n{}", case.source));
+            let cpu = runs.iter().find(|r| r.backend == "cpu").expect("cpu spec");
+            assert_eq!(cpu.admissions, want, "{}", case.source);
+        }
     }
 
     #[test]
     fn rejected_sources_lane_vectorize_but_tier_fall_back() {
-        for source in TIER_REJECTED_SOURCES {
-            assert!(
-                probe_lane_admitted(source).unwrap_or_else(|e| panic!("{e}")),
-                "lane planner must admit:\n{source}"
-            );
-            let (t, f) = probe_plans(source).unwrap_or_else(|e| panic!("{e}"));
-            assert_eq!(t, 0, "tier compiler must reject:\n{source}");
-            assert!(f >= 1);
-        }
+        check_rejected_set(true);
     }
 
     #[test]
@@ -686,11 +530,13 @@ mod tests {
 
     #[test]
     fn small_campaign_is_bit_exact() {
-        let stats =
-            run_tier_campaign(0x71E2_5EED, 8, &GenConfig::default()).unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(stats.cases, 8 + TIER_REJECTED_SOURCES.len() as u32);
-        assert!(stats.tier_kernels > 0, "{stats:?}");
-        assert!(stats.fallback_kernels >= TIER_REJECTED_SOURCES.len() as u32);
-        assert!(stats.elements_checked > 0);
+        let stats = crate::tests::small_campaign();
+        let cpu = &stats.admissions["cpu"];
+        assert!(cpu.tier_compiled > 0, "{stats:?}");
+        assert!(
+            cpu.tier_fallback >= TIER_REJECTED_SOURCES.len() as u32,
+            "{stats:?}"
+        );
+        assert_eq!(stats.admissions["cpu-lanes"].tier_compiled, 0, "{stats:?}");
     }
 }

@@ -1,6 +1,7 @@
 //! The fuzz smoke suite CI runs on every PR: a fixed-seed differential
-//! campaign across every registered backend, gate-escape checks, and the
-//! mutation self-test proving the harness actually catches bugs.
+//! campaign across the CPU engine ladder and every device backend,
+//! gate-escape checks, and the mutation self-test proving the harness
+//! actually catches bugs.
 
 use brook_fuzz::{
     gen_case, run_campaign, run_campaign_on, CampaignFailure, FuzzConfig, GenConfig, Matrix, SaboteurBackend,
@@ -10,8 +11,16 @@ use brook_fuzz::{
 /// logs, so bump it deliberately, not incidentally.
 const CI_SEED: u64 = 0xB400_A070;
 
-/// ≥256 generated programs, every registered backend, zero divergence,
-/// zero gate escapes — the acceptance bar for the differential pipeline.
+/// ≥256 generated programs through the whole matrix — the CPU engine
+/// ladder from the `cpu-ast` reference (the AST tree walker, which never
+/// touches BrookIR) through the unoptimized IR, the scalar interpreter,
+/// the lane engine and Tier-2 with SIMD off, SSE2 and auto, serial and
+/// parallel, all bitwise, plus every device backend within storage
+/// tolerance — and the fixed planner-rejected set, each kernel taken by
+/// the fallback it was built for; zero divergence, zero gate escapes.
+/// The acceptance bar for the differential pipeline: optimization, lane
+/// batching, closure threading and SIMD must be invisible in results,
+/// element for element, bit for bit, and the fallback paths must run.
 #[test]
 fn campaign_256_cases_across_all_backends() {
     let cfg = FuzzConfig {
@@ -22,57 +31,36 @@ fn campaign_256_cases_across_all_backends() {
     };
     let stats = run_campaign(&cfg).unwrap_or_else(|f| panic!("campaign failed:\n{f}"));
     assert_eq!(stats.positive_cases, 256);
+    assert_eq!(stats.fixed_cases, 4);
     assert_eq!(stats.negative_cases, 64);
     assert!(
         stats.rejected_by_rule.len() >= 4,
         "negative generation should exercise several rules, got {:?}",
         stats.rejected_by_rule
     );
-}
-
-/// 96 generated kernels through the *widened* matrix of
-/// `brook_fuzz::optdiff`: the AST tree-walking oracle (which never
-/// touches BrookIR), the unoptimized flat-IR interpreter, and every
-/// registered backend running the fully optimized pipeline — bitwise on
-/// all CPU specs, storage tolerance on the device. This is the
-/// acceptance bar for the cert-gated pass pipeline: optimization must
-/// be invisible in results, element for element, bit for bit.
-#[test]
-fn optdiff_campaign_96_cases_bitwise_vs_ast_oracle() {
-    let stats = brook_fuzz::run_optdiff_campaign(CI_SEED, 96, &brook_fuzz::GenConfig::default())
-        .unwrap_or_else(|e| panic!("optdiff campaign failed:\n{e}"));
-    assert_eq!(stats.cases, 96);
-    assert!(
-        stats.elements_checked > 1_000,
-        "campaign too small to mean anything: {} elements",
-        stats.elements_checked
+    let specs: Vec<&str> = Matrix::default().specs.iter().map(|s| s.name).collect();
+    assert_eq!(
+        specs.iter().filter(|s| s.starts_with("cpu")).count(),
+        9,
+        "{specs:?}"
     );
-}
-
-/// 96 generated kernels through the lane differential matrix: the AST
-/// tree-walking oracle, the scalar flat-IR interpreter (lane execution
-/// disabled), the lane engine, and the parallel backend's lane-aligned
-/// chunking — all bitwise. Plus the fixed planner-rejected set, which
-/// must certify, be refused by the planner, and still agree bitwise
-/// through the forced scalar fallback. This is the acceptance bar for
-/// lane vectorization: batching must be invisible in results, element
-/// for element, bit for bit, and the fallback path must demonstrably
-/// run.
-#[test]
-fn lanes_campaign_96_cases_bitwise_vs_scalar_and_ast() {
-    let stats = brook_fuzz::run_lanes_campaign(CI_SEED, 96, &brook_fuzz::GenConfig::default())
-        .unwrap_or_else(|e| panic!("lanes campaign failed:\n{e}"));
-    assert!(stats.cases >= 96 + 2, "{stats:?}");
+    assert_eq!(stats.admissions.len(), specs.len(), "every spec ran: {specs:?}");
+    let cpu = &stats.admissions["cpu"];
     assert!(
-        stats.vectorized_kernels >= 64,
-        "the campaign must mostly exercise the lane engine: {stats:?}"
+        cpu.lane_vectorized >= 171,
+        "the campaign must mostly exercise the lane engine: {cpu:?}"
     );
     assert!(
-        stats.fallback_kernels >= 2,
-        "the campaign must exercise the scalar fallback: {stats:?}"
+        cpu.tier_compiled >= 171,
+        "the campaign must mostly exercise Tier-2: {cpu:?}"
+    );
+    assert!(cpu.lane_fallback >= 2, "the scalar fallback must run: {cpu:?}");
+    assert!(
+        cpu.tier_fallback >= 2,
+        "the lane-engine fallback must run: {cpu:?}"
     );
     assert!(
-        stats.elements_checked > 1_000,
+        stats.elements_checked > 4_000,
         "campaign too small to mean anything: {} elements",
         stats.elements_checked
     );
@@ -82,9 +70,8 @@ fn lanes_campaign_96_cases_bitwise_vs_scalar_and_ast() {
 /// inputs shorter or longer than their domain (1-D, clamped), 1-D on
 /// 2-D domains, 2-D resampled to another shape, over domains that on
 /// half the cases span at least two full lane blocks and a partial
-/// tail — bitwise across `cpu-scalar`, `cpu-lanes`, `cpu` and
-/// `cpu-parallel` against the `cpu-ast` oracle. Its own seed, so the
-/// shape-free tier campaign keeps its cases.
+/// tail — bitwise on every rung of the CPU ladder against the `cpu-ast`
+/// reference. Its own seed, so the main campaign keeps its cases.
 #[test]
 fn tier_shape_campaign_128_cases_bitwise() {
     const SHAPE_SEED: u64 = 0x5A9E_B10C;
@@ -108,9 +95,9 @@ fn tier_shape_campaign_128_cases_bitwise() {
 /// strides — plus near-miss variants (the counter in the guard, a
 /// suffix or an `else` after the guard, a loop-carried prefix, an
 /// inclusive bound). Each must compile to exactly its expected Tier-2
-/// loop plan and agree bitwise across `cpu-scalar`, `cpu-lanes`, `cpu`
-/// and `cpu-parallel` against the `cpu-ast` oracle. Its own seed, so
-/// the other tier campaigns keep their cases.
+/// loop plan and agree bitwise on every rung of the CPU ladder against
+/// the `cpu-ast` reference. Its own seed, so the other campaigns keep
+/// their cases.
 #[test]
 fn tier_loop_campaign_64_cases_bitwise() {
     const LOOP_SEED: u64 = 0x100F_C0DE;
@@ -124,37 +111,6 @@ fn tier_loop_campaign_64_cases_bitwise() {
     assert!(stats.near_misses >= 16, "too few near misses: {stats:?}");
     assert!(
         stats.elements_checked > 10_000,
-        "campaign too small to mean anything: {} elements",
-        stats.elements_checked
-    );
-}
-
-/// 96 generated kernels through the tier differential matrix: the AST
-/// tree-walking oracle, the scalar flat-IR interpreter, the lane
-/// engine with tier compilation disabled, the Tier-2 closure chains,
-/// and the parallel backend running Tier-2 inside its workers — all
-/// bitwise. Plus the fixed tier-rejected set (cross-component
-/// reductions), which must certify, lane-vectorize, be refused by the
-/// tier compiler, and still agree bitwise through the forced
-/// lane-engine fallback. This is the acceptance bar for Tier-2:
-/// closure threading, superword fusion and uniform hoisting must be
-/// invisible in results, element for element, bit for bit, and the
-/// fallback path must demonstrably run.
-#[test]
-fn tier_campaign_96_cases_bitwise_vs_lanes_scalar_and_ast() {
-    let stats = brook_fuzz::run_tier_campaign(CI_SEED, 96, &brook_fuzz::GenConfig::default())
-        .unwrap_or_else(|e| panic!("tier campaign failed:\n{e}"));
-    assert!(stats.cases >= 96 + 2, "{stats:?}");
-    assert!(
-        stats.tier_kernels >= 64,
-        "the campaign must mostly exercise Tier-2: {stats:?}"
-    );
-    assert!(
-        stats.fallback_kernels >= 2,
-        "the campaign must exercise the lane-engine fallback: {stats:?}"
-    );
-    assert!(
-        stats.elements_checked > 1_000,
         "campaign too small to mean anything: {} elements",
         stats.elements_checked
     );
@@ -209,8 +165,8 @@ fn frontend_depth_campaign_128_cases_within_the_limits_or_diagnosed() {
 }
 
 /// 128 random 2–5 kernel pipelines, each run eagerly and through the
-/// deferred fusing graph executor on every registered backend: zero
-/// divergence against the eager CPU oracle (bit-exact on CPU backends),
+/// deferred fusing graph executor on the whole matrix: zero divergence
+/// against the eager `cpu-ast` reference (bit-exact on every CPU rung),
 /// every chain actually collapsed by the planner, every fused kernel
 /// re-certified through the real gate (fusion silently skipping the gate
 /// would show up as a `NotFused` failure on restricted contexts; fusion
@@ -303,10 +259,10 @@ fn injected_backend_bug_is_caught_minimized_and_bundled() {
 }
 
 /// 96 generated kernels with special-float-biased data (NaN, signed
-/// zeros, subnormals) through the explicit-SIMD matrix of
-/// `brook_fuzz::simd`: every CPU engine tier with SIMD forced off,
-/// forced to SSE2, and auto-detected — bitwise against the AST oracle
-/// — plus each device backend run as an off/auto pair, plus the fixed
+/// zeros, subnormals) through the CPU ladder — every engine tier with
+/// SIMD forced off, forced to SSE2, and auto-detected, bitwise against
+/// the AST reference — plus each device backend run as an off/auto
+/// pair, plus the fixed
 /// reduce set (one provably reassociation-safe combine that must be
 /// admitted to the vectorized reduce, two that must fall back to the
 /// serial scalar fold, all bit-compared). This is the acceptance bar
@@ -322,7 +278,7 @@ fn simd_campaign_96_cases_bitwise_on_special_floats() {
         96 + 1 + brook_fuzz::simd::SIMD_REDUCE_REJECTED.len() as u32,
         "{stats:?}"
     );
-    if brook_ir::simd::detect() != brook_ir::simd::SimdLevel::Scalar {
+    if brook_ir::simd::auto() != brook_ir::simd::SimdLevel::Scalar {
         assert!(
             stats.simd_kernels >= 48,
             "the campaign must mostly exercise the SIMD block steps: {stats:?}"

@@ -22,7 +22,7 @@
 //! Semantics stay **bit-exact with the scalar interpreter by
 //! construction**, through two mechanisms:
 //!
-//! 1. A conservative vectorizability analysis ([`plan`]) admits a
+//! 1. A conservative vectorizability analysis ([`plan_with`]) admits a
 //!    kernel only when every register has one stable runtime type (so
 //!    slabs have a fixed layout), every register is written before it
 //!    is read within an element (so lane execution cannot observe the
@@ -396,7 +396,7 @@ pub(crate) enum Op {
 
 /// A lane-compiled kernel: the decoded op stream plus the slab layout
 /// and the per-parameter access manifest the engine precomputes blocks
-/// from. Produced by [`plan`]; executed by [`run_kernel_range`].
+/// from. Produced by [`plan_with`]; executed by [`run_kernel_range`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct LaneKernel {
     pub(crate) ops: Vec<Op>,
@@ -437,17 +437,11 @@ pub struct LaneProgram {
 }
 
 impl LaneProgram {
-    /// Plans every kernel of a lowered program.
-    pub fn plan_program(ir: &crate::IrProgram) -> LaneProgram {
-        LaneProgram {
-            kernels: ir.kernels.iter().map(|k| (k.name.clone(), plan(k))).collect(),
-        }
-    }
-
-    /// [`plan_program`](Self::plan_program) with analyzer facts
-    /// (`brook_cert::absint`), parallel to `ir.kernels`. Facts only
-    /// ever *expand* admission: a kernel the syntactic checks reject
-    /// but the analyzer proves safe is admitted.
+    /// Plans every kernel of a lowered program with analyzer facts
+    /// (`brook_cert::absint`), parallel to `ir.kernels` (an empty or
+    /// short slice means "no facts"). Facts only ever *expand*
+    /// admission: a kernel the syntactic checks reject but the analyzer
+    /// proves safe is admitted.
     pub fn plan_program_with(ir: &crate::IrProgram, facts: &[crate::KernelFacts]) -> LaneProgram {
         LaneProgram {
             kernels: ir
@@ -508,16 +502,8 @@ struct Planner<'k> {
 /// not have written yet, a statically present fault site reachable
 /// through straight-line code — is rejected, not approximated.
 ///
-/// # Errors
-/// A human-readable rejection reason (recorded in the compliance
-/// report's lane-plan table).
-pub fn plan(kernel: &IrKernel) -> Result<LaneKernel, String> {
-    plan_with(kernel, None)
-}
-
-/// [`plan`] with optional analyzer facts: when the abstract
-/// interpreter proved definite assignment for every register
-/// (`facts.def_before_use_ok`), the planner's own syntactic
+/// With analyzer facts that prove definite assignment for every
+/// register (`facts.def_before_use_ok`), the planner's own syntactic
 /// def-before-use walk — which rejects some loop-carried but safe
 /// kernels — is superseded. Unproven facts fall back to the syntactic
 /// walk, so admission never shrinks.
@@ -2480,7 +2466,7 @@ mod tests {
         input: &[f32],
         n: usize,
     ) -> (Result<Vec<f32>, ExecError>, Result<Vec<f32>, ExecError>) {
-        let lane = plan(kernel).expect("plan");
+        let lane = plan_with(kernel, None).expect("plan");
         let shape = [n];
         let run = |use_lanes: bool| -> Result<Vec<f32>, ExecError> {
             let mut bindings = Vec::new();
@@ -2621,7 +2607,7 @@ mod tests {
     #[test]
     fn empty_range_is_a_no_op() {
         let k = lower_src("kernel void f(float a<>, out float o<>) { o = a; }");
-        let lane = plan(&k).expect("plan");
+        let lane = plan_with(&k, None).expect("plan");
         let shape = [4usize];
         let bindings = vec![
             Binding::Elem {
@@ -2639,7 +2625,7 @@ mod tests {
     #[test]
     fn planner_rejects_reduce_kernels() {
         let k = lower_src("reduce void sum(float a<>, reduce float r<>) { r += a; }");
-        let err = plan(&k).expect_err("reduce must stay scalar");
+        let err = plan_with(&k, None).expect_err("reduce must stay scalar");
         assert!(err.contains("serial"), "{err}");
     }
 
@@ -2678,7 +2664,7 @@ mod tests {
         let input: Vec<f32> = (0..n)
             .map(|i| if i == bad { 1.0 } else { 0.1 * i as f32 })
             .collect();
-        let lane = plan(&k).expect("plan");
+        let lane = plan_with(&k, None).expect("plan");
         let shape = [n];
         let run = |use_lanes: bool| -> (Vec<f32>, ExecError) {
             let bindings = vec![
@@ -2717,7 +2703,7 @@ mod tests {
         .expect("front-end");
         let (ir, errs) = crate::lower::lower_program(&checked);
         assert!(errs.is_empty());
-        let lp = LaneProgram::plan_program(&ir);
+        let lp = LaneProgram::plan_program_with(&ir, &[]);
         assert!(lp.kernel("ok").is_some());
         assert!(lp.kernel("sum").is_none());
         assert_eq!(lp.decision("ok"), Some(Ok(())));

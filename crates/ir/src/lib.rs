@@ -367,7 +367,7 @@ impl IrKernel {
 }
 
 /// Analyzer-proven facts about one kernel, consumed by the execution
-/// planners ([`lanes::plan`], [`tier`]) in place of (or on top of)
+/// planners ([`lanes::plan_with`], [`tier`]) in place of (or on top of)
 /// their own ad-hoc syntactic checks.
 ///
 /// Produced by `brook_cert::absint`; data-only so the IR crate does not

@@ -9,7 +9,7 @@
 //!
 //! Bit-exactness discipline: the optimized program must produce the
 //! same f32 bit patterns as the unoptimized one on the CPU backends
-//! (the fuzz campaign in `brook-fuzz::optdiff` asserts it). Constant
+//! (the `cpu-noopt` rung of the `brook-fuzz` campaign asserts it). Constant
 //! folding therefore evaluates with the *interpreter's own* functions
 //! ([`crate::eval`]), and algebraic rewrites are restricted to IEEE
 //! bit-exact identities (`x*1.0`, `x/1.0`, `x-0.0` — but **not**

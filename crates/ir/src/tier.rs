@@ -64,7 +64,7 @@
 //! Certification-wise Tier-2 sits strictly *on top of* the lane
 //! engine's guarantee and adds no new trusted surface:
 //!
-//! 1. Admission ([`compile`]) starts from a lane-planner-admitted
+//! 1. Admission ([`compile_simd`]) starts from a lane-planner-admitted
 //!    kernel (so slab layout, def-before-use and static semantics are
 //!    already established) and additionally rejects any op the closure
 //!    model does not cover — cross-component reductions and statically
@@ -207,7 +207,7 @@ struct Counted {
 }
 
 /// A Tier-2-compiled kernel: the once-per-dispatch uniform prologue
-/// plus the per-block closure chain. Produced by [`compile`]; executed
+/// plus the per-block closure chain. Produced by [`compile_simd`]; executed
 /// by [`run_kernel_range`].
 pub struct TierKernel {
     /// Hoisted uniform steps, run once per dispatch at full mask.
@@ -287,31 +287,14 @@ pub struct TierProgram {
 }
 
 impl TierProgram {
-    /// Tier-compiles every lane-admitted kernel of a lowered program.
-    /// Lane-rejected kernels are recorded as tier-rejected too (Tier-2
-    /// builds on the lane plan's slab layout and admission analysis).
-    #[must_use]
-    pub fn compile_program(ir: &IrProgram, lanes: &LaneProgram) -> TierProgram {
-        Self::compile_program_with(ir, lanes, &[])
-    }
-
-    /// [`compile_program`](Self::compile_program) with analyzer facts
-    /// (`brook_cert::absint`), parallel to `ir.kernels` (an empty or
-    /// short slice means "no facts"). Facts only expand admission —
-    /// e.g. a statically planned fault site the analyzer proved
-    /// unreachable no longer blocks tier compilation.
-    #[must_use]
-    pub fn compile_program_with(
-        ir: &IrProgram,
-        lanes: &LaneProgram,
-        facts: &[crate::KernelFacts],
-    ) -> TierProgram {
-        Self::compile_program_simd(ir, lanes, facts, simd::auto())
-    }
-
-    /// [`compile_program_with`](Self::compile_program_with) at an
-    /// explicit SIMD level instead of the environment-resolved
-    /// default. The level is capped at what the host supports, so a
+    /// Tier-compiles every lane-admitted kernel of a lowered program at
+    /// SIMD `level`. Lane-rejected kernels are recorded as tier-rejected
+    /// too (Tier-2 builds on the lane plan's slab layout and admission
+    /// analysis). `facts` are the analyzer's (`brook_cert::absint`),
+    /// parallel to `ir.kernels` (an empty or short slice means "no
+    /// facts"); they only expand admission — e.g. a statically planned
+    /// fault site the analyzer proved unreachable no longer blocks tier
+    /// compilation. The level is capped at what the host supports, so a
     /// requested `Avx2` silently degrades on an SSE2-only machine.
     #[must_use]
     pub fn compile_program_simd(
@@ -2283,41 +2266,20 @@ fn try_fuse(o1: &Op, o2: &Op, level: SimdLevel) -> Option<Step> {
 // Compilation: admission, hoisting, chain construction.
 // ---------------------------------------------------------------------------
 
-/// Tier-compiles a lane-admitted kernel into its closure chain, or
-/// explains why it must stay on the lane engine. Admission is
-/// conservative in the same spirit as the lane planner: anything the
-/// closure model does not cover is rejected, not approximated.
+/// Tier-compiles a lane-admitted kernel into its closure chain at SIMD
+/// `level`, or explains why it must stay on the lane engine. Admission
+/// is conservative in the same spirit as the lane planner: anything the
+/// closure model does not cover is rejected, not approximated. With
+/// analyzer facts, a statically planned fault site (`Op::Bail`) whose
+/// originating instruction the abstract interpreter proved unreachable
+/// no longer rejects the kernel — it compiles to a `debug_assert!(false)`
+/// no-op step that aborts loudly in tests if the proof was wrong.
 ///
-/// # Errors
-/// A human-readable rejection reason (recorded in the compliance
-/// report's tier-plan table).
-pub fn compile(lane: &LaneKernel, kernel: &IrKernel) -> Result<TierKernel, String> {
-    compile_simd(lane, kernel, None, simd::auto())
-}
-
-/// [`compile`] with optional analyzer facts: a statically planned
-/// fault site (`Op::Bail`) whose originating instruction the abstract
-/// interpreter proved unreachable no longer rejects the kernel — it
-/// compiles to a `debug_assert!(false)` no-op step that aborts loudly
-/// in tests if the proof was wrong.
-///
-/// # Errors
-/// A human-readable rejection reason (recorded in the compliance
-/// report's tier-plan table).
-pub fn compile_with_facts(
-    lane: &LaneKernel,
-    kernel: &IrKernel,
-    facts: Option<&crate::KernelFacts>,
-) -> Result<TierKernel, String> {
-    compile_simd(lane, kernel, facts, simd::auto())
-}
-
-/// [`compile_with_facts`] at an explicit SIMD level: steps whose
-/// scalar loop bodies have hand-written vector kernels dispatch into
-/// [`crate::simd`] (bit-exact by construction — no FMA contraction,
-/// operand order preserved, masked stores reproduce the scalar write
-/// set); every other step keeps its verbatim scalar closure. The
-/// level is capped at what the host actually supports.
+/// Steps whose scalar loop bodies have hand-written vector kernels
+/// dispatch into [`crate::simd`] (bit-exact by construction — no FMA
+/// contraction, operand order preserved, masked stores reproduce the
+/// scalar write set); every other step keeps its verbatim scalar
+/// closure. The level is capped at what the host actually supports.
 ///
 /// # Errors
 /// A human-readable rejection reason (recorded in the compliance
@@ -2484,7 +2446,7 @@ impl Builder<'_> {
             }
             if matches!(op, Op::Bail) {
                 // Admitted only when the analyzer proved the site
-                // unreachable (`compile_with_facts`): a no-op that aborts
+                // unreachable (`compile_simd` with facts): a no-op that aborts
                 // loudly in tests if the proof was wrong.
                 cur.push(Box::new(|_fr| {
                     debug_assert!(false, "proven-unreachable fault site executed — analyzer bug");
@@ -3241,7 +3203,7 @@ pub fn run_kernel_range_in(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lanes::plan;
+    use crate::lanes::plan_with;
     use crate::lower::lower_kernel;
     use crate::ParamKind;
     use brook_lang::parse_and_check;
@@ -3253,8 +3215,8 @@ mod tests {
     }
 
     fn tier_of(kernel: &IrKernel) -> (LaneKernel, TierKernel) {
-        let lane = plan(kernel).expect("lane plan");
-        let tier = compile(&lane, kernel).expect("tier compile");
+        let lane = plan_with(kernel, None).expect("lane plan");
+        let tier = compile_simd(&lane, kernel, None, simd::auto()).expect("tier compile");
         (lane, tier)
     }
 
@@ -3638,7 +3600,7 @@ mod tests {
         ranges: &[Range<usize>],
     ) -> LaneSlabs {
         let k = lower_src(src);
-        let lane = plan(&k).expect("lane plan");
+        let lane = plan_with(&k, None).expect("lane plan");
         let tiers: Vec<TierKernel> = [SimdLevel::Scalar, simd::auto()]
             .into_iter()
             .map(|level| compile_simd(&lane, &k, None, level).expect("tier compile"))
@@ -3807,8 +3769,8 @@ mod tests {
         // The faulting block was framed contiguous before it bailed.
         assert_eq!(slabs.tier.contig, [Some(2 * LANES)]);
         let k = lower_src(src);
-        let lane = plan(&k).expect("lane plan");
-        let tier = compile(&lane, &k).expect("tier compile");
+        let lane = plan_with(&k, None).expect("lane plan");
+        let tier = compile_simd(&lane, &k, None, simd::auto()).expect("tier compile");
         let bindings = [
             Binding::Elem {
                 data: &inputs[0].0,
@@ -3842,8 +3804,8 @@ mod tests {
         .expect("front-end");
         let (ir, errs) = crate::lower::lower_program(&checked);
         assert!(errs.is_empty());
-        let lanes = LaneProgram::plan_program(&ir);
-        let tiers = TierProgram::compile_program(&ir, &lanes);
+        let lanes = LaneProgram::plan_program_with(&ir, &[]);
+        let tiers = TierProgram::compile_program_simd(&ir, &lanes, &[], simd::auto());
         assert!(tiers.kernel("ok").is_some());
         assert_eq!(tiers.decision("ok"), Some(Ok(())));
         // Lane-admitted but tier-rejected: the lane engine stays in
