@@ -4,32 +4,44 @@
 //! actually catches bugs.
 
 use brook_fuzz::{
-    gen_case, run_campaign, run_campaign_on, CampaignFailure, FuzzConfig, GenConfig, Matrix, SaboteurBackend,
+    gen_case, run_campaign, run_campaign_on, CampaignFailure, CampaignStats, FuzzConfig, GenConfig, Matrix,
+    SaboteurBackend,
 };
+use std::sync::OnceLock;
 
 /// The pinned CI seed. Changing it invalidates triage links in old CI
 /// logs, so bump it deliberately, not incidentally.
 const CI_SEED: u64 = 0xB400_A070;
 
-/// ≥256 generated programs through the whole matrix — the CPU engine
-/// ladder from the `cpu-ast` reference (the AST tree walker, which never
-/// touches BrookIR) through the unoptimized IR, the scalar interpreter,
-/// the lane engine and Tier-2 with SIMD off, SSE2 and auto, serial and
-/// parallel, all bitwise, plus every device backend within storage
-/// tolerance — and the fixed planner-rejected set, each kernel taken by
-/// the fallback it was built for; zero divergence, zero gate escapes.
-/// The acceptance bar for the differential pipeline: optimization, lane
-/// batching, closure threading and SIMD must be invisible in results,
-/// element for element, bit for bit, and the fallback paths must run.
+/// The main campaign: ≥256 generated programs through the whole matrix
+/// — the CPU engine ladder from the `cpu-ast` reference (the AST tree
+/// walker, which never touches BrookIR) through the unoptimized IR, the
+/// scalar interpreter, the lane engine and Tier-2 with SIMD off, SSE2
+/// and auto, serial and parallel, all bitwise, plus every device backend
+/// within storage tolerance — and the fixed planner-rejected set. Run
+/// once and read by every test that checks one of its rungs.
+fn main_campaign() -> &'static CampaignStats {
+    static STATS: OnceLock<CampaignStats> = OnceLock::new();
+    STATS.get_or_init(|| {
+        let cfg = FuzzConfig {
+            seed: CI_SEED,
+            cases: 256,
+            negative_cases: 64,
+            ..FuzzConfig::default()
+        };
+        run_campaign(&cfg).unwrap_or_else(|f| panic!("campaign failed:\n{f}"))
+    })
+}
+
+/// The acceptance bar for the differential pipeline: the main campaign
+/// passes with zero divergence and zero gate escapes, every spec ran,
+/// and the fixed planner-rejected kernels were each taken by the
+/// fallback they were built for. Optimization, lane batching, closure
+/// threading and SIMD must be invisible in results, element for
+/// element, bit for bit, and the fallback paths must run.
 #[test]
 fn campaign_256_cases_across_all_backends() {
-    let cfg = FuzzConfig {
-        seed: CI_SEED,
-        cases: 256,
-        negative_cases: 64,
-        ..FuzzConfig::default()
-    };
-    let stats = run_campaign(&cfg).unwrap_or_else(|f| panic!("campaign failed:\n{f}"));
+    let stats = main_campaign();
     assert_eq!(stats.positive_cases, 256);
     assert_eq!(stats.fixed_cases, 4);
     assert_eq!(stats.negative_cases, 64);
@@ -64,6 +76,65 @@ fn campaign_256_cases_across_all_backends() {
         "campaign too small to mean anything: {} elements",
         stats.elements_checked
     );
+}
+
+/// The optimizer link of the main campaign, whose first 96 cases are
+/// this check's kernels: the unoptimized flat IR (`cpu-noopt`) ran
+/// most kernels through Tier-2, bitwise against the AST reference, as
+/// the fully optimized pipeline (`cpu`) did. Optimization must be
+/// invisible in results.
+#[test]
+fn optdiff_campaign_96_cases_bitwise_vs_ast_oracle() {
+    let stats = main_campaign();
+    let noopt = &stats.admissions["cpu-noopt"];
+    assert!(
+        noopt.tier_compiled >= 171,
+        "the unoptimized IR must mostly reach Tier-2: {noopt:?}"
+    );
+}
+
+/// The lane link of the main campaign, whose first 96 cases are this
+/// check's kernels: the scalar flat-IR interpreter (`cpu-scalar`) ran
+/// with no planner at all, and the lane engine with Tier-2 off
+/// (`cpu-lanes`) vectorized most kernels and took the lane-rejected
+/// ones by the scalar fallback — both bitwise against the AST
+/// reference.
+#[test]
+fn lanes_campaign_96_cases_bitwise_vs_scalar_and_ast() {
+    let stats = main_campaign();
+    assert_eq!(stats.admissions["cpu-scalar"], Default::default(), "{stats:?}");
+    let lanes = &stats.admissions["cpu-lanes"];
+    assert!(
+        lanes.lane_vectorized >= 171,
+        "the campaign must mostly exercise the lane engine: {lanes:?}"
+    );
+    assert!(
+        lanes.lane_fallback >= 2,
+        "the scalar fallback must run: {lanes:?}"
+    );
+    assert_eq!(lanes.tier_compiled + lanes.tier_fallback, 0, "{lanes:?}");
+}
+
+/// The Tier-2 link of the main campaign, whose first 96 cases are this
+/// check's kernels: the closure chains, serial (`cpu`) and inside the
+/// parallel backend's workers (`cpu-parallel`), compiled most kernels
+/// and took the tier-rejected ones by the lane-engine fallback — all
+/// bitwise against the lane engine, the scalar interpreter and the AST
+/// reference.
+#[test]
+fn tier_campaign_96_cases_bitwise_vs_lanes_scalar_and_ast() {
+    let stats = main_campaign();
+    for rung in ["cpu", "cpu-parallel"] {
+        let tier = &stats.admissions[rung];
+        assert!(
+            tier.tier_compiled >= 171,
+            "the campaign must mostly exercise Tier-2 on {rung}: {tier:?}"
+        );
+        assert!(
+            tier.tier_fallback >= 2,
+            "the lane-engine fallback must run on {rung}: {tier:?}"
+        );
+    }
 }
 
 /// The tier mode's input-shape axis: 128 generated kernels re-bound to
