@@ -48,6 +48,24 @@ pub fn all_apps() -> Vec<Box<dyn PaperApp>> {
     ]
 }
 
+/// The kernel source of each of the eleven applications, named and
+/// ordered as in the figures.
+pub fn kernel_sources() -> Vec<(&'static str, String)> {
+    vec![
+        ("flops", flops::Flops::default().kernel_source()),
+        ("binomial", binomial::kernel_source()),
+        ("black_scholes", black_scholes::KERNEL.to_string()),
+        ("prefix_sum", prefix_sum::KERNEL.to_string()),
+        ("spmv", spmv::kernel_source()),
+        ("binary_search", binary_search::KERNEL.to_string()),
+        ("bitonic_sort", bitonic_sort::KERNEL.to_string()),
+        ("floyd_warshall", floyd_warshall::KERNEL.to_string()),
+        ("image_filter", image_filter::KERNEL.to_string()),
+        ("mandelbrot", mandelbrot::kernel_source()),
+        ("sgemm", sgemm::kernel_source(8)),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

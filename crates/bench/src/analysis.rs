@@ -44,21 +44,7 @@ pub struct KernelRow {
 }
 
 /// Kernel sources of all eleven applications, named as in the figures.
-pub fn app_sources() -> Vec<(&'static str, String)> {
-    vec![
-        ("flops", brook_apps::flops::Flops::default().kernel_source()),
-        ("binomial", brook_apps::binomial::kernel_source()),
-        ("black_scholes", brook_apps::black_scholes::KERNEL.to_string()),
-        ("prefix_sum", brook_apps::prefix_sum::KERNEL.to_string()),
-        ("spmv", brook_apps::spmv::kernel_source()),
-        ("binary_search", brook_apps::binary_search::KERNEL.to_string()),
-        ("bitonic_sort", brook_apps::bitonic_sort::KERNEL.to_string()),
-        ("floyd_warshall", brook_apps::floyd_warshall::KERNEL.to_string()),
-        ("image_filter", brook_apps::image_filter::KERNEL.to_string()),
-        ("mandelbrot", brook_apps::mandelbrot::kernel_source()),
-        ("sgemm", brook_apps::sgemm::kernel_source(8)),
-    ]
-}
+pub use brook_apps::kernel_sources as app_sources;
 
 /// Compiles every app kernel and collects the analyzer's verdicts.
 ///

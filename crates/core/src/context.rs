@@ -33,48 +33,14 @@ pub(crate) fn fresh_owner_id() -> u64 {
     NEXT_CONTEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// A fresh module id for synthetic modules (the fusion planner's fused
-/// kernels) — same uniqueness contract as compiled modules, so backend
-/// program caches can never alias.
-pub(crate) fn fresh_module_id() -> u64 {
-    NEXT_MODULE_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-/// A compiled, certified Brook Auto translation unit.
+/// A compiled, certified Brook Auto translation unit: a
+/// [`ModuleArtifact`] adopted by one context.
 #[derive(Debug, Clone)]
 pub struct BrookModule {
     /// Shared so cloning a module (the graph recorder stores one clone
-    /// per recorded launch) never deep-copies the program AST.
-    pub(crate) checked: Arc<CheckedProgram>,
-    /// The lowered, optimized and re-certified BrookIR — the form every
-    /// backend executes (flat interpreter on the CPU backends, GLSL
-    /// generation on the device). Holds every kernel of the module:
-    /// sources with a kernel that cannot lower fail to compile.
-    pub(crate) ir: Arc<IrProgram>,
-    /// Lane-vectorization plans, decided once at compile time by
-    /// `brook_ir::lanes::plan_with` and recorded in the report's
-    /// `lane_plans`. CPU backends execute admitted kernels in element
-    /// blocks; rejected kernels keep the scalar interpreter. Empty when
-    /// the compiling context disabled lane execution.
-    pub(crate) lanes: Arc<brook_ir::lanes::LaneProgram>,
-    /// Tier-2 closure-chain plans, compiled once at compile time by
-    /// `brook_ir::tier::compile_simd` from the lane plans and recorded in
-    /// the report's `tier_plans`. CPU backends execute admitted kernels
-    /// as pre-compiled closure chains; rejected kernels keep the lane
-    /// engine. Empty when the compiling context disabled tier (or lane)
-    /// execution. Shared: closure chains are compiled once per module,
-    /// never per clone.
-    pub(crate) tiers: Arc<brook_ir::tier::TierProgram>,
-    /// Vectorized-reduce plans, decided once at compile time by
-    /// `brook_ir::simd::ReduceProgram::plan_program_with` and recorded
-    /// in the report's `simd_reduces`. CPU backends fold admitted
-    /// reduce kernels through the SIMD per-lane-partials path;
-    /// rejected kernels fold serially through the scalar interpreter.
-    /// Empty when the compiling context disabled lane execution.
-    pub(crate) simds: Arc<brook_ir::simd::ReduceProgram>,
-    /// IR-verification verdicts, decided once where the module is
-    /// built ([`verify_module_ir`]); launches report a stored failure.
-    pub(crate) ir_rejects: IrRejects,
+    /// per recorded launch) never deep-copies the program or its IR.
+    pub(crate) front: Arc<Front>,
+    pub(crate) plan: Plan,
     /// The certification data produced at compile time (paper §4).
     pub report: ComplianceReport,
     /// Globally unique module identity (backends key compiled-artifact
@@ -91,7 +57,7 @@ pub struct BrookModule {
 impl BrookModule {
     /// Kernel names defined by the module.
     pub fn kernels(&self) -> Vec<String> {
-        self.checked.kernels.iter().map(|k| k.name.clone()).collect()
+        self.front.kernels()
     }
 }
 
@@ -99,7 +65,8 @@ impl BrookModule {
 /// [`BrookContext::compile`] produces *except* the identity stamps. The
 /// unit a compiled-module cache shares across tenants — cheap to clone
 /// (the heavy pieces are `Arc`-shared) and [`Send`]/[`Sync`], so one
-/// compilation can serve many contexts on many threads.
+/// compilation can serve many contexts on many threads: a shared front
+/// plus its plan for the compiling context's engine.
 ///
 /// An artifact is inert until a context adopts it
 /// ([`BrookContext::adopt_artifact`]), which re-stamps it with a fresh
@@ -108,27 +75,16 @@ impl BrookModule {
 /// hands out *artifacts*, never another tenant's stamped module.
 #[derive(Debug, Clone)]
 pub struct ModuleArtifact {
-    checked: Arc<CheckedProgram>,
-    ir: Arc<IrProgram>,
-    lanes: Arc<brook_ir::lanes::LaneProgram>,
-    tiers: Arc<brook_ir::tier::TierProgram>,
-    simds: Arc<brook_ir::simd::ReduceProgram>,
-    ir_rejects: IrRejects,
+    front: Arc<Front>,
+    plan: Plan,
+    /// The front's report plus the plan's records.
     report: ComplianceReport,
-    /// Digest of the [`CertConfig`] the artifact was certified under.
-    cert_fingerprint: u64,
-    /// The compiling context's pipeline toggles (the last component is
-    /// the resolved SIMD level); adoption requires an exact match so a
-    /// module compiled with (say) certification off — or for a
-    /// different instruction set — can never sneak onto an enforcing
-    /// context through a cache.
-    toggles: (bool, bool, bool, bool, bool, u8),
 }
 
 impl ModuleArtifact {
     /// Kernel names defined by the artifact.
     pub fn kernels(&self) -> Vec<String> {
-        self.checked.kernels.iter().map(|k| k.name.clone()).collect()
+        self.front.kernels()
     }
 
     /// The certification data package produced at compile time — the
@@ -142,8 +98,70 @@ impl ModuleArtifact {
     /// Digest of the [`CertConfig`] the artifact was certified under —
     /// a component of any shared-cache key.
     pub fn cert_fingerprint(&self) -> u64 {
-        self.cert_fingerprint
+        self.front.key.cert_fingerprint
     }
+}
+
+/// The front half of a compile: parse, certify, lower, IR re-gate, the
+/// pass pipeline and abstract interpretation. None of it depends on the
+/// engine, so every plan of one source shares one front.
+#[derive(Debug, Clone)]
+pub(crate) struct Front {
+    key: FrontKey,
+    pub(crate) checked: Arc<CheckedProgram>,
+    /// The lowered, optimized and re-certified BrookIR — the form every
+    /// backend executes. Holds every kernel of the module: sources with
+    /// a kernel that cannot lower fail to compile.
+    pub(crate) ir: Arc<IrProgram>,
+    /// The analyzer's per-kernel facts the planners consult.
+    facts: Vec<brook_ir::KernelFacts>,
+    /// IR-verification verdicts, decided once where the front is built
+    /// ([`verify_module_ir`]); launches report a stored failure.
+    pub(crate) ir_rejects: IrRejects,
+    /// The report up to abstract interpretation: no plan records.
+    pub(crate) report: ComplianceReport,
+}
+
+impl Front {
+    fn kernels(&self) -> Vec<String> {
+        self.checked.kernels.iter().map(|k| k.name.clone()).collect()
+    }
+}
+
+/// What a [`Front`] depends on besides the source: adoption refuses a
+/// front built under other settings, so (say) a front compiled with
+/// certification off never reaches an enforcing context.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FrontKey {
+    cert_fingerprint: u64,
+    enforce_certification: bool,
+    ir_optimize: bool,
+    clamp_elision: bool,
+}
+
+/// The engine a plan targets ([`BrookContext::engine`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Engine {
+    /// No plans: the scalar interpreter (or AST walker) runs everything.
+    Scalar,
+    /// Lane and reduce plans at the SIMD level; Tier-2 off.
+    Lanes(brook_ir::simd::SimdLevel),
+    /// Lane plans, Tier-2 closure chains and reduce plans.
+    Tier(brook_ir::simd::SimdLevel),
+}
+
+/// The plan half of a compile ([`plan`]): one engine's programs. CPU
+/// backends run an admitted kernel on them, a rejected one on the
+/// engine below. Shared: built once per plan, never per clone.
+#[derive(Debug, Clone)]
+pub(crate) struct Plan {
+    engine: Engine,
+    /// Lane-vectorization plans (`lane_plans`).
+    pub(crate) lanes: Arc<brook_ir::lanes::LaneProgram>,
+    /// Tier-2 closure chains built on the lane plans (`tier_plans`).
+    pub(crate) tiers: Arc<brook_ir::tier::TierProgram>,
+    /// Vectorized-reduce plans (`simd_reduces`).
+    pub(crate) simds: Arc<brook_ir::simd::ReduceProgram>,
 }
 
 /// A positional kernel argument.
@@ -177,12 +195,12 @@ pub struct BrookContext {
     /// (the fuzzer's `cpu-noopt` rung and the AST oracle; execution
     /// still runs the flat IR).
     pub ir_optimize: bool,
-    /// When false, `compile` skips lane-vectorization planning, so the
-    /// CPU backends execute the scalar IR interpreter for every kernel
-    /// (the fuzzer's `cpu-scalar` rung and the ladder's interpreter
-    /// rung).
+    /// When false, the plan is empty, so the CPU backends execute the
+    /// scalar IR interpreter for every kernel (the fuzzer's `cpu-scalar`
+    /// rung, the ladder's interpreter rung and the AST oracle). Like
+    /// `tier_execution` and `simd_mode` it changes only the plan.
     pub lane_execution: bool,
-    /// When false, `compile` skips Tier-2 closure-chain compilation, so
+    /// When false, the plan skips Tier-2 closure-chain compilation, so
     /// admitted kernels execute on the lane engine instead (the
     /// fuzzer's `cpu-lanes` rung and the ladder's lane rung). Has no
     /// effect when `lane_execution` is false: Tier-2 builds on the lane
@@ -237,10 +255,13 @@ impl BrookContext {
     /// A context executing kernels through the legacy AST tree walker —
     /// the differential oracle the IR interpreter is validated against.
     /// Not part of [`crate::backend::registered_backends`]; the fuzz
-    /// campaigns and benches construct it explicitly.
+    /// campaigns and benches construct it explicitly. It neither
+    /// optimizes nor plans: the walker runs no engine, so its report
+    /// records no engine admission.
     pub fn cpu_ast_oracle() -> Self {
         let mut ctx = Self::with_backend(Box::new(CpuBackend::ast_walker()), CertConfig::default());
         ctx.ir_optimize = false;
+        ctx.lane_execution = false;
         ctx
     }
 
@@ -300,8 +321,14 @@ impl BrookContext {
     /// # Errors
     /// Exactly those of [`compile`](Self::compile).
     pub fn compile_artifact(&mut self, source: &str) -> Result<ModuleArtifact> {
+        Ok(plan(Arc::new(self.front(source)?), self.engine()))
+    }
+
+    /// The front half of [`compile_artifact`](Self::compile_artifact):
+    /// everything up to and including abstract interpretation.
+    fn front(&self, source: &str) -> Result<Front> {
         let checked = brook_lang::parse_and_check(source)?;
-        let mut report = certify(&checked, &self.cert_config);
+        let report = certify(&checked, &self.cert_config);
         if self.enforce_certification && !report.is_compliant() {
             return Err(BrookError::Certification(Box::new(report)));
         }
@@ -311,7 +338,7 @@ impl BrookContext {
         // through) is rejected with the report that names the violation.
         // A certified program always lowers, so a failure there is a
         // toolchain bug surfaced loudly.
-        let (mut ir, lower_errors) = brook_ir::lower::lower_program(&checked);
+        let (ir, lower_errors) = brook_ir::lower::lower_program(&checked);
         if let Some(e) = lower_errors.first() {
             if !report.is_compliant() {
                 return Err(BrookError::Certification(Box::new(report)));
@@ -334,10 +361,11 @@ impl BrookContext {
                 )));
             }
         }
-        // Optimize, analyze and plan the engines. Abstract
-        // interpretation contributes provable-fault findings (BA013/
-        // BA014) and the refined admission estimate to each kernel.
-        let engines = self.optimize_and_plan(&mut ir, &mut report);
+        // Optimize and analyze. Abstract interpretation contributes
+        // provable-fault findings (BA013/BA014) and the refined
+        // admission estimate to each kernel.
+        let mut front = self.front_from_ir(Arc::new(checked), ir, report);
+        let report = &mut front.report;
         for ka in &report.analysis.kernels {
             let Some(kr) = report.kernels.iter_mut().find(|r| r.kernel == ka.kernel) else {
                 continue;
@@ -357,32 +385,24 @@ impl BrookContext {
             );
         }
         if self.enforce_certification && !report.is_compliant() {
-            return Err(BrookError::Certification(Box::new(report)));
+            return Err(BrookError::Certification(Box::new(front.report)));
         }
-        Ok(ModuleArtifact {
-            checked: Arc::new(checked),
-            ir_rejects: verify_module_ir(&ir),
-            ir: Arc::new(ir),
-            lanes: Arc::new(engines.lanes),
-            tiers: Arc::new(engines.tiers),
-            simds: Arc::new(engines.simds),
-            report,
-            cert_fingerprint: self.cert_config.fingerprint(),
-            toggles: self.pipeline_toggles(engines.simd_level),
-        })
+        Ok(front)
     }
 
-    /// The post-lowering spine [`compile_artifact`](Self::compile_artifact)
-    /// and graph fusion share, under this context's toggles: the
-    /// cert-gated pass pipeline, abstract interpretation, lane
-    /// planning, Tier-2 compilation and vectorized-reduce planning.
-    /// Records the passes, the analysis and every plan decision in
-    /// `report`.
-    pub(crate) fn optimize_and_plan(&self, ir: &mut IrProgram, report: &mut ComplianceReport) -> Engines {
+    /// The post-lowering front [`compile_artifact`](Self::compile_artifact)
+    /// and graph fusion share: the cert-gated pass pipeline, then
+    /// abstract interpretation, recorded in `report`.
+    pub(crate) fn front_from_ir(
+        &self,
+        checked: Arc<CheckedProgram>,
+        mut ir: IrProgram,
+        mut report: ComplianceReport,
+    ) -> Front {
         // Optimize under the cert rollback gate, recording provenance.
         if self.ir_optimize {
             report.passes = brook_cert::ir_check::optimize_program(
-                ir,
+                &mut ir,
                 &self.cert_config,
                 &brook_ir::passes::default_passes(),
             );
@@ -392,58 +412,36 @@ impl BrookContext {
         // elision, reachability for the planners, and the refined
         // admission estimate. Runs strictly after the pass pipeline so
         // passes never see (or have to preserve) proofs.
-        let (analysis, facts) = brook_cert::absint::analyze_and_annotate_program(ir, self.clamp_elision);
+        let (analysis, facts) = brook_cert::absint::analyze_and_annotate_program(&mut ir, self.clamp_elision);
         report.analysis = analysis;
-        // Lane-vectorization planning: consulted once here, recorded in
-        // the report, executed by the CPU backends per launch. Rejected
-        // kernels keep the scalar interpreter — semantics are identical
-        // by construction, so this can only change speed, never results.
-        let lanes = if self.lane_execution {
-            brook_ir::lanes::LaneProgram::plan_program_with(ir, &facts)
-        } else {
-            brook_ir::lanes::LaneProgram::default()
-        };
-        report.lane_plans = lane_plan_records(&lanes);
-        // Tier-2 compilation: lane-admitted kernels become closure
-        // chains here, once, at the context's SIMD level. Same fallback
-        // story as lanes — rejection changes speed, never results.
-        let simd_level = self.simd_mode.resolve();
-        let tiers = if self.lane_execution && self.tier_execution {
-            brook_ir::tier::TierProgram::compile_program_simd(ir, &lanes, &facts, simd_level)
-        } else {
-            brook_ir::tier::TierProgram::default()
-        };
-        report.tier_plans = tier_plan_records(&tiers);
-        // Vectorized-reduce planning: structurally matched reduce
-        // kernels whose combine operand the analyzer proved NaN-free
-        // and sign-definite fold through SIMD per-lane partials; every
-        // other reduce keeps the serial scalar fold. Map kernels get no
-        // record.
-        let simds = if self.lane_execution && simd_level != brook_ir::simd::SimdLevel::Scalar {
-            brook_ir::simd::ReduceProgram::plan_program_with(ir, &facts, simd_level)
-        } else {
-            brook_ir::simd::ReduceProgram::default()
-        };
-        report.simd_reduces = simd_reduce_records(&simds);
-        Engines {
-            lanes,
-            tiers,
-            simds,
-            simd_level,
+        Front {
+            key: self.front_key(),
+            checked,
+            ir_rejects: verify_module_ir(&ir),
+            ir: Arc::new(ir),
+            facts,
+            report,
         }
     }
 
-    /// The pipeline toggles a [`ModuleArtifact`] records and adoption
-    /// must match, at the resolved SIMD level `simd_level`.
-    fn pipeline_toggles(&self, simd_level: brook_ir::simd::SimdLevel) -> (bool, bool, bool, bool, bool, u8) {
-        (
-            self.enforce_certification,
-            self.ir_optimize,
-            self.lane_execution,
-            self.tier_execution,
-            self.clamp_elision,
-            simd_level as u8,
-        )
+    /// The engine this context plans for, from `lane_execution`,
+    /// `tier_execution` and the resolved `simd_mode`.
+    pub(crate) fn engine(&self) -> Engine {
+        match (self.lane_execution, self.tier_execution) {
+            (false, _) => Engine::Scalar,
+            (true, false) => Engine::Lanes(self.simd_mode.resolve()),
+            (true, true) => Engine::Tier(self.simd_mode.resolve()),
+        }
+    }
+
+    /// The settings a front depends on, which adoption must match.
+    fn front_key(&self) -> FrontKey {
+        FrontKey {
+            cert_fingerprint: self.cert_config.fingerprint(),
+            enforce_certification: self.enforce_certification,
+            ir_optimize: self.ir_optimize,
+            clamp_elision: self.clamp_elision,
+        }
     }
 
     /// Stamps a [`ModuleArtifact`] into a [`BrookModule`] owned by this
@@ -451,38 +449,42 @@ impl BrookContext {
     /// caches can never alias entries across adoptions) plus this
     /// context's identity (so `run`/`reduce` foreign-module rejection
     /// applies to the adopted module exactly as to a locally compiled
-    /// one).
+    /// one). An artifact planned for another engine is re-planned for
+    /// this context's from its shared front, as `compile` would plan
+    /// it.
     ///
     /// # Errors
-    /// `Usage` when the artifact was compiled under a different
-    /// [`CertConfig`] or different pipeline toggles than this context
-    /// enforces — adopting it would bypass this context's gate.
+    /// `Usage` when the artifact's front was built under a different
+    /// [`CertConfig`], `enforce_certification`, `ir_optimize` or
+    /// `clamp_elision` than this context uses — adopting it would
+    /// bypass this context's gate or change its IR. Engine settings
+    /// (`lane_execution`, `tier_execution`, `simd_mode`) never refuse.
     pub fn adopt_artifact(&mut self, artifact: &ModuleArtifact) -> Result<BrookModule> {
-        if artifact.cert_fingerprint != self.cert_config.fingerprint() {
+        if artifact.front.key != self.front_key() {
             return Err(BrookError::Usage(
-                "artifact was certified under a different certification config than this \
-                 context enforces"
+                "artifact was compiled under a different certification config, enforcement, \
+                 optimization or clamp elision than this context uses"
                     .into(),
             ));
         }
-        if artifact.toggles != self.pipeline_toggles(self.simd_mode.resolve()) {
-            return Err(BrookError::Usage(
-                "artifact was compiled under different pipeline toggles (certification/\
-                 optimization/lane/tier/elision/simd) than this context uses"
-                    .into(),
-            ));
-        }
-        Ok(BrookModule {
-            checked: Arc::clone(&artifact.checked),
-            ir: Arc::clone(&artifact.ir),
-            lanes: Arc::clone(&artifact.lanes),
-            tiers: Arc::clone(&artifact.tiers),
-            simds: Arc::clone(&artifact.simds),
-            ir_rejects: Arc::clone(&artifact.ir_rejects),
-            report: artifact.report.clone(),
-            id: fresh_module_id(),
+        let engine = self.engine();
+        Ok(self.stamp(if artifact.plan.engine == engine {
+            artifact.clone()
+        } else {
+            plan(Arc::clone(&artifact.front), engine)
+        }))
+    }
+
+    /// The one place a [`BrookModule`] is built: `artifact` under a
+    /// fresh module id and this context's identity.
+    pub(crate) fn stamp(&self, artifact: ModuleArtifact) -> BrookModule {
+        BrookModule {
+            front: artifact.front,
+            plan: artifact.plan,
+            report: artifact.report,
+            id: NEXT_MODULE_ID.fetch_add(1, Ordering::Relaxed),
             context_id: self.context_id,
-        })
+        }
     }
 
     /// Renders the module's BrookIR in its canonical textual form — the
@@ -492,7 +494,7 @@ impl BrookContext {
     /// Foreign modules.
     pub fn emit_ir(&self, module: &BrookModule) -> Result<String> {
         self.check_module(module)?;
-        Ok(brook_ir::pretty::print_program(&module.ir))
+        Ok(brook_ir::pretty::print_program(&module.front.ir))
     }
 
     /// Builds a module around hand-built IR, bypassing lowering — for
@@ -503,19 +505,17 @@ impl BrookContext {
     pub fn module_with_raw_ir(&mut self, source: &str, ir: IrProgram) -> Result<BrookModule> {
         let checked = brook_lang::parse_and_check(source)?;
         let report = certify(&checked, &self.cert_config);
-        Ok(BrookModule {
+        let front = Front {
+            key: self.front_key(),
             checked: Arc::new(checked),
             ir_rejects: verify_module_ir(&ir),
             ir: Arc::new(ir),
-            // Hand-built IR is never lane-planned: it executes through
-            // the scalar interpreter behind the launch-boundary verdict.
-            lanes: Arc::new(brook_ir::lanes::LaneProgram::default()),
-            tiers: Arc::new(brook_ir::tier::TierProgram::default()),
-            simds: Arc::new(brook_ir::simd::ReduceProgram::default()),
+            facts: Vec::new(),
             report,
-            id: fresh_module_id(),
-            context_id: self.context_id,
-        })
+        };
+        // Hand-built IR is never planned: it executes through the
+        // scalar interpreter behind the launch-boundary verdict.
+        Ok(self.stamp(plan(Arc::new(front), Engine::Scalar)))
     }
 
     /// Opens a deferred recording scope: kernel launches recorded through
@@ -622,6 +622,7 @@ impl BrookContext {
     pub fn run(&mut self, module: &BrookModule, kernel: &str, args: &[Arg<'_>]) -> Result<()> {
         self.check_module(module)?;
         let kdef = module
+            .front
             .checked
             .program
             .kernel(kernel)
@@ -637,10 +638,10 @@ impl BrookContext {
         // rejected uniformly on all substrates.
         report_ir_verdict(module, kernel)?;
         let launch = KernelLaunch {
-            checked: &module.checked,
-            ir: &module.ir,
-            lanes: &module.lanes,
-            tiers: &module.tiers,
+            checked: &module.front.checked,
+            ir: &module.front.ir,
+            lanes: &module.plan.lanes,
+            tiers: &module.plan.tiers,
             module_id: module.id,
             kernel,
             args: bound_args,
@@ -669,6 +670,7 @@ impl BrookContext {
         self.check_module(module)?;
         self.check_stream(input)?;
         let summary = module
+            .front
             .checked
             .summary(kernel)
             .ok_or_else(|| BrookError::Usage(format!("unknown kernel `{kernel}`")))?;
@@ -686,6 +688,7 @@ impl BrookContext {
         // would make the backends fold different lane counts — reject
         // it as the type error it is.
         if let Some(p) = module
+            .front
             .checked
             .program
             .kernel(kernel)
@@ -713,21 +716,21 @@ impl BrookContext {
                 state,
                 kernel,
                 Work::Reduce {
-                    checked: &module.checked,
-                    ir: &module.ir,
+                    checked: &module.front.checked,
+                    ir: &module.front.ir,
                     kernel,
                     op,
-                    simd: module.simds.kernel(kernel),
+                    simd: module.plan.simds.kernel(kernel),
                     input: input.index,
                 },
             )
             .map(|v| v.expect("reduce work returns a scalar")),
             None => self.backend.reduce(
-                &module.checked,
-                &module.ir,
+                &module.front.checked,
+                &module.front.ir,
                 kernel,
                 op,
-                module.simds.kernel(kernel),
+                module.plan.simds.kernel(kernel),
                 input.index,
             ),
         }
@@ -858,65 +861,59 @@ impl BrookContext {
     }
 }
 
-/// The engine programs [`BrookContext::optimize_and_plan`] builds for
-/// one lowered program.
-pub(crate) struct Engines {
-    pub(crate) lanes: brook_ir::lanes::LaneProgram,
-    pub(crate) tiers: brook_ir::tier::TierProgram,
-    pub(crate) simds: brook_ir::simd::ReduceProgram,
-    /// The SIMD level the engines were built at.
-    pub(crate) simd_level: brook_ir::simd::SimdLevel,
-}
-
-/// Renders lane-plan decisions into the report records the compliance
-/// data package carries.
-fn lane_plan_records(lanes: &brook_ir::lanes::LaneProgram) -> Vec<brook_cert::LanePlan> {
-    lanes
-        .kernels
-        .iter()
-        .map(|(name, plan)| brook_cert::LanePlan {
-            kernel: name.clone(),
-            vectorized: plan.is_ok(),
-            detail: match plan {
-                Ok(_) => "lane-vectorized".into(),
-                Err(reason) => reason.clone(),
-            },
+/// The plan half of a compile: `front` planned for `engine`. Rejection
+/// changes speed, never results: semantics are identical on every
+/// engine by construction.
+pub(crate) fn plan(front: Arc<Front>, engine: Engine) -> ModuleArtifact {
+    use brook_cert::{LanePlan, SimdReduce, TierPlan};
+    use brook_ir::{lanes::LaneProgram, simd::ReduceProgram, simd::SimdLevel, tier::TierProgram};
+    let (ir, facts) = (&*front.ir, front.facts.as_slice());
+    let (lanes, level) = match engine {
+        Engine::Scalar => (LaneProgram::default(), SimdLevel::Scalar),
+        Engine::Lanes(level) | Engine::Tier(level) => (LaneProgram::plan_program_with(ir, facts), level),
+    };
+    let tiers = match engine {
+        Engine::Tier(level) => TierProgram::compile_program_simd(ir, &lanes, facts, level),
+        _ => TierProgram::default(),
+    };
+    // Vectorized reduce: structurally matched reduce kernels whose
+    // combine operand the analyzer proved NaN-free and sign-definite
+    // fold through SIMD per-lane partials; every other reduce keeps the
+    // serial scalar fold. Map kernels get no record.
+    let simds = match level {
+        SimdLevel::Scalar => ReduceProgram::default(),
+        _ => ReduceProgram::plan_program_with(ir, facts, level),
+    };
+    let detail = |plan: std::result::Result<String, &String>| plan.unwrap_or_else(Clone::clone);
+    let mut report = front.report.clone();
+    report.lane_plans = (lanes.kernels.iter())
+        .map(|(kernel, p)| LanePlan {
+            kernel: kernel.clone(),
+            vectorized: p.is_ok(),
+            detail: detail(p.as_ref().map(|_| "lane-vectorized".into())),
         })
-        .collect()
-}
-
-/// Renders Tier-2 decisions into the report records the compliance
-/// data package carries.
-fn tier_plan_records(tiers: &brook_ir::tier::TierProgram) -> Vec<brook_cert::TierPlan> {
-    tiers
-        .kernels
-        .iter()
-        .map(|(name, plan)| brook_cert::TierPlan {
-            kernel: name.clone(),
-            compiled: plan.is_ok(),
-            detail: match plan {
-                Ok(t) => t.detail(),
-                Err(reason) => reason.clone(),
-            },
+        .collect();
+    report.tier_plans = (tiers.kernels.iter())
+        .map(|(kernel, p)| TierPlan {
+            kernel: kernel.clone(),
+            compiled: p.is_ok(),
+            detail: detail(p.as_ref().map(|t| t.detail())),
         })
-        .collect()
-}
-
-/// Renders vectorized-reduce admission decisions into the report
-/// records the compliance data package carries.
-fn simd_reduce_records(simds: &brook_ir::simd::ReduceProgram) -> Vec<brook_cert::SimdReduce> {
-    simds
-        .kernels
-        .iter()
-        .map(|(name, plan)| brook_cert::SimdReduce {
-            kernel: name.clone(),
-            admitted: plan.is_ok(),
-            detail: match plan {
-                Ok(rk) => rk.detail.clone(),
-                Err(reason) => reason.clone(),
-            },
+        .collect();
+    report.simd_reduces = (simds.kernels.iter())
+        .map(|(kernel, p)| SimdReduce {
+            kernel: kernel.clone(),
+            admitted: p.is_ok(),
+            detail: detail(p.as_ref().map(|r| r.detail.clone())),
         })
-        .collect()
+        .collect();
+    let plan = Plan {
+        engine,
+        lanes: Arc::new(lanes),
+        tiers: Arc::new(tiers),
+        simds: Arc::new(simds),
+    };
+    ModuleArtifact { front, plan, report }
 }
 
 /// `(kernel, verifier message)` for every kernel of a module whose IR
@@ -943,7 +940,7 @@ pub(crate) fn verify_module_ir(ir: &IrProgram) -> IrRejects {
 /// launch, if it has one. Shared by the eager path and the graph
 /// executor so no backend can receive malformed IR.
 pub(crate) fn report_ir_verdict(module: &BrookModule, kernel: &str) -> Result<()> {
-    match module.ir_rejects.iter().find(|(k, _)| k == kernel) {
+    match module.front.ir_rejects.iter().find(|(k, _)| k == kernel) {
         Some((_, message)) => Err(BrookError::Usage(message.clone())),
         None => Ok(()),
     }
@@ -1191,16 +1188,19 @@ mod tests {
     fn adopted_artifact_carries_the_ir_verdict() {
         let mut ctx = BrookContext::cpu();
         let mut artifact = ctx.compile_artifact(ADD).unwrap();
-        assert!(artifact.ir_rejects.is_empty());
-        let mut ir = (*artifact.ir).clone();
+        assert!(artifact.front.ir_rejects.is_empty());
+        let mut ir = (*artifact.front.ir).clone();
         for inst in &mut ir.kernels[0].insts {
             if let brook_ir::Inst::Bin { op, .. } = inst {
                 *op = brook_ir::BinOp::And;
             }
         }
-        artifact.ir_rejects = verify_module_ir(&ir);
-        artifact.ir = Arc::new(ir.clone());
-        let want = ctx.module_with_raw_ir(ADD, ir).unwrap().ir_rejects[0].1.clone();
+        let front = Arc::make_mut(&mut artifact.front);
+        front.ir_rejects = verify_module_ir(&ir);
+        front.ir = Arc::new(ir.clone());
+        let want = ctx.module_with_raw_ir(ADD, ir).unwrap().front.ir_rejects[0]
+            .1
+            .clone();
         assert!(want.contains("IR verification failed"), "{want}");
         let s: Vec<Stream> = (0..3).map(|_| ctx.stream(&[4]).unwrap()).collect();
         for _ in 0..2 {
@@ -1215,6 +1215,52 @@ mod tests {
                     .unwrap_err();
                 assert!(matches!(&err, BrookError::Usage(m) if *m == want), "{err}");
             }
+        }
+    }
+
+    /// Engine settings change only the plan: an artifact compiled on
+    /// `cpu()` adopts into contexts with another engine by re-planning
+    /// its shared front, and the module is the one their own `compile`
+    /// builds. Front settings still refuse.
+    #[test]
+    fn adoption_replans_across_engines_and_refuses_across_fronts() {
+        const SRC: &str = "kernel void add(float a<>, float b<>, out float c<>) { c = a + b; }
+            reduce void lo(float a<>, reduce float r<>) { r = min(r, abs(a) + 1.0); }";
+        let artifact = BrookContext::cpu().compile_artifact(SRC).unwrap();
+        let engines: [fn(&mut BrookContext); 3] = [
+            |c| c.lane_execution = false,
+            |c| c.tier_execution = false,
+            |c| c.simd_mode = brook_ir::simd::SimdMode::Off,
+        ];
+        for knob in engines {
+            let mut ctx = BrookContext::cpu();
+            knob(&mut ctx);
+            let adopted = ctx.adopt_artifact(&artifact).unwrap();
+            assert!(Arc::ptr_eq(&adopted.front.ir, &artifact.front.ir));
+            let own = ctx.compile(SRC).unwrap();
+            assert_eq!(format!("{:?}", adopted.report), format!("{:?}", own.report));
+        }
+        let fronts: [fn(&mut BrookContext); 3] = [
+            |c| c.enforce_certification = false,
+            |c| c.ir_optimize = false,
+            |c| c.clamp_elision = false,
+        ];
+        let strict = CertConfig {
+            max_inputs: 1,
+            ..CertConfig::default()
+        };
+        let mut contexts: Vec<BrookContext> = fronts
+            .iter()
+            .map(|knob| {
+                let mut ctx = BrookContext::cpu();
+                knob(&mut ctx);
+                ctx
+            })
+            .collect();
+        contexts.push(BrookContext::with_backend(Box::new(CpuBackend::new()), strict));
+        for mut ctx in contexts {
+            let err = ctx.adopt_artifact(&artifact).unwrap_err();
+            assert!(matches!(err, BrookError::Usage(_)), "{err}");
         }
     }
 

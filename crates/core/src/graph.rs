@@ -261,6 +261,7 @@ impl<'ctx> BrookGraph<'ctx> {
     pub fn run(&mut self, module: &BrookModule, kernel: &str, args: &[Arg<'_>]) -> Result<()> {
         self.ctx.check_module(module)?;
         let kdef = module
+            .front
             .checked
             .program
             .kernel(kernel)
@@ -297,6 +298,7 @@ impl<'ctx> BrookGraph<'ctx> {
         self.ctx.check_module(module)?;
         self.lookup_desc(input)?;
         let summary = module
+            .front
             .checked
             .summary(kernel)
             .ok_or_else(|| BrookError::Usage(format!("unknown kernel `{kernel}`")))?;
@@ -405,10 +407,10 @@ impl<'ctx> BrookGraph<'ctx> {
                         .collect();
                     report_ir_verdict(module, kernel)?;
                     let launch = KernelLaunch {
-                        checked: &module.checked,
-                        ir: &module.ir,
-                        lanes: &module.lanes,
-                        tiers: &module.tiers,
+                        checked: &module.front.checked,
+                        ir: &module.front.ir,
+                        lanes: &module.plan.lanes,
+                        tiers: &module.plan.tiers,
                         module_id: module.id,
                         kernel,
                         args: bound,
@@ -428,11 +430,11 @@ impl<'ctx> BrookGraph<'ctx> {
                 } => {
                     report_ir_verdict(module, kernel)?;
                     reduce_values[*slot] = self.ctx.backend.reduce(
-                        &module.checked,
-                        &module.ir,
+                        &module.front.checked,
+                        &module.front.ir,
                         kernel,
                         *op,
-                        module.simds.kernel(kernel),
+                        module.plan.simds.kernel(kernel),
                         resolve(*input).index,
                     )?;
                 }
@@ -536,6 +538,7 @@ impl<'ctx> BrookGraph<'ctx> {
                     continue;
                 }
                 let p_out_ty = p_module
+                    .front
                     .ir
                     .kernel(p_kernel)
                     .and_then(|k| k.params.iter().find(|p| p.kind == ParamKind::OutStream));
@@ -651,8 +654,8 @@ impl<'ctx> BrookGraph<'ctx> {
             else {
                 return None;
             };
-            let p_ir = p_module.ir.kernel(p_kernel)?;
-            let c_ir = c_module.ir.kernel(c_kernel)?;
+            let p_ir = p_module.front.ir.kernel(p_kernel)?;
+            let c_ir = c_module.front.ir.kernel(c_kernel)?;
             let replaced: Vec<String> = p_replaced.iter().chain(c_replaced).cloned().collect();
             let name = format!("fused_{}", replaced.join("_"));
             build_fused_ir(&name, p_ir, p_args, c_ir, c_args, inter).map(|(kernel, args, out_names)| {
@@ -666,7 +669,7 @@ impl<'ctx> BrookGraph<'ctx> {
                         .collect::<Vec<_>>(),
                     replaced,
                     name,
-                    c_module.checked.clone(),
+                    c_module.front.checked.clone(),
                 )
             })
         };
@@ -678,35 +681,25 @@ impl<'ctx> BrookGraph<'ctx> {
         if !brook_cert::ir_check::check_kernel(&kernel, self.ctx.cert_config()).is_compliant() {
             return None;
         }
-        // Fused kernels take the same post-lowering spine as `compile`
-        // (passes, analysis, lane/tier/reduce planning under this
-        // context's toggles); provable faults unfuse the chain.
-        let mut program = IrProgram {
+        // Fused kernels take the same post-lowering halves as `compile`
+        // (passes and analysis, then lane/tier/reduce planning for this
+        // context's engine); provable faults unfuse the chain.
+        let program = IrProgram {
             kernels: vec![kernel],
         };
-        let mut report = brook_cert::ComplianceReport::default();
-        let engines = self.ctx.optimize_and_plan(&mut program, &mut report);
-        if report.analysis.kernels.iter().any(|k| !k.faults.is_empty()) {
+        let front = self.ctx.front_from_ir(checked, program, Default::default());
+        if front.report.analysis.kernels.iter().any(|k| !k.faults.is_empty()) {
             return None;
         }
-        let ir = Arc::new(program);
-        let source = brook_ir::pretty::print_program(&ir);
-        let module = BrookModule {
-            checked,
-            ir_rejects: crate::context::verify_module_ir(&ir),
-            ir: ir.clone(),
-            lanes: Arc::new(engines.lanes),
-            tiers: Arc::new(engines.tiers),
-            simds: Arc::new(engines.simds),
-            report,
-            id: crate::context::fresh_module_id(),
-            context_id: self.ctx.context_id,
-        };
+        let source = brook_ir::pretty::print_program(&front.ir);
+        let module = self
+            .ctx
+            .stamp(crate::context::plan(Arc::new(front), self.ctx.engine()));
         let record = FusedKernel {
             name: name.clone(),
             replaced: replaced.clone(),
             source,
-            ir,
+            ir: Arc::clone(&module.front.ir),
         };
         Some((
             OpKind::Launch {

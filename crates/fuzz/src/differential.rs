@@ -243,13 +243,13 @@ pub(crate) fn domain_inputs(case: &FuzzCase) -> Vec<(&[usize], &[f32])> {
         .collect()
 }
 
-/// Compiles `source` on `ctx`, adopting one of `artifacts` when one was
-/// compiled under the same configuration and adding a new one when none
-/// was. `compile` is `compile_artifact`, a function of the source and
-/// the context's certification config and pipeline toggles, followed by
-/// `adopt_artifact`, which refuses an artifact of another
-/// configuration; so the module is the one `ctx.compile` would build,
-/// and each configuration on the ladder compiles a case once.
+/// Compiles `source` on `ctx`, adopting one of `artifacts` when one
+/// shares its front and adding a new one when none does. `compile` is
+/// `compile_artifact` (a front, keyed by the certification settings,
+/// `ir_optimize` and `clamp_elision`, planned for the context's engine)
+/// then `adopt_artifact`, which refuses another front and re-plans one
+/// for another engine; so the module is the one `ctx.compile` builds,
+/// and [`Matrix::default`] runs three fronts a case, not one per rung.
 ///
 /// # Errors
 /// Compile failures.
@@ -500,7 +500,13 @@ pub(crate) mod tests {
         };
         let optimized = !report.passes.is_empty();
         let ok = match name {
-            "cpu-ast" => backend == "cpu-ast" && !optimized,
+            "cpu-ast" => {
+                backend == "cpu-ast"
+                    && !optimized
+                    && report.lane_plans.is_empty()
+                    && report.tier_plans.is_empty()
+                    && report.simd_reduces.is_empty()
+            }
             "cpu-noopt" => backend == "cpu" && !optimized && compiled && scalar_steps != auto_simd,
             "cpu-scalar" => backend == "cpu" && optimized && report.lane_plans.is_empty() && !compiled,
             "cpu-lanes" => backend == "cpu" && optimized && vectorized && report.tier_plans.is_empty(),
@@ -549,6 +555,113 @@ pub(crate) mod tests {
         assert_eq!(runs.len(), 9 + 2, "the CPU ladder and both device backends");
         assert_eq!(runs[0].backend, "cpu-ast");
         assert_eq!(runs[0].outputs.len(), case.n_outputs);
+    }
+
+    /// Runs every kernel of `module` once with arguments derived from its
+    /// signature: one entry per kernel, its output bits.
+    fn run_every_kernel(ctx: &mut BrookContext, module: &BrookModule, source: &str) -> Vec<Vec<u32>> {
+        use brook_lang::ast::{ParamKind, ScalarKind};
+        let checked = brook_lang::parse_and_check(source).expect("front end");
+        let data = |n: usize| -> Vec<f32> { (0..n).map(|i| (i * 7 % 13) as f32 * 0.25 - 1.0).collect() };
+        let stream = |ctx: &mut BrookContext, shape: &[usize], width: u8| {
+            let s = ctx.stream_with_width(shape, width)?;
+            ctx.write(&s, &data(shape.iter().product::<usize>() * usize::from(width)))?;
+            Ok::<_, brook_auto::BrookError>(s)
+        };
+        let mut results = Vec::new();
+        for k in checked.program.kernels() {
+            let run = |ctx: &mut BrookContext| -> Result<Vec<u32>, brook_auto::BrookError> {
+                if k.is_reduce {
+                    let input = stream(ctx, &[37], 1)?;
+                    return Ok(vec![ctx.reduce(module, &k.name, &input)?.to_bits()]);
+                }
+                let domain = [5, 7];
+                let mut streams = Vec::new();
+                for p in &k.params {
+                    streams.push(match p.kind {
+                        ParamKind::Stream | ParamKind::OutStream => Some(stream(ctx, &domain, p.ty.width)?),
+                        ParamKind::Gather { rank } => {
+                            Some(stream(ctx, &vec![3; usize::from(rank)], p.ty.width)?)
+                        }
+                        ParamKind::Scalar | ParamKind::ReduceOut => None,
+                    });
+                }
+                let args: Vec<Arg> = k
+                    .params
+                    .iter()
+                    .zip(&streams)
+                    .map(|(p, s)| match (s, p.ty.scalar, p.ty.width) {
+                        (Some(s), ..) => Arg::Stream(s),
+                        (None, ScalarKind::Int | ScalarKind::Bool, _) => Arg::Int(2),
+                        (None, _, 2) => Arg::Float2([0.5, -1.5]),
+                        (None, _, 3) => Arg::Float3([0.5, -1.5, 2.0]),
+                        (None, _, 4) => Arg::Float4([0.5, -1.5, 2.0, 3.0]),
+                        (None, ..) => Arg::Float(0.75),
+                    })
+                    .collect();
+                ctx.run(module, &k.name, &args)?;
+                let mut bits = Vec::new();
+                for (p, s) in k.params.iter().zip(&streams) {
+                    if let (ParamKind::OutStream, Some(s)) = (p.kind, s) {
+                        bits.extend(ctx.read(s)?.iter().map(|v| v.to_bits()));
+                    }
+                }
+                Ok(bits)
+            };
+            results.push(run(ctx).unwrap_or_else(|e| panic!("{}: {e}", k.name)));
+        }
+        results
+    }
+
+    /// The shared route (`compile_shared`: one front per front
+    /// configuration, re-planned per rung) builds the module a direct
+    /// `compile` on a fresh context builds, on every spec: the same
+    /// report, the same IR and bitwise the same outputs.
+    #[test]
+    fn shared_route_equals_direct_route_on_every_spec() {
+        let mut sources: Vec<(String, String)> = brook_apps::kernel_sources()
+            .into_iter()
+            .map(|(name, source)| (name.to_string(), source))
+            .collect();
+        sources.extend((0..64).map(|i| {
+            (
+                format!("case {i}"),
+                gen_case(0xB400_A070, i, &GenConfig::default()).source,
+            )
+        }));
+        let matrix = Matrix::default();
+        let mut ran = 0;
+        for (name, source) in &sources {
+            let mut artifacts = Vec::new();
+            for spec in &matrix.specs {
+                let what = format!("{name} on {}", spec.name);
+                let mut shared_ctx = (spec.make)();
+                let shared = compile_shared(&mut shared_ctx, source, &mut artifacts)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                let mut direct_ctx = (spec.make)();
+                let direct = direct_ctx
+                    .compile(source)
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+                assert_eq!(
+                    format!("{:?}", shared.report),
+                    format!("{:?}", direct.report),
+                    "{what}: report"
+                );
+                assert_eq!(
+                    shared_ctx.emit_ir(&shared).unwrap(),
+                    direct_ctx.emit_ir(&direct).unwrap(),
+                    "{what}: IR"
+                );
+                let outputs = run_every_kernel(&mut shared_ctx, &shared, source);
+                assert_eq!(
+                    outputs,
+                    run_every_kernel(&mut direct_ctx, &direct, source),
+                    "{what}: outputs"
+                );
+                ran += outputs.len();
+            }
+        }
+        assert!(ran >= 800, "too few kernels ran to mean anything: {ran}");
     }
 
     #[test]

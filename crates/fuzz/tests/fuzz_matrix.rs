@@ -4,8 +4,8 @@
 //! actually catches bugs.
 
 use brook_fuzz::{
-    gen_case, run_campaign, run_campaign_on, CampaignFailure, CampaignStats, FuzzConfig, GenConfig, Matrix,
-    SaboteurBackend,
+    gen_case, run_campaign, run_campaign_on, Admissions, CampaignFailure, CampaignStats, FuzzConfig,
+    GenConfig, Matrix, SaboteurBackend,
 };
 use std::sync::OnceLock;
 
@@ -57,6 +57,11 @@ fn campaign_256_cases_across_all_backends() {
         "{specs:?}"
     );
     assert_eq!(stats.admissions.len(), specs.len(), "every spec ran: {specs:?}");
+    assert_eq!(
+        stats.admissions["cpu-ast"],
+        Admissions::default(),
+        "the AST walker runs no engine, so its report admits none"
+    );
     let cpu = &stats.admissions["cpu"];
     assert!(
         cpu.lane_vectorized >= 171,

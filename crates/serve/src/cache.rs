@@ -7,6 +7,9 @@
 //! re-stamps a fresh module id and the adopting context's identity —
 //! the foreign-module rejection of PR 3 keeps holding on cache hits
 //! because no stamped module ever crosses tenants, only artifacts do.
+//! Adoption also re-plans an artifact's shared front for another
+//! engine; the key still includes the backend, so `cpu` and
+//! `cpu-parallel` each run the front of a source they share.
 
 use brook_auto::ModuleArtifact;
 use std::collections::hash_map::DefaultHasher;
