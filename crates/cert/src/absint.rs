@@ -33,6 +33,7 @@ use brook_lang::ast::{AssignOp, BinOp, ParamKind, ScalarKind, Type, UnOp};
 use brook_lang::builtins::BUILTINS;
 use brook_lang::diag::Severity;
 use brook_lang::span::Span;
+use glsl_es::math::{Bin, Fun, Un};
 use std::collections::HashMap;
 
 /// Start widening unbounded-looking loops after this many rounds.
@@ -859,7 +860,7 @@ impl<'a> Analyzer<'a> {
             }
             Inst::Builtin { dst, which, args } => {
                 let vals: Vec<AbsVal> = args.iter().map(|r| st.vals[*r as usize]).collect();
-                let v = abs_builtin(BUILTINS[which as usize].name, &vals);
+                let v = abs_builtin(BUILTINS[which as usize].op, &vals);
                 self.set(st, dst, v);
             }
             Inst::Select { dst, cond, a, b } => {
@@ -1396,21 +1397,18 @@ fn refine_flt_pair(op: BinOp, a: (f32, f32), b: (f32, f32)) -> (Option<(f32, f32
     }
 }
 
-fn abs_builtin(name: &str, args: &[AbsVal]) -> AbsVal {
+fn abs_builtin(f: Fun, args: &[AbsVal]) -> AbsVal {
     let flt = |i: usize| args.get(i).and_then(|v| v.as_flt());
-    let unary_mono = |f: fn(f32) -> f32| {
-        flt(0).map_or(AbsVal::Top, |(lo, hi, nan)| {
-            mk_flt(f(lo), f(hi), nan || lo.is_infinite() && name == "fract")
-        })
-    };
-    match name {
-        "floor" => unary_mono(f32::floor),
-        "ceil" => unary_mono(f32::ceil),
-        "round" => unary_mono(|x| (x + 0.5).floor()),
-        "sqrt" => flt(0).map_or(AbsVal::Top, |(lo, hi, nan)| {
+    let unary_mono =
+        |g: fn(f32) -> f32| flt(0).map_or(AbsVal::Top, |(lo, hi, nan)| mk_flt(g(lo), g(hi), nan));
+    match f {
+        Fun::Un(Un::Floor) => unary_mono(f32::floor),
+        Fun::Un(Un::Ceil) => unary_mono(f32::ceil),
+        Fun::Un(Un::Round) => unary_mono(|x| (x + 0.5).floor()),
+        Fun::Un(Un::Sqrt) => flt(0).map_or(AbsVal::Top, |(lo, hi, nan)| {
             mk_flt(lo.max(0.0).sqrt(), hi.max(0.0).sqrt(), nan || lo < 0.0)
         }),
-        "abs" => flt(0).map_or(AbsVal::Top, |(lo, hi, nan)| {
+        Fun::Un(Un::Abs) => flt(0).map_or(AbsVal::Top, |(lo, hi, nan)| {
             let l = if lo <= 0.0 && hi >= 0.0 {
                 0.0
             } else {
@@ -1418,30 +1416,31 @@ fn abs_builtin(name: &str, args: &[AbsVal]) -> AbsVal {
             };
             mk_flt(l, lo.abs().max(hi.abs()), nan)
         }),
-        "saturate" => flt(0).map_or(AbsVal::Top, |(lo, hi, nan)| {
-            // NaN clamps to an unspecified endpoint on GPUs; keep the
-            // flag.
-            mk_flt(lo.clamp(0.0, 1.0), hi.clamp(0.0, 1.0), nan)
-        }),
-        "sign" => flt(0).map_or(AbsVal::Top, |(_, _, nan)| mk_flt(-1.0, 1.0, nan)),
-        "sin" | "cos" => flt(0).map_or(AbsVal::Top, |(lo, hi, nan)| {
+        // `saturate(x)` is `clamp(x, 0.0, 1.0)` at runtime, NaN -> 0.0
+        // included, so it takes the clamp transfer.
+        Fun::Un(Un::Saturate) => abs_builtin(
+            Fun::Clamp,
+            &[args[0], mk_flt(0.0, 0.0, false), mk_flt(1.0, 1.0, false)],
+        ),
+        Fun::Un(Un::Sign) => flt(0).map_or(AbsVal::Top, |(_, _, nan)| mk_flt(-1.0, 1.0, nan)),
+        Fun::Un(Un::Sin | Un::Cos) => flt(0).map_or(AbsVal::Top, |(lo, hi, nan)| {
             mk_flt(-1.0, 1.0, nan || lo.is_infinite() || hi.is_infinite())
         }),
-        "min" => match (flt(0), flt(1)) {
+        Fun::Bin(Bin::Min) => match (flt(0), flt(1)) {
             (Some(a), Some(b)) => {
                 let (lo, hi, nan) = abs_min(a, b);
                 mk_flt(lo, hi, nan)
             }
             _ => AbsVal::Top,
         },
-        "max" => match (flt(0), flt(1)) {
+        Fun::Bin(Bin::Max) => match (flt(0), flt(1)) {
             (Some(a), Some(b)) => {
                 let (lo, hi, nan) = abs_max(a, b);
                 mk_flt(lo, hi, nan)
             }
             _ => AbsVal::Top,
         },
-        "clamp" => match (flt(0), flt(1), flt(2)) {
+        Fun::Clamp => match (flt(0), flt(1), flt(2)) {
             (Some(x), Some(l), Some(h)) => {
                 // Runtime clamp is min(max(x, l), h); composing the
                 // side-aware transfers lets NaN-free bounds wash a
@@ -1455,9 +1454,23 @@ fn abs_builtin(name: &str, args: &[AbsVal]) -> AbsVal {
             _ => AbsVal::Top,
         },
         // Scalar-valued but unmodeled: any float.
-        "dot" | "length" | "distance" | "fract" | "exp" | "exp2" | "log" | "log2" | "rsqrt" | "pow"
-        | "fmod" | "step" | "atan2" | "tan" | "smoothstep" => AbsVal::flt_top(),
-        _ => AbsVal::Top,
+        Fun::Dot
+        | Fun::Length
+        | Fun::Distance
+        | Fun::Smoothstep
+        | Fun::Un(Un::Fract | Un::Exp | Un::Exp2 | Un::Log | Un::Log2 | Un::Rsqrt | Un::Tan | Un::Hermite)
+        | Fun::Bin(
+            Bin::Pow
+            | Bin::Fmod
+            | Bin::Step
+            | Bin::Atan2
+            | Bin::MulOneMinusB
+            | Bin::DivClamp01
+            | Bin::Add
+            | Bin::Sub
+            | Bin::Mul,
+        ) => AbsVal::flt_top(),
+        Fun::Lerp | Fun::Normalize => AbsVal::Top,
     }
 }
 
@@ -1973,18 +1986,18 @@ mod tests {
         // clamp(-5, lo in [0,2], 10) lands anywhere in [0, 2]: the
         // result's hi must come from the lo-bound's *upper* endpoint.
         assert_eq!(
-            abs_builtin("clamp", &[f(-5.0, -5.0), f(0.0, 2.0), f(10.0, 10.0)]),
+            abs_builtin(Fun::Clamp, &[f(-5.0, -5.0), f(0.0, 2.0), f(10.0, 10.0)]),
             f(0.0, 2.0)
         );
         // clamp(20, 0, hi in [5,8]) lands anywhere in [5, 8]: the
         // result's lo must come from the hi-bound's *lower* endpoint.
         assert_eq!(
-            abs_builtin("clamp", &[f(20.0, 20.0), f(0.0, 0.0), f(5.0, 8.0)]),
+            abs_builtin(Fun::Clamp, &[f(20.0, 20.0), f(0.0, 0.0), f(5.0, 8.0)]),
             f(5.0, 8.0)
         );
         // Constant bounds stay exact.
         assert_eq!(
-            abs_builtin("clamp", &[f(-4.0, 4.0), f(0.0, 0.0), f(1.0, 1.0)]),
+            abs_builtin(Fun::Clamp, &[f(-4.0, 4.0), f(0.0, 0.0), f(1.0, 1.0)]),
             f(0.0, 1.0)
         );
     }

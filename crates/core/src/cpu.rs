@@ -14,8 +14,8 @@ use crate::backend::{ir_kernel, BackendExecutor, BoundArg, KernelLaunch};
 use crate::error::{BrookError, Result};
 use crate::stream::StreamDesc;
 use brook_ir::eval::{
-    apply_assign, brook_bin_op, brook_to_glsl_type, coerce_to, eval_brook_builtin, gather_clamped,
-    lane_index, swizzle, value_from_slice,
+    apply_assign, brook_bin_op, brook_to_glsl_type, coerce_to, gather_clamped, lane_index, swizzle,
+    value_from_slice,
 };
 use brook_ir::interp as ir_interp;
 use brook_ir::lanes::LaneSlabs;
@@ -686,16 +686,12 @@ impl Interp<'_> {
                 _ => return Err(self.err("int() needs a scalar")),
             }));
         }
-        if brook_lang::builtins::builtin(callee).is_some() {
+        if let Some(b) = brook_lang::builtins::builtin(callee) {
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
-                let v = self.eval(a)?;
-                vals.push(match v {
-                    Value::Int(i) => Value::Float(i as f32),
-                    other => other,
-                });
+                vals.push(self.eval(a)?);
             }
-            return eval_brook_builtin(callee, &vals).map_err(|m| self.err(m));
+            return b.eval(&vals).map_err(|m| self.err(m));
         }
         // Helper function.
         let Some(f) = self.checked.program.function(callee) else {

@@ -35,7 +35,8 @@
 //! special floats and reduces and [`chain`]'s fused pipelines run on the
 //! same ladder; [`absint`], [`concurrent`], [`depth`] and [`faults`]
 //! check clamp elision, shared artifacts, front-end depth limits and
-//! fault recovery.
+//! fault recovery. `tests/builtin_edges.rs` runs every builtin on IEEE
+//! edge values across the matrix.
 //!
 //! Determinism: a campaign is a pure function of its [`FuzzConfig`]; CI
 //! runs a fixed seed, and a failure report names the seed so the exact

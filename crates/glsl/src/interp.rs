@@ -8,7 +8,8 @@
 //! availability property Brook Auto's certification argument builds on.
 
 use crate::error::ExecError;
-use crate::resolve::{BinKind, BuiltinId, Mask, RExpr, RFunction, RStmt, Ref, Shader};
+use crate::math;
+use crate::resolve::{BinKind, Mask, RExpr, RFunction, RStmt, Ref, Shader};
 use crate::value::{GlslType, Value};
 
 /// Per-fragment execution cost counters.
@@ -297,13 +298,14 @@ impl Interp<'_, '_> {
                     self.eval(f, frame)
                 }
             }
-            RExpr::Builtin(id, args) => {
+            RExpr::Builtin(b, args) => {
                 let mut vals = [Value::Float(0.0); 3];
                 for (i, a) in args.iter().enumerate() {
                     vals[i] = self.eval(a, frame)?;
                 }
-                self.cost.alu += id.cost();
-                eval_builtin(*id, &vals[..args.len()])
+                self.cost.alu += b.cost;
+                math::eval(b.fun, &vals[..args.len()])
+                    .ok_or_else(|| ExecError::new(format!("invalid arguments for builtin {:?}", b.fun)))
             }
             RExpr::CallUser(idx, args) => {
                 let callee = &self.shader.functions[*idx];
@@ -478,86 +480,6 @@ fn construct(ty: GlslType, args: &[Value]) -> Result<Value, ExecError> {
             }
             lanes.truncate(n);
             Ok(Value::from_lanes(&lanes))
-        }
-    }
-}
-
-fn eval_builtin(id: BuiltinId, args: &[Value]) -> Result<Value, ExecError> {
-    use BuiltinId::*;
-    let err = || ExecError::new(format!("invalid arguments for builtin {id:?}"));
-    let unary = |f: fn(f32) -> f32| args[0].map(f).ok_or_else(err);
-    match id {
-        Sin => unary(f32::sin),
-        Cos => unary(f32::cos),
-        Tan => unary(f32::tan),
-        Exp => unary(f32::exp),
-        Exp2 => unary(f32::exp2),
-        Log => unary(f32::ln),
-        Log2 => unary(f32::log2),
-        Sqrt => unary(f32::sqrt),
-        InverseSqrt => unary(|x| 1.0 / x.sqrt()),
-        Abs => unary(f32::abs),
-        Floor => unary(f32::floor),
-        Ceil => unary(f32::ceil),
-        Fract => unary(f32::fract),
-        Sign => unary(f32::signum),
-        Mod => args[0]
-            .zip(&args[1], |x, y| x - y * (x / y).floor())
-            .ok_or_else(err),
-        Min => args[0].zip(&args[1], f32::min).ok_or_else(err),
-        Max => args[0].zip(&args[1], f32::max).ok_or_else(err),
-        Step => args[0]
-            .zip(&args[1], |edge, x| if x < edge { 0.0 } else { 1.0 })
-            .ok_or_else(err),
-        Pow => args[0].zip(&args[1], f32::powf).ok_or_else(err),
-        Atan => args[0].zip(&args[1], f32::atan2).ok_or_else(err),
-        Clamp => {
-            let lo = args[0].zip(&args[1], f32::max).ok_or_else(err)?;
-            lo.zip(&args[2], f32::min).ok_or_else(err)
-        }
-        Mix => {
-            // mix(a, b, t) = a * (1 - t) + b * t, componentwise.
-            let a = &args[0];
-            let b = &args[1];
-            let t = &args[2];
-            let bt = b.zip(t, |x, tt| x * tt).ok_or_else(err)?;
-            let at = a.zip(t, |x, tt| x * (1.0 - tt)).ok_or_else(err)?;
-            at.zip(&bt, |x, y| x + y).ok_or_else(err)
-        }
-        Smoothstep => {
-            let e0 = &args[0];
-            let e1 = &args[1];
-            let x = &args[2];
-            let num = x.zip(e0, |a, b| a - b).ok_or_else(err)?;
-            let den = e1.zip(e0, |a, b| a - b).ok_or_else(err)?;
-            let t = num.zip(&den, |a, b| (a / b).clamp(0.0, 1.0)).ok_or_else(err)?;
-            t.map(|v| v * v * (3.0 - 2.0 * v)).ok_or_else(err)
-        }
-        Dot => {
-            let (a, b) = (args[0].lanes(), args[1].lanes());
-            if a.is_empty() || a.len() != b.len() {
-                return Err(err());
-            }
-            Ok(Value::Float(a.iter().zip(b).map(|(x, y)| x * y).sum()))
-        }
-        Length => {
-            let a = args[0].lanes();
-            if a.is_empty() {
-                return Err(err());
-            }
-            Ok(Value::Float(a.iter().map(|x| x * x).sum::<f32>().sqrt()))
-        }
-        Distance => {
-            let d = args[0].zip(&args[1], |x, y| x - y).ok_or_else(err)?;
-            Ok(Value::Float(d.lanes().iter().map(|x| x * x).sum::<f32>().sqrt()))
-        }
-        Normalize => {
-            let a = args[0].lanes();
-            if a.is_empty() {
-                return Err(err());
-            }
-            let len = a.iter().map(|x| x * x).sum::<f32>().sqrt();
-            args[0].map(|x| x / len).ok_or_else(err)
         }
     }
 }

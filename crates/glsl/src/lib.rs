@@ -12,7 +12,9 @@
 //!   declaration order, as the GLSL ES specification requires
 //!   ([`resolve`]);
 //! * a strict interpreter with per-fragment ALU/texture/branch cost
-//!   counters feeding the performance model ([`interp`]).
+//!   counters feeding the performance model ([`interp`]);
+//! * the builtin table every Brook engine shares, this interpreter
+//!   included ([`math`]).
 //!
 //! ```
 //! use glsl_es::{compile, run_fragment, FragmentEnv, Value};
@@ -27,6 +29,7 @@
 
 pub mod error;
 pub mod interp;
+pub mod math;
 pub mod resolve;
 pub mod syntax;
 pub mod value;

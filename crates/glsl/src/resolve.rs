@@ -7,92 +7,55 @@
 //! dedicated reference.
 
 use crate::error::ShaderError;
+use crate::math::{Bin, Fun, Un};
 use crate::syntax::{self, GlobalKind, PExpr, PStmt, Unit};
 use crate::value::{GlslType, Value};
 use std::collections::HashMap;
 
-/// Identifier of a built-in function.
+/// A resolved call to a built-in function: what it computes, in the
+/// shared table, and its ALU cost in simulator units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BuiltinId {
-    Sin,
-    Cos,
-    Tan,
-    Exp,
-    Exp2,
-    Log,
-    Log2,
-    Sqrt,
-    InverseSqrt,
-    Abs,
-    Floor,
-    Ceil,
-    Fract,
-    Sign,
-    Mod,
-    Min,
-    Max,
-    Clamp,
-    Mix,
-    Step,
-    Smoothstep,
-    Dot,
-    Length,
-    Distance,
-    Normalize,
-    Pow,
-    Atan,
+pub struct Builtin {
+    /// The table function.
+    pub(crate) fun: Fun,
+    /// ALU cost; transcendentals are multi-cycle.
+    pub(crate) cost: u64,
 }
 
-impl BuiltinId {
-    fn from_name(name: &str) -> Option<(BuiltinId, usize)> {
-        Some(match name {
-            "sin" => (BuiltinId::Sin, 1),
-            "cos" => (BuiltinId::Cos, 1),
-            "tan" => (BuiltinId::Tan, 1),
-            "exp" => (BuiltinId::Exp, 1),
-            "exp2" => (BuiltinId::Exp2, 1),
-            "log" => (BuiltinId::Log, 1),
-            "log2" => (BuiltinId::Log2, 1),
-            "sqrt" => (BuiltinId::Sqrt, 1),
-            "inversesqrt" => (BuiltinId::InverseSqrt, 1),
-            "abs" => (BuiltinId::Abs, 1),
-            "floor" => (BuiltinId::Floor, 1),
-            "ceil" => (BuiltinId::Ceil, 1),
-            "fract" => (BuiltinId::Fract, 1),
-            "sign" => (BuiltinId::Sign, 1),
-            "mod" => (BuiltinId::Mod, 2),
-            "min" => (BuiltinId::Min, 2),
-            "max" => (BuiltinId::Max, 2),
-            "clamp" => (BuiltinId::Clamp, 3),
-            "mix" => (BuiltinId::Mix, 3),
-            "step" => (BuiltinId::Step, 2),
-            "smoothstep" => (BuiltinId::Smoothstep, 3),
-            "dot" => (BuiltinId::Dot, 2),
-            "length" => (BuiltinId::Length, 1),
-            "distance" => (BuiltinId::Distance, 2),
-            "normalize" => (BuiltinId::Normalize, 1),
-            "pow" => (BuiltinId::Pow, 2),
-            "atan" => (BuiltinId::Atan, 2),
+impl Builtin {
+    /// Resolves a GLSL ES spelling to its builtin.
+    fn from_name(name: &str) -> Option<Builtin> {
+        let (fun, cost) = match name {
+            "sin" => (Fun::Un(Un::Sin), 4),
+            "cos" => (Fun::Un(Un::Cos), 4),
+            "tan" => (Fun::Un(Un::Tan), 6),
+            "exp" => (Fun::Un(Un::Exp), 4),
+            "exp2" => (Fun::Un(Un::Exp2), 4),
+            "log" => (Fun::Un(Un::Log), 4),
+            "log2" => (Fun::Un(Un::Log2), 4),
+            "sqrt" => (Fun::Un(Un::Sqrt), 4),
+            "inversesqrt" => (Fun::Un(Un::Rsqrt), 4),
+            "abs" => (Fun::Un(Un::Abs), 1),
+            "floor" => (Fun::Un(Un::Floor), 1),
+            "ceil" => (Fun::Un(Un::Ceil), 1),
+            "fract" => (Fun::Un(Un::Fract), 1),
+            "sign" => (Fun::Un(Un::Sign), 1),
+            "mod" => (Fun::Bin(Bin::Fmod), 2),
+            "min" => (Fun::Bin(Bin::Min), 1),
+            "max" => (Fun::Bin(Bin::Max), 1),
+            "clamp" => (Fun::Clamp, 1),
+            "mix" => (Fun::Lerp, 2),
+            "step" => (Fun::Bin(Bin::Step), 1),
+            "smoothstep" => (Fun::Smoothstep, 3),
+            "dot" => (Fun::Dot, 2),
+            "length" => (Fun::Length, 5),
+            "distance" => (Fun::Distance, 5),
+            "normalize" => (Fun::Normalize, 5),
+            "pow" => (Fun::Bin(Bin::Pow), 6),
+            "atan" => (Fun::Bin(Bin::Atan2), 6),
             _ => return None,
-        })
-    }
-
-    /// ALU cost in simulator units; transcendentals are multi-cycle.
-    pub fn cost(&self) -> u64 {
-        match self {
-            BuiltinId::Sin
-            | BuiltinId::Cos
-            | BuiltinId::Exp
-            | BuiltinId::Exp2
-            | BuiltinId::Log
-            | BuiltinId::Log2 => 4,
-            BuiltinId::Tan | BuiltinId::Pow | BuiltinId::Atan => 6,
-            BuiltinId::Sqrt | BuiltinId::InverseSqrt => 4,
-            BuiltinId::Normalize | BuiltinId::Length | BuiltinId::Distance => 5,
-            BuiltinId::Smoothstep => 3,
-            BuiltinId::Mix | BuiltinId::Dot | BuiltinId::Mod => 2,
-            _ => 1,
-        }
+        };
+        Some(Builtin { fun, cost })
     }
 }
 
@@ -148,7 +111,7 @@ pub enum RExpr {
     Neg(Box<RExpr>),
     Not(Box<RExpr>),
     Ternary(Box<RExpr>, Box<RExpr>, Box<RExpr>),
-    Builtin(BuiltinId, Vec<RExpr>),
+    Builtin(Builtin, Vec<RExpr>),
     CallUser(usize, Vec<RExpr>),
     Construct(GlslType, Vec<RExpr>),
     Swizzle(Box<RExpr>, Mask),
@@ -630,7 +593,8 @@ impl Resolver {
                     return Ok(RExpr::Construct(ty, args));
                 }
                 // Builtins.
-                if let Some((id, arity)) = BuiltinId::from_name(name) {
+                if let Some(b) = Builtin::from_name(name) {
+                    let arity = b.fun.arity();
                     if args.len() != arity {
                         return Err(ShaderError::resolve(format!(
                             "`{name}` takes {arity} argument(s), found {}",
@@ -641,7 +605,7 @@ impl Resolver {
                         .iter()
                         .map(|a| self.resolve_expr(a))
                         .collect::<Result<Vec<_>, _>>()?;
-                    return Ok(RExpr::Builtin(id, args));
+                    return Ok(RExpr::Builtin(b, args));
                 }
                 // User functions: declaration-before-use (rejects recursion).
                 let Some(&idx) = self.func_names.get(name) else {

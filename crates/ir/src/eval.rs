@@ -5,7 +5,9 @@
 //! so the IR interpreter and the tree-walking oracle execute *the same
 //! functions* — bit-exact agreement between the two is then a property
 //! of construction, not of testing luck. Both fuzz campaigns still
-//! assert it.
+//! assert it. Builtins are not here: every engine evaluates them
+//! through the shared table, [`glsl_es::math`] (on values via
+//! [`brook_lang::builtins::Builtin::eval`]).
 
 use brook_lang::ast::{AssignOp, BinOp, ScalarKind, Type};
 use glsl_es::Value;
@@ -265,74 +267,6 @@ pub fn gather_index(v: Value) -> Result<i64, String> {
         Value::Int(i) => Ok(i as i64),
         Value::Float(f) => Ok((f + 0.5).floor() as i64),
         _ => Err("gather index must be scalar".into()),
-    }
-}
-
-/// Evaluates a Brook builtin on already-promoted float arguments.
-///
-/// # Errors
-/// Operand shape mismatches.
-pub fn eval_brook_builtin(name: &str, args: &[Value]) -> Result<Value, String> {
-    let err = || format!("invalid arguments for `{name}`");
-    let unary = |f: fn(f32) -> f32| args[0].map(f).ok_or_else(err);
-    let binary = |f: fn(f32, f32) -> f32| args[0].zip(&args[1], f).ok_or_else(err);
-    match name {
-        "sin" => unary(f32::sin),
-        "cos" => unary(f32::cos),
-        "tan" => unary(f32::tan),
-        "exp" => unary(f32::exp),
-        "exp2" => unary(f32::exp2),
-        "log" => unary(f32::ln),
-        "log2" => unary(f32::log2),
-        "sqrt" => unary(f32::sqrt),
-        "rsqrt" => unary(|x| 1.0 / x.sqrt()),
-        "abs" => unary(f32::abs),
-        "floor" => unary(f32::floor),
-        "ceil" => unary(f32::ceil),
-        "fract" => unary(f32::fract),
-        "round" => unary(|x| (x + 0.5).floor()),
-        "sign" => unary(f32::signum),
-        "saturate" => unary(|x| x.clamp(0.0, 1.0)),
-        "normalize" => {
-            let len = args[0].lanes().iter().map(|x| x * x).sum::<f32>().sqrt();
-            args[0].map(|x| x / len).ok_or_else(err)
-        }
-        "min" => binary(f32::min),
-        "max" => binary(f32::max),
-        "pow" => binary(f32::powf),
-        "fmod" => binary(|a, b| a - b * (a / b).floor()),
-        "step" => binary(|edge, x| if x < edge { 0.0 } else { 1.0 }),
-        "atan2" => binary(f32::atan2),
-        "clamp" => {
-            let lo = args[0].zip(&args[1], f32::max).ok_or_else(err)?;
-            lo.zip(&args[2], f32::min).ok_or_else(err)
-        }
-        "lerp" => {
-            let bt = args[1].zip(&args[2], |x, t| x * t).ok_or_else(err)?;
-            let at = args[0].zip(&args[2], |x, t| x * (1.0 - t)).ok_or_else(err)?;
-            at.zip(&bt, |x, y| x + y).ok_or_else(err)
-        }
-        "smoothstep" => {
-            let num = args[2].zip(&args[0], |a, b| a - b).ok_or_else(err)?;
-            let den = args[1].zip(&args[0], |a, b| a - b).ok_or_else(err)?;
-            let t = num.zip(&den, |a, b| (a / b).clamp(0.0, 1.0)).ok_or_else(err)?;
-            t.map(|v| v * v * (3.0 - 2.0 * v)).ok_or_else(err)
-        }
-        "dot" => {
-            let (a, b) = (args[0].lanes(), args[1].lanes());
-            if a.is_empty() || a.len() != b.len() {
-                return Err(err());
-            }
-            Ok(Value::Float(a.iter().zip(b).map(|(x, y)| x * y).sum()))
-        }
-        "length" => Ok(Value::Float(
-            args[0].lanes().iter().map(|x| x * x).sum::<f32>().sqrt(),
-        )),
-        "distance" => {
-            let d = args[0].zip(&args[1], |x, y| x - y).ok_or_else(err)?;
-            Ok(Value::Float(d.lanes().iter().map(|x| x * x).sum::<f32>().sqrt()))
-        }
-        _ => Err(format!("builtin `{name}` not implemented on the CPU backend")),
     }
 }
 

@@ -424,16 +424,13 @@ impl Machine<'_, '_> {
                     self.regs[*dst as usize] = eval::value_from_slice(&lanes);
                 }
                 Inst::Builtin { dst, which, args } => {
-                    let mut vals = Vec::with_capacity(args.len());
-                    for r in args {
-                        vals.push(match self.regs[*r as usize] {
-                            Value::Int(i) => Value::Float(i as f32),
-                            other => other,
-                        });
+                    let mut vals = [Value::Float(0.0); 3];
+                    for (v, r) in vals.iter_mut().zip(args) {
+                        *v = self.regs[*r as usize];
                     }
-                    let b = &BUILTINS[*which as usize];
-                    self.regs[*dst as usize] =
-                        eval::eval_brook_builtin(b.name, &vals).map_err(|m| self.err_at(pc, m))?;
+                    self.regs[*dst as usize] = BUILTINS[*which as usize]
+                        .eval(&vals[..args.len()])
+                        .map_err(|m| self.err_at(pc, m))?;
                 }
                 Inst::Select { dst, cond, a, b } => {
                     let c = self.regs[*cond as usize]

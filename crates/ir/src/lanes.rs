@@ -50,6 +50,7 @@ use crate::interp::{
 use crate::{AssignOp, BinOp, Inst, IrKernel, LoopKind, Node, UnOp};
 use brook_lang::ast::{ParamKind, ScalarKind, Type};
 use brook_lang::builtins::BUILTINS;
+use glsl_es::math::{self, Bin, Fun, Un};
 use glsl_es::Value;
 use std::ops::Range;
 
@@ -156,50 +157,6 @@ pub(crate) enum BOp {
     Ne,
 }
 
-/// Componentwise unary builtins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Un1 {
-    Sin,
-    Cos,
-    Tan,
-    Exp,
-    Exp2,
-    Log,
-    Log2,
-    Sqrt,
-    Rsqrt,
-    Abs,
-    Floor,
-    Ceil,
-    Fract,
-    Round,
-    Sign,
-    Saturate,
-    /// The smoothstep finisher `v * v * (3 - 2v)`.
-    Hermite,
-}
-
-/// Componentwise binary builtins (zip semantics with scalar broadcast).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Bi2 {
-    Min,
-    Max,
-    Pow,
-    Fmod,
-    /// `step(edge, x)`.
-    Step,
-    Atan2,
-    /// `x * (1 - t)` — the lerp decomposition's left term.
-    MulOneMinusB,
-    /// `(a / b).clamp(0, 1)` — the smoothstep ramp.
-    DivClamp01,
-    /// Plain zip `a + b` / `a - b` / `a * b` used by the lerp,
-    /// smoothstep and distance decompositions.
-    Add2,
-    Sub2,
-    Mul,
-}
-
 /// One pre-decoded lane operation. Offsets index the engine's `f32`
 /// slab (`dst`/`src` in units of `f32`, one component = [`LANES`]
 /// consecutive entries), the `i32` slab, or the bool-mask slab,
@@ -301,13 +258,13 @@ pub(crate) enum Op {
         src: u32,
     },
     Map1 {
-        f: Un1,
+        f: Un,
         dst: u32,
         src: u32,
         w: u8,
     },
     Map2 {
-        f: Bi2,
+        f: Bin,
         dst: u32,
         w: u8,
         a: u32,
@@ -1447,12 +1404,10 @@ impl<'k> Planner<'k> {
     }
 
     fn decode_builtin(&mut self, dst: crate::Reg, which: u16, args: &[crate::Reg]) -> Result<(), String> {
-        let name = BUILTINS
-            .get(which as usize)
-            .map(|b| b.name)
-            .ok_or("unknown builtin")?;
-        // Arguments promote int -> float first, exactly as the scalar
-        // interpreter does before calling `eval_brook_builtin`.
+        let b = BUILTINS.get(which as usize).ok_or("unknown builtin")?;
+        let name = b.name;
+        // Arguments promote int -> float first, exactly as
+        // `Builtin::eval` does for the scalar interpreter.
         let mut a: Vec<(u32, LaneTy)> = Vec::with_capacity(args.len());
         for r in args {
             let p = self.promote(self.off(*r), self.ty(*r))?;
@@ -1466,20 +1421,10 @@ impl<'k> Planner<'k> {
                 _ => Err(format!("invalid arguments for `{name}`")),
             }
         };
-        let unary = |u: Un1, p: &mut Self, a: &[(u32, LaneTy)]| -> Result<LaneTy, String> {
-            let w = fw(a[0].1)?;
-            p.ops.push(Op::Map1 {
-                f: u,
-                dst: d,
-                src: a[0].0,
-                w,
-            });
-            Ok(LaneTy::F(w))
-        };
         // zip into an explicit destination
         fn zip_into(
             p: &mut Planner<'_>,
-            f: Bi2,
+            f: Bin,
             dst: u32,
             a: (u32, LaneTy),
             b: (u32, LaneTy),
@@ -1499,24 +1444,18 @@ impl<'k> Planner<'k> {
             });
             Ok(LaneTy::F(w))
         }
-        let result: LaneTy = match name {
-            "sin" => unary(Un1::Sin, self, &a)?,
-            "cos" => unary(Un1::Cos, self, &a)?,
-            "tan" => unary(Un1::Tan, self, &a)?,
-            "exp" => unary(Un1::Exp, self, &a)?,
-            "exp2" => unary(Un1::Exp2, self, &a)?,
-            "log" => unary(Un1::Log, self, &a)?,
-            "log2" => unary(Un1::Log2, self, &a)?,
-            "sqrt" => unary(Un1::Sqrt, self, &a)?,
-            "rsqrt" => unary(Un1::Rsqrt, self, &a)?,
-            "abs" => unary(Un1::Abs, self, &a)?,
-            "floor" => unary(Un1::Floor, self, &a)?,
-            "ceil" => unary(Un1::Ceil, self, &a)?,
-            "fract" => unary(Un1::Fract, self, &a)?,
-            "round" => unary(Un1::Round, self, &a)?,
-            "sign" => unary(Un1::Sign, self, &a)?,
-            "saturate" => unary(Un1::Saturate, self, &a)?,
-            "normalize" => {
+        let result: LaneTy = match b.op {
+            Fun::Un(f) => {
+                let w = fw(a[0].1)?;
+                self.ops.push(Op::Map1 {
+                    f,
+                    dst: d,
+                    src: a[0].0,
+                    w,
+                });
+                LaneTy::F(w)
+            }
+            Fun::Normalize => {
                 let w = fw(a[0].1)?;
                 self.ops.push(Op::Normalize {
                     dst: d,
@@ -1525,55 +1464,50 @@ impl<'k> Planner<'k> {
                 });
                 LaneTy::F(w)
             }
-            "min" => zip_into(self, Bi2::Min, d, a[0], a[1])?,
-            "max" => zip_into(self, Bi2::Max, d, a[0], a[1])?,
-            "pow" => zip_into(self, Bi2::Pow, d, a[0], a[1])?,
-            "fmod" => zip_into(self, Bi2::Fmod, d, a[0], a[1])?,
-            "step" => zip_into(self, Bi2::Step, d, a[0], a[1])?,
-            "atan2" => zip_into(self, Bi2::Atan2, d, a[0], a[1])?,
-            "clamp" => {
+            Fun::Bin(f) => zip_into(self, f, d, a[0], a[1])?,
+            Fun::Clamp => {
                 // lo = max(a0, a1); res = min(lo, a2)
                 let lw = Self::zip_w(a[0].1, a[1].1).ok_or("operand shape mismatch")?;
                 let lo = self.scratch_f(lw);
-                zip_into(self, Bi2::Max, lo, a[0], a[1])?;
-                zip_into(self, Bi2::Min, d, (lo, LaneTy::F(lw)), a[2])?
+                zip_into(self, Bin::Max, lo, a[0], a[1])?;
+                zip_into(self, Bin::Min, d, (lo, LaneTy::F(lw)), a[2])?
             }
-            "lerp" => {
+            Fun::Lerp => {
                 // bt = a1 * t; at = a0 * (1 - t); res = at + bt
                 let btw = Self::zip_w(a[1].1, a[2].1).ok_or("operand shape mismatch")?;
                 let bt = self.scratch_f(btw);
-                zip_into(self, Bi2::Mul, bt, a[1], a[2])?;
+                zip_into(self, Bin::Mul, bt, a[1], a[2])?;
                 let atw = Self::zip_w(a[0].1, a[2].1).ok_or("operand shape mismatch")?;
                 let at = self.scratch_f(atw);
-                zip_into(self, Bi2::MulOneMinusB, at, a[0], a[2])?;
-                zip_into(self, Bi2::Add2, d, (at, LaneTy::F(atw)), (bt, LaneTy::F(btw)))?
+                zip_into(self, Bin::MulOneMinusB, at, a[0], a[2])?;
+                zip_into(self, Bin::Add, d, (at, LaneTy::F(atw)), (bt, LaneTy::F(btw)))?
             }
-            "smoothstep" => {
+            Fun::Smoothstep => {
                 // num = a2 - a0; den = a1 - a0; t = clamp01(num / den); res = hermite(t)
                 let nw = Self::zip_w(a[2].1, a[0].1).ok_or("operand shape mismatch")?;
                 let num = self.scratch_f(nw);
-                zip_into(self, Bi2::Sub2, num, a[2], a[0])?;
+                zip_into(self, Bin::Sub, num, a[2], a[0])?;
                 let dw = Self::zip_w(a[1].1, a[0].1).ok_or("operand shape mismatch")?;
                 let den = self.scratch_f(dw);
-                zip_into(self, Bi2::Sub2, den, a[1], a[0])?;
+                zip_into(self, Bin::Sub, den, a[1], a[0])?;
                 let tw = Self::zip_w(LaneTy::F(nw), LaneTy::F(dw)).ok_or("operand shape mismatch")?;
                 let t = self.scratch_f(tw);
                 zip_into(
                     self,
-                    Bi2::DivClamp01,
+                    Bin::DivClamp01,
                     t,
                     (num, LaneTy::F(nw)),
                     (den, LaneTy::F(dw)),
                 )?;
                 self.ops.push(Op::Map1 {
-                    f: Un1::Hermite,
+                    f: Un::Hermite,
                     dst: d,
                     src: t,
                     w: tw,
                 });
                 LaneTy::F(tw)
             }
-            "dot" => {
+            Fun::Dot => {
                 let (wa, wb) = (fw(a[0].1)?, fw(a[1].1)?);
                 if wa != wb {
                     return Err(format!("invalid arguments for `{name}`"));
@@ -1586,7 +1520,7 @@ impl<'k> Planner<'k> {
                 });
                 LaneTy::F(1)
             }
-            "length" => {
+            Fun::Length => {
                 let w = fw(a[0].1)?;
                 self.ops.push(Op::Length {
                     dst: d,
@@ -1595,14 +1529,13 @@ impl<'k> Planner<'k> {
                 });
                 LaneTy::F(1)
             }
-            "distance" => {
+            Fun::Distance => {
                 let w = Self::zip_w(a[0].1, a[1].1).ok_or("operand shape mismatch")?;
                 let diff = self.scratch_f(w);
-                zip_into(self, Bi2::Sub2, diff, a[0], a[1])?;
+                zip_into(self, Bin::Sub, diff, a[0], a[1])?;
                 self.ops.push(Op::Length { dst: d, src: diff, w });
                 LaneTy::F(1)
             }
-            other => return Err(format!("builtin `{other}` not implemented on the CPU backend")),
         };
         if result != want {
             return Err(format!(
@@ -2219,25 +2152,7 @@ impl Engine<'_, '_> {
                             }
                         };
                     }
-                    match f {
-                        Un1::Sin => map1!(f32::sin),
-                        Un1::Cos => map1!(f32::cos),
-                        Un1::Tan => map1!(f32::tan),
-                        Un1::Exp => map1!(f32::exp),
-                        Un1::Exp2 => map1!(f32::exp2),
-                        Un1::Log => map1!(f32::ln),
-                        Un1::Log2 => map1!(f32::log2),
-                        Un1::Sqrt => map1!(f32::sqrt),
-                        Un1::Rsqrt => map1!(|x: f32| 1.0 / x.sqrt()),
-                        Un1::Abs => map1!(f32::abs),
-                        Un1::Floor => map1!(f32::floor),
-                        Un1::Ceil => map1!(f32::ceil),
-                        Un1::Fract => map1!(f32::fract),
-                        Un1::Round => map1!(|x: f32| (x + 0.5).floor()),
-                        Un1::Sign => map1!(f32::signum),
-                        Un1::Saturate => map1!(|x: f32| x.clamp(0.0, 1.0)),
-                        Un1::Hermite => map1!(|v: f32| v * v * (3.0 - 2.0 * v)),
-                    }
+                    glsl_es::with_prim!(un *f, g => map1!(g))
                 }
                 Op::Map2 {
                     f,
@@ -2260,52 +2175,32 @@ impl Engine<'_, '_> {
                             }
                         };
                     }
-                    match f {
-                        Bi2::Min => map2!(f32::min),
-                        Bi2::Max => map2!(f32::max),
-                        Bi2::Pow => map2!(f32::powf),
-                        Bi2::Fmod => map2!(|x: f32, y: f32| x - y * (x / y).floor()),
-                        Bi2::Step => map2!(|e: f32, x: f32| if x < e { 0.0 } else { 1.0 }),
-                        Bi2::Atan2 => map2!(f32::atan2),
-                        Bi2::MulOneMinusB => map2!(|x: f32, t: f32| x * (1.0 - t)),
-                        Bi2::DivClamp01 => map2!(|x: f32, y: f32| (x / y).clamp(0.0, 1.0)),
-                        Bi2::Add2 => map2!(|x: f32, y: f32| x + y),
-                        Bi2::Sub2 => map2!(|x: f32, y: f32| x - y),
-                        Bi2::Mul => map2!(|x: f32, y: f32| x * y),
-                    }
+                    glsl_es::with_prim!(bin *f, g => map2!(g))
                 }
                 Op::Dot { dst, a, b, w } => {
-                    let (d, x, y) = (*dst as usize, *a as usize, *b as usize);
+                    let (d, x, y, w) = (*dst as usize, *a as usize, *b as usize, *w as usize);
                     lanes_loop!(m, l, {
-                        let mut sum = 0.0f32;
-                        for c in 0..*w as usize {
-                            sum += self.f[x + c * LANES + l] * self.f[y + c * LANES + l];
-                        }
-                        self.f[d + l] = sum;
+                        let f = &self.f;
+                        self.f[d + l] = math::dot(w, |c| f[x + c * LANES + l], |c| f[y + c * LANES + l]);
                     });
                 }
                 Op::Length { dst, src, w } => {
-                    let (d, s) = (*dst as usize, *src as usize);
+                    let (d, s, w) = (*dst as usize, *src as usize, *w as usize);
                     lanes_loop!(m, l, {
-                        let mut sum = 0.0f32;
-                        for c in 0..*w as usize {
-                            let v = self.f[s + c * LANES + l];
-                            sum += v * v;
-                        }
-                        self.f[d + l] = sum.sqrt();
+                        let f = &self.f;
+                        self.f[d + l] = math::length(w, |c| f[s + c * LANES + l]);
                     });
                 }
                 Op::Normalize { dst, src, w } => {
-                    let (d, s) = (*dst as usize, *src as usize);
+                    let (d, s, w) = (*dst as usize, *src as usize, *w as usize);
                     lanes_loop!(m, l, {
-                        let mut sum = 0.0f32;
-                        for c in 0..*w as usize {
-                            let v = self.f[s + c * LANES + l];
-                            sum += v * v;
+                        let mut v = [0.0f32; 4];
+                        for (c, x) in v[..w].iter_mut().enumerate() {
+                            *x = self.f[s + c * LANES + l];
                         }
-                        let len = sum.sqrt();
-                        for c in 0..*w as usize {
-                            self.f[d + c * LANES + l] = self.f[s + c * LANES + l] / len;
+                        math::normalize(&mut v[..w]);
+                        for (c, x) in v[..w].iter().enumerate() {
+                            self.f[d + c * LANES + l] = *x;
                         }
                     });
                 }

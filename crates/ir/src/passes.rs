@@ -116,16 +116,8 @@ impl Pass for ConstFold {
                         None => None,
                     },
                     Inst::Builtin { which, args, .. } => {
-                        let vals: Option<Vec<Value>> = args
-                            .iter()
-                            .map(|r| {
-                                get(*r).map(|v| match v {
-                                    Value::Int(x) => Value::Float(x as f32),
-                                    other => other,
-                                })
-                            })
-                            .collect();
-                        vals.and_then(|v| eval::eval_brook_builtin(BUILTINS[*which as usize].name, &v).ok())
+                        let vals: Option<Vec<Value>> = args.iter().map(|r| get(*r)).collect();
+                        vals.and_then(|v| BUILTINS[*which as usize].eval(&v).ok())
                     }
                     _ => None,
                 };

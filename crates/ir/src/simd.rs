@@ -67,6 +67,7 @@ use crate::{AssignOp, Inst, IrKernel, KernelFacts, Node, ParamKind, Reg};
 use brook_lang::ast::ScalarKind;
 use brook_lang::builtins::BUILTINS;
 use brook_lang::ReduceOp;
+use glsl_es::math::{Bin, Fun};
 use std::ops::Range;
 
 // ---------------------------------------------------------------------------
@@ -1225,9 +1226,9 @@ pub fn reduce_combine_site(k: &IrKernel) -> Result<CombineSite, String> {
     let op = k
         .reduce_op
         .ok_or("combine is not a recognized reduction operator")?;
-    let builtin_name = match op {
-        ReduceOp::Min => "min",
-        ReduceOp::Max => "max",
+    let (combine, combine_name) = match op {
+        ReduceOp::Min => (Fun::Bin(Bin::Min), "min"),
+        ReduceOp::Max => (Fun::Bin(Bin::Max), "max"),
         ReduceOp::Add => return Err("f32 sum folds serially (reassociation changes rounding)".into()),
         ReduceOp::Mul => return Err("f32 product folds serially (reassociation changes rounding)".into()),
     };
@@ -1295,9 +1296,9 @@ pub fn reduce_combine_site(k: &IrKernel) -> Result<CombineSite, String> {
     let Inst::Builtin { dst: t, which, args } = &k.insts[builtin_pc] else {
         unreachable!("matched above");
     };
-    if BUILTINS[*which as usize].name != builtin_name {
+    if BUILTINS[*which as usize].op != combine {
         return Err(format!(
-            "accumulator read by `{}`, not the `{builtin_name}` combine",
+            "accumulator read by `{}`, not the `{combine_name}` combine",
             BUILTINS[*which as usize].name
         ));
     }

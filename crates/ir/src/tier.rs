@@ -82,10 +82,11 @@
 
 use crate::interp::{domain_extents, input_index, Binding, ExecError, MAX_ITERATIONS};
 use crate::lanes::{
-    self, BOp, Bi2, COp, FOp, IOp, LaneKernel, LaneProgram, LaneSlabs, LaneTy, Mask, Op, Un1, FULL, LANES,
+    self, BOp, COp, FOp, IOp, LaneKernel, LaneProgram, LaneSlabs, LaneTy, Mask, Op, FULL, LANES,
 };
 use crate::simd::{self, SimdLevel};
 use crate::{IrKernel, IrProgram, LoopKind, LoopNode, Node};
+use glsl_es::math::{Bin, Un};
 use glsl_es::Value;
 use std::fmt;
 use std::ops::Range;
@@ -728,132 +729,6 @@ macro_rules! with_cop {
     };
 }
 
-macro_rules! with_un1 {
-    ($op:expr, $g:ident, $e:expr) => {
-        match $op {
-            Un1::Sin => {
-                let $g = f32::sin;
-                $e
-            }
-            Un1::Cos => {
-                let $g = f32::cos;
-                $e
-            }
-            Un1::Tan => {
-                let $g = f32::tan;
-                $e
-            }
-            Un1::Exp => {
-                let $g = f32::exp;
-                $e
-            }
-            Un1::Exp2 => {
-                let $g = f32::exp2;
-                $e
-            }
-            Un1::Log => {
-                let $g = f32::ln;
-                $e
-            }
-            Un1::Log2 => {
-                let $g = f32::log2;
-                $e
-            }
-            Un1::Sqrt => {
-                let $g = f32::sqrt;
-                $e
-            }
-            Un1::Rsqrt => {
-                let $g = |x: f32| 1.0 / x.sqrt();
-                $e
-            }
-            Un1::Abs => {
-                let $g = f32::abs;
-                $e
-            }
-            Un1::Floor => {
-                let $g = f32::floor;
-                $e
-            }
-            Un1::Ceil => {
-                let $g = f32::ceil;
-                $e
-            }
-            Un1::Fract => {
-                let $g = f32::fract;
-                $e
-            }
-            Un1::Round => {
-                let $g = |x: f32| (x + 0.5).floor();
-                $e
-            }
-            Un1::Sign => {
-                let $g = f32::signum;
-                $e
-            }
-            Un1::Saturate => {
-                let $g = |x: f32| x.clamp(0.0, 1.0);
-                $e
-            }
-            Un1::Hermite => {
-                let $g = |v: f32| v * v * (3.0 - 2.0 * v);
-                $e
-            }
-        }
-    };
-}
-
-macro_rules! with_bi2 {
-    ($op:expr, $g:ident, $e:expr) => {
-        match $op {
-            Bi2::Min => {
-                let $g = f32::min;
-                $e
-            }
-            Bi2::Max => {
-                let $g = f32::max;
-                $e
-            }
-            Bi2::Pow => {
-                let $g = f32::powf;
-                $e
-            }
-            Bi2::Fmod => {
-                let $g = |x: f32, y: f32| x - y * (x / y).floor();
-                $e
-            }
-            Bi2::Step => {
-                let $g = |e: f32, x: f32| if x < e { 0.0 } else { 1.0 };
-                $e
-            }
-            Bi2::Atan2 => {
-                let $g = f32::atan2;
-                $e
-            }
-            Bi2::MulOneMinusB => {
-                let $g = |x: f32, t: f32| x * (1.0 - t);
-                $e
-            }
-            Bi2::DivClamp01 => {
-                let $g = |x: f32, y: f32| (x / y).clamp(0.0, 1.0);
-                $e
-            }
-            Bi2::Add2 => {
-                let $g = |x: f32, y: f32| x + y;
-                $e
-            }
-            Bi2::Sub2 => {
-                let $g = |x: f32, y: f32| x - y;
-                $e
-            }
-            Bi2::Mul => {
-                let $g = |x: f32, y: f32| x * y;
-                $e
-            }
-        }
-    };
-}
-
 /// Componentwise float zip (`ArithF` / `Map2`) with pre-resolved
 /// broadcast handling.
 fn zip2_step<G>(g: G, dst: usize, w: usize, a: usize, ab: bool, b: usize, bb: bool) -> Step
@@ -1289,13 +1164,13 @@ fn vf_of(op: FOp) -> Option<simd::VfOp> {
 /// bit-exact NaN/tie-preserving sequences; the synthetic fusion
 /// builtins map to plain arith. Everything else (pow, step, atan2,
 /// fmod) keeps its scalar body — libm calls have no vector form here.
-fn vf_of_bi2(f: Bi2) -> Option<simd::VfOp> {
+fn vf_of_bin(f: Bin) -> Option<simd::VfOp> {
     Some(match f {
-        Bi2::Min => simd::VfOp::Min,
-        Bi2::Max => simd::VfOp::Max,
-        Bi2::Add2 => simd::VfOp::Add,
-        Bi2::Sub2 => simd::VfOp::Sub,
-        Bi2::Mul => simd::VfOp::Mul,
+        Bin::Min => simd::VfOp::Min,
+        Bin::Max => simd::VfOp::Max,
+        Bin::Add => simd::VfOp::Add,
+        Bin::Sub => simd::VfOp::Sub,
+        Bin::Mul => simd::VfOp::Mul,
         _ => return None,
     })
 }
@@ -1303,10 +1178,10 @@ fn vf_of_bi2(f: Bi2) -> Option<simd::VfOp> {
 /// Unary builtins with explicit vector kernels: `sqrtps` is IEEE
 /// correctly-rounded (identical to scalar `sqrt`), abs/neg are pure
 /// sign-bit ops. The transcendental family stays scalar.
-fn vu_of(f: Un1) -> Option<simd::VuOp> {
+fn vu_of(f: Un) -> Option<simd::VuOp> {
     Some(match f {
-        Un1::Sqrt => simd::VuOp::Sqrt,
-        Un1::Abs => simd::VuOp::Abs,
+        Un::Sqrt => simd::VuOp::Sqrt,
+        Un::Abs => simd::VuOp::Abs,
         _ => return None,
     })
 }
@@ -1396,7 +1271,7 @@ fn simd_step_for(op: &Op, level: SimdLevel) -> Option<Step> {
             b,
             bb,
         } => {
-            let vop = vf_of_bi2(*f)?;
+            let vop = vf_of_bin(*f)?;
             Some(simd_zip2(
                 level,
                 vop,
@@ -1755,10 +1630,9 @@ fn step_for(op: &Op, level: SimdLevel) -> Step {
             ab,
             b,
             bb,
-        } => with_bi2!(
-            *f,
-            g,
-            zip2_step(g, *dst as usize, *w as usize, *a as usize, *ab, *b as usize, *bb)
+        } => glsl_es::with_prim!(
+            bin *f,
+            g => zip2_step(g, *dst as usize, *w as usize, *a as usize, *ab, *b as usize, *bb)
         ),
         Op::ArithI { op, dst, a, b } => {
             with_iop!(*op, g, arithi_step(g, *dst as usize, *a as usize, *b as usize))
@@ -1808,7 +1682,7 @@ fn step_for(op: &Op, level: SimdLevel) -> Step {
             })
         }
         Op::Map1 { f, dst, src, w } => {
-            with_un1!(*f, g, map1_step(g, *dst as usize, *src as usize, *w as usize))
+            glsl_es::with_prim!(un *f, g => map1_step(g, *dst as usize, *src as usize, *w as usize))
         }
         Op::SelF { dst, cond, a, b, w } => {
             let (d, cnd, a, b, w) = (

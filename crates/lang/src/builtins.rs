@@ -1,7 +1,10 @@
 //! Built-in function signatures shared by the type checker, the CPU
-//! interpreter backend and the GLSL ES code generator.
+//! engines and the GLSL ES code generator; each entry names its
+//! semantics in the shared table, [`glsl_es::math`].
 
 use crate::ast::Type;
+use glsl_es::math::{self, Bin, Fun, Un};
+use glsl_es::Value;
 
 /// Shape of a builtin's signature relative to its float-vector argument
 /// width `N` (1..=4).
@@ -26,14 +29,47 @@ pub enum BuiltinSig {
 pub struct Builtin {
     /// Brook-side name.
     pub name: &'static str,
-    /// Signature shape.
-    pub sig: BuiltinSig,
+    /// What it computes, in the shared builtin table; its signature
+    /// shape follows ([`Builtin::sig`]).
+    pub op: Fun,
     /// GLSL ES 1.00 spelling (differs for e.g. `lerp` -> `mix`).
     pub glsl_name: &'static str,
     /// Approximate ALU cost in simulator instruction units, used by the
     /// interpreter cost accounting (transcendentals are multi-cycle on
     /// every embedded GPU).
     pub cost: u32,
+}
+
+impl Builtin {
+    /// Signature shape, read off what the builtin computes.
+    pub fn sig(&self) -> BuiltinSig {
+        match self.op {
+            Fun::Un(_) | Fun::Normalize => BuiltinSig::MapUnary,
+            Fun::Bin(_) => BuiltinSig::MapBinary,
+            Fun::Clamp | Fun::Lerp | Fun::Smoothstep => BuiltinSig::MapTernary,
+            Fun::Dot | Fun::Distance => BuiltinSig::DotLike,
+            Fun::Length => BuiltinSig::LengthLike,
+        }
+    }
+
+    /// Evaluates the builtin through the shared table, promoting int
+    /// arguments to float first (Brook's implicit conversion). Every
+    /// engine that works on values (the AST walker, the IR interpreter,
+    /// constant folding) calls this.
+    ///
+    /// # Errors
+    /// Operand shape mismatches.
+    pub fn eval(&self, args: &[Value]) -> Result<Value, String> {
+        let mut vals = [Value::Float(0.0); 3];
+        for (v, a) in vals.iter_mut().zip(args) {
+            *v = match *a {
+                Value::Int(i) => Value::Float(i as f32),
+                other => other,
+            };
+        }
+        math::eval(self.op, &vals[..args.len()])
+            .ok_or_else(|| format!("invalid arguments for `{}`", self.name))
+    }
 }
 
 /// The builtin function table of the Brook Auto subset.
@@ -43,175 +79,175 @@ pub struct Builtin {
 pub const BUILTINS: &[Builtin] = &[
     Builtin {
         name: "sin",
-        sig: BuiltinSig::MapUnary,
+        op: Fun::Un(Un::Sin),
         glsl_name: "sin",
         cost: 4,
     },
     Builtin {
         name: "cos",
-        sig: BuiltinSig::MapUnary,
+        op: Fun::Un(Un::Cos),
         glsl_name: "cos",
         cost: 4,
     },
     Builtin {
         name: "tan",
-        sig: BuiltinSig::MapUnary,
+        op: Fun::Un(Un::Tan),
         glsl_name: "tan",
         cost: 6,
     },
     Builtin {
         name: "exp",
-        sig: BuiltinSig::MapUnary,
+        op: Fun::Un(Un::Exp),
         glsl_name: "exp",
         cost: 4,
     },
     Builtin {
         name: "exp2",
-        sig: BuiltinSig::MapUnary,
+        op: Fun::Un(Un::Exp2),
         glsl_name: "exp2",
         cost: 4,
     },
     Builtin {
         name: "log",
-        sig: BuiltinSig::MapUnary,
+        op: Fun::Un(Un::Log),
         glsl_name: "log",
         cost: 4,
     },
     Builtin {
         name: "log2",
-        sig: BuiltinSig::MapUnary,
+        op: Fun::Un(Un::Log2),
         glsl_name: "log2",
         cost: 4,
     },
     Builtin {
         name: "sqrt",
-        sig: BuiltinSig::MapUnary,
+        op: Fun::Un(Un::Sqrt),
         glsl_name: "sqrt",
         cost: 4,
     },
     Builtin {
         name: "rsqrt",
-        sig: BuiltinSig::MapUnary,
+        op: Fun::Un(Un::Rsqrt),
         glsl_name: "inversesqrt",
         cost: 4,
     },
     Builtin {
         name: "abs",
-        sig: BuiltinSig::MapUnary,
+        op: Fun::Un(Un::Abs),
         glsl_name: "abs",
         cost: 1,
     },
     Builtin {
         name: "floor",
-        sig: BuiltinSig::MapUnary,
+        op: Fun::Un(Un::Floor),
         glsl_name: "floor",
         cost: 1,
     },
     Builtin {
         name: "ceil",
-        sig: BuiltinSig::MapUnary,
+        op: Fun::Un(Un::Ceil),
         glsl_name: "ceil",
         cost: 1,
     },
     Builtin {
         name: "fract",
-        sig: BuiltinSig::MapUnary,
+        op: Fun::Un(Un::Fract),
         glsl_name: "fract",
         cost: 1,
     },
     Builtin {
         name: "round",
-        sig: BuiltinSig::MapUnary,
+        op: Fun::Un(Un::Round),
         glsl_name: "floor",
         cost: 2,
     },
     Builtin {
         name: "sign",
-        sig: BuiltinSig::MapUnary,
+        op: Fun::Un(Un::Sign),
         glsl_name: "sign",
         cost: 1,
     },
     Builtin {
         name: "saturate",
-        sig: BuiltinSig::MapUnary,
+        op: Fun::Un(Un::Saturate),
         glsl_name: "clamp",
         cost: 1,
     },
     Builtin {
         name: "normalize",
-        sig: BuiltinSig::MapUnary,
+        op: Fun::Normalize,
         glsl_name: "normalize",
         cost: 6,
     },
     Builtin {
         name: "min",
-        sig: BuiltinSig::MapBinary,
+        op: Fun::Bin(Bin::Min),
         glsl_name: "min",
         cost: 1,
     },
     Builtin {
         name: "max",
-        sig: BuiltinSig::MapBinary,
+        op: Fun::Bin(Bin::Max),
         glsl_name: "max",
         cost: 1,
     },
     Builtin {
         name: "pow",
-        sig: BuiltinSig::MapBinary,
+        op: Fun::Bin(Bin::Pow),
         glsl_name: "pow",
         cost: 6,
     },
     Builtin {
         name: "fmod",
-        sig: BuiltinSig::MapBinary,
+        op: Fun::Bin(Bin::Fmod),
         glsl_name: "mod",
         cost: 2,
     },
     Builtin {
         name: "step",
-        sig: BuiltinSig::MapBinary,
+        op: Fun::Bin(Bin::Step),
         glsl_name: "step",
         cost: 1,
     },
     Builtin {
         name: "atan2",
-        sig: BuiltinSig::MapBinary,
+        op: Fun::Bin(Bin::Atan2),
         glsl_name: "atan",
         cost: 8,
     },
     Builtin {
         name: "clamp",
-        sig: BuiltinSig::MapTernary,
+        op: Fun::Clamp,
         glsl_name: "clamp",
         cost: 1,
     },
     Builtin {
         name: "lerp",
-        sig: BuiltinSig::MapTernary,
+        op: Fun::Lerp,
         glsl_name: "mix",
         cost: 2,
     },
     Builtin {
         name: "smoothstep",
-        sig: BuiltinSig::MapTernary,
+        op: Fun::Smoothstep,
         glsl_name: "smoothstep",
         cost: 3,
     },
     Builtin {
         name: "dot",
-        sig: BuiltinSig::DotLike,
+        op: Fun::Dot,
         glsl_name: "dot",
         cost: 2,
     },
     Builtin {
         name: "distance",
-        sig: BuiltinSig::DotLike,
+        op: Fun::Distance,
         glsl_name: "distance",
         cost: 6,
     },
     Builtin {
         name: "length",
-        sig: BuiltinSig::LengthLike,
+        op: Fun::Length,
         glsl_name: "length",
         cost: 5,
     },
@@ -224,7 +260,7 @@ pub fn builtin(name: &str) -> Option<&'static Builtin> {
 
 /// Result type of a builtin applied to float arguments of width `n`.
 pub fn builtin_result_type(b: &Builtin, n: u8) -> Type {
-    match b.sig {
+    match b.sig() {
         BuiltinSig::MapUnary | BuiltinSig::MapBinary | BuiltinSig::MapTernary => Type::float(n),
         BuiltinSig::DotLike | BuiltinSig::LengthLike => Type::FLOAT,
     }
@@ -232,11 +268,7 @@ pub fn builtin_result_type(b: &Builtin, n: u8) -> Type {
 
 /// Number of arguments the builtin expects.
 pub fn builtin_arity(b: &Builtin) -> usize {
-    match b.sig {
-        BuiltinSig::MapUnary | BuiltinSig::LengthLike => 1,
-        BuiltinSig::MapBinary | BuiltinSig::DotLike => 2,
-        BuiltinSig::MapTernary => 3,
-    }
+    b.op.arity()
 }
 
 #[cfg(test)]

@@ -831,7 +831,7 @@ impl Checker {
                 );
                 return None;
             }
-            if matches!(b.sig, BuiltinSig::DotLike) && tys.iter().any(|t| t.width != width) {
+            if matches!(b.sig(), BuiltinSig::DotLike) && tys.iter().any(|t| t.width != width) {
                 self.err("T026", format!("`{callee}` requires equal-width vectors"), e.span);
                 return None;
             }

@@ -18,10 +18,14 @@
 //!   paper.
 //!
 //! The encoding is IEEE-754 binary32 layout in little-endian channel
-//! order (x = mantissa low byte, w = sign + exponent high bits), with two
-//! deviations required by the GPU path: denormals flush to zero and
-//! NaN/Inf saturate to the largest finite value. [`canonicalize`] applies
-//! the same rules on the CPU so both paths agree bit-for-bit.
+//! order (x = mantissa low byte, w = sign + exponent high bits), with
+//! three deviations required by the GPU path: denormals flush to zero,
+//! infinities saturate to the largest finite value of their sign, and
+//! NaN, which no shader stores portably, becomes 0. [`canonicalize`]
+//! applies these rules on the CPU. One
+//! difference remains: [`canonicalize`] keeps the sign of a zero (and
+//! of a flushed denormal), while [`GLSL_ENCODE`] writes every zero as
+//! +0.0.
 //!
 //! ```
 //! use brook_numfmt::{decode_f32, encode_f32};
@@ -29,8 +33,9 @@
 //! assert_eq!(decode_f32(bytes), -123.456);
 //! ```
 
-/// Largest-magnitude value the format represents; NaN and infinities
-/// saturate here (GPU shaders cannot produce or store NaN portably).
+/// Largest-magnitude value the format represents; infinities saturate
+/// here (GPU shaders cannot produce or store NaN or infinity portably;
+/// NaN becomes 0).
 pub const MAX_MAGNITUDE: f32 = f32::MAX;
 
 /// Maps a float onto the representable set: denormals flush to zero,
