@@ -14,7 +14,8 @@
 //!
 //! * [`crate::cpu::CpuBackend`] — the serial reference interpreter;
 //! * [`crate::cpu_parallel::ParallelCpuBackend`] — the same element
-//!   semantics, with the output domain split across worker threads;
+//!   semantics, with the output domain split into pieces that the
+//!   caller and a process-wide helper pool claim;
 //! * the OpenGL ES 2.0 simulator backend behind
 //!   [`crate::BrookContext::gles2`] (native-float or packed-RGBA8
 //!   storage, selected by the device profile).

@@ -273,8 +273,9 @@ impl BrookContext {
 
     /// A context executing kernels on the data-parallel CPU backend: the
     /// same element semantics as [`BrookContext::cpu`], with the output
-    /// domain split across worker threads. Results are bit-identical to
-    /// the serial backend.
+    /// domain split into pieces that the calling thread and a
+    /// process-wide helper pool claim. Results are bit-identical to the
+    /// serial backend.
     pub fn cpu_parallel() -> Self {
         Self::with_backend(Box::new(ParallelCpuBackend::new()), CertConfig::default())
     }

@@ -934,10 +934,7 @@ where
 }
 
 /// Serial full-domain IR run (the default `runner` for
-/// [`dispatch_ir_on_host`]): the Tier-2 closure chain when the compiler
-/// admitted the kernel, the lane engine in element blocks when only the
-/// lane planner did, the scalar interpreter otherwise — bit-identical
-/// every way, by the engines' fallback guarantees.
+/// [`dispatch_ir_on_host`]): [`ir_run_range`] over the whole domain.
 pub(crate) fn ir_run_full(
     slabs: &mut LaneSlabs,
     kernel: &brook_ir::IrKernel,
@@ -949,33 +946,44 @@ pub(crate) fn ir_run_full(
 ) -> Result<()> {
     let (dx, dy, _) = ir_interp::domain_extents(domain_shape);
     let mut slices: Vec<&mut [f32]> = outputs.iter_mut().map(|v| v.as_mut_slice()).collect();
-    let range = 0..dx * dy;
+    ir_run_range(
+        slabs,
+        kernel,
+        lane,
+        tier,
+        bindings,
+        &mut slices,
+        domain_shape,
+        0..dx * dy,
+    )
+}
+
+/// One IR run over `range` of the domain, into `outputs` sliced from
+/// `range.start`: the Tier-2 closure chain when the compiler admitted
+/// the kernel, the lane engine in element blocks when only the lane
+/// planner did, the scalar interpreter otherwise — bit-identical every
+/// way, by the engines' fallback guarantees.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn ir_run_range(
+    slabs: &mut LaneSlabs,
+    kernel: &brook_ir::IrKernel,
+    lane: Option<&brook_ir::lanes::LaneKernel>,
+    tier: Option<&brook_ir::tier::TierKernel>,
+    bindings: &[ir_interp::Binding<'_>],
+    outputs: &mut [&mut [f32]],
+    domain_shape: &[usize],
+    range: std::ops::Range<usize>,
+) -> Result<()> {
     match (tier, lane) {
-        (Some(tk), Some(lk)) => brook_ir::tier::run_kernel_range_in(
-            slabs,
-            tk,
-            lk,
-            kernel,
-            bindings,
-            &mut slices,
-            domain_shape,
-            range,
-        )
-        .map_err(exec_err),
-        (None, Some(lk)) => brook_ir::lanes::run_kernel_range_in(
-            slabs,
-            lk,
-            kernel,
-            bindings,
-            &mut slices,
-            domain_shape,
-            range,
-        )
-        .map_err(exec_err),
-        _ => {
-            ir_interp::run_kernel_range(kernel, bindings, &mut slices, domain_shape, range).map_err(exec_err)
+        (Some(tk), Some(lk)) => {
+            brook_ir::tier::run_kernel_range_in(slabs, tk, lk, kernel, bindings, outputs, domain_shape, range)
         }
+        (None, Some(lk)) => {
+            brook_ir::lanes::run_kernel_range_in(slabs, lk, kernel, bindings, outputs, domain_shape, range)
+        }
+        _ => ir_interp::run_kernel_range(kernel, bindings, outputs, domain_shape, range),
     }
+    .map_err(exec_err)
 }
 
 /// The serial CPU backend — the reference semantics every other backend

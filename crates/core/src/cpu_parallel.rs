@@ -3,13 +3,23 @@
 //!
 //! Brook kernels are forbidden from communicating between elements (no
 //! shared mutable state, no scatter), which is the paper's certification
-//! argument *and* a parallelization licence: the output domain can be
-//! split into contiguous chunks evaluated on worker threads with zero
-//! synchronization beyond the final join. Each worker runs the same
-//! IR engines as [`crate::cpu::CpuBackend`] over a disjoint domain range,
-//! writing into a disjoint slice of each output buffer, so results are
-//! **bit-identical** to the serial backend no matter how many workers
-//! run.
+//! argument *and* a parallelization licence: any split of the output
+//! domain gives the same bits. A launch splits its domain into
+//! `LANES`-aligned pieces, about `PIECES_PER_PARTICIPANT` per
+//! participant, and pre-splits every output buffer into matching
+//! disjoint slices. The participants — the calling thread and the
+//! helpers of the process-wide pool (`pool.rs`) — claim pieces
+//! from an atomic counter until none are left, so a participant whose
+//! pieces ran cheap (mandelbrot's rows cost unevenly) takes more. Each
+//! piece runs the same IR engines as [`crate::cpu::CpuBackend`] in the
+//! claiming thread's own slab frame, reused across launches, so results
+//! are **bit-identical** to the serial backend whoever runs which piece.
+//!
+//! A failing launch reports the error of its lowest-index failing
+//! piece, which is the serial backend's first failing element; pieces
+//! after a known failure are not claimed. One launch holds the pool at a
+//! time: a launch that finds it busy (another context's) runs every
+//! piece on its caller.
 //!
 //! Reductions stay serial by default: a chunked tree fold would change
 //! the floating-point association order and break bit-equality with
@@ -18,27 +28,45 @@
 //! (`brook_ir::simd::ReduceKernel`): its admission proof (NaN-free,
 //! sign-definite `min`/`max` operands) makes the combine a lattice
 //! operation whose result is one unique bit pattern under *any*
-//! association, so the map phase parallelizes across workers and the
-//! fold stays bit-identical to the serial backend by construction.
+//! association, so the map phase is claimed piece by piece like a
+//! launch, into a partials buffer the backend keeps, and the fold stays
+//! bit-identical to the serial backend by construction.
 
 use crate::backend::{ir_kernel, BackendExecutor, KernelLaunch};
 use crate::cpu;
 use crate::error::{BrookError, Result};
+use crate::pool;
 use crate::stream::StreamDesc;
 use brook_ir::interp as ir_interp;
+use brook_ir::lanes::{LaneSlabs, LANES};
 use brook_ir::IrKernel;
 use brook_lang::{CheckedProgram, ReduceOp};
+use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
-/// Below this many output elements the thread fan-out costs more than it
+/// Below this many output elements the fan-out costs more than it
 /// saves; dispatches run serially on the calling thread through
 /// `ir_run_full` (Tier-2 when the kernel was admitted, else the lane
 /// engine, else the scalar interpreter).
 pub const PARALLEL_THRESHOLD: usize = 256;
 
-/// Upper bound on worker threads (beyond this the interpreter is memory-
-/// bound and extra workers only add scheduling noise).
-const MAX_WORKERS: usize = 16;
+/// Upper bound on a launch's participants, and so on the pool's threads
+/// (beyond this the interpreter is memory-bound and extra workers only
+/// add scheduling noise).
+pub(crate) const MAX_WORKERS: usize = 16;
+
+/// Pieces a launch cuts per participant: enough that a participant
+/// that finishes early claims more while the others still run.
+const PIECES_PER_PARTICIPANT: usize = 8;
+
+thread_local! {
+    /// The slab frame this thread runs its launches and pieces in,
+    /// caller or pool helper: sized on first use and reused by every
+    /// later launch.
+    static FRAME: RefCell<LaneSlabs> = RefCell::new(LaneSlabs::new());
+}
 
 /// The parallel CPU interpreter backend.
 ///
@@ -47,12 +75,13 @@ const MAX_WORKERS: usize = 16;
 pub struct ParallelCpuBackend {
     streams: Vec<(StreamDesc, Vec<f32>)>,
     workers: usize,
-    /// The slab frame launches below the fan-out threshold reuse.
-    slabs: brook_ir::lanes::LaneSlabs,
+    /// The admitted reduce's map-phase partials, reused across reduces.
+    partials: Vec<f32>,
 }
 
 impl ParallelCpuBackend {
-    /// A backend using one worker per available core (capped).
+    /// A backend whose launches may use one participant per available
+    /// core (capped): the caller and every helper of the pool.
     pub fn new() -> Self {
         let workers = std::thread::available_parallelism()
             .map_or(1, |n| n.get())
@@ -60,25 +89,27 @@ impl ParallelCpuBackend {
         Self::with_workers(workers)
     }
 
-    /// A backend with an explicit worker count (`0` is clamped to 1;
-    /// `1` degenerates to the serial path).
+    /// A backend whose launches use at most `workers` participants: the
+    /// caller plus up to `workers − 1` pool helpers, never more than the
+    /// pool has (`0` is clamped to 1; `1` degenerates to the serial
+    /// path). A launch that finds the pool busy runs on its caller alone.
     pub fn with_workers(workers: usize) -> Self {
         ParallelCpuBackend {
             streams: Vec::new(),
             workers: workers.max(1),
-            slabs: brook_ir::lanes::LaneSlabs::new(),
+            partials: Vec::new(),
         }
     }
 
     /// The admitted vectorized reduce: per-element combine operands are
-    /// produced by the map phase in parallel over disjoint slices of a
-    /// fixed partials buffer, then folded in index order with the SIMD
-    /// combine. Deterministic regardless of worker count or timing —
-    /// and, by the admission proof, bitwise equal to the serial fold.
-    /// Any worker fault discards the partials and reruns the serial
-    /// fold so error surfaces stay canonical.
+    /// produced by the map phase, claimed piece by piece, into disjoint
+    /// slices of the backend's partials buffer, then folded in index
+    /// order with the SIMD combine. Deterministic regardless of who ran
+    /// which piece — and, by the admission proof, bitwise equal to the
+    /// serial fold. Any map fault discards the partials and reruns the
+    /// serial fold so error surfaces stay canonical.
     fn reduce_vectorized(
-        &self,
+        &mut self,
         rk: &brook_ir::simd::ReduceKernel,
         kernel: &IrKernel,
         input: usize,
@@ -88,41 +119,23 @@ impl ParallelCpuBackend {
         if n < PARALLEL_THRESHOLD || self.workers == 1 {
             return brook_ir::simd::run_reduce(rk, kernel, data).map_err(cpu::exec_err);
         }
-        let mut xs = vec![rk.op.identity(); n];
-        let chunk = n.div_ceil(self.workers).div_ceil(brook_ir::lanes::LANES) * brook_ir::lanes::LANES;
-        let ranges: Vec<Range<usize>> = (0..self.workers)
-            .map(|w| (w * chunk).min(n)..((w + 1) * chunk).min(n))
-            .filter(|r| !r.is_empty())
-            .collect();
-        let mut slices: Vec<&mut [f32]> = Vec::with_capacity(ranges.len());
-        let mut rest: &mut [f32] = &mut xs;
-        for r in &ranges {
-            let (head, tail) = rest.split_at_mut(r.len());
-            slices.push(head);
-            rest = tail;
-        }
-        let ok = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .zip(slices)
-                .map(|(range, out)| {
-                    let range = range.clone();
-                    scope.spawn(move || rk.run_map(data, out, n, range))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .all(|h| h.join().map(|r| r.is_ok()).unwrap_or(false))
+        let xs = &mut self.partials;
+        xs.clear();
+        xs.resize(n, rk.op.identity());
+        let ranges = pieces(n, self.workers);
+        let outs = split_pieces(xs, &ranges, 1);
+        let mapped = claim_pieces(outs, self.workers - 1, |i, out| {
+            rk.run_map(data, out, n, ranges[i].clone()).map_err(cpu::exec_err)
         });
-        if !ok {
+        if mapped.is_err() {
             // Canonical error surface: the serial fold reproduces the
             // exact element attribution and message.
             return ir_interp::run_reduce(kernel, data).map_err(cpu::exec_err);
         }
-        Ok(brook_ir::simd::fold(rk.op, rk.level, &xs))
+        Ok(brook_ir::simd::fold(rk.op, rk.level, xs))
     }
 
-    /// The worker count this backend fans out to.
+    /// The most participants a launch of this backend uses.
     pub fn workers(&self) -> usize {
         self.workers
     }
@@ -140,14 +153,78 @@ impl Default for ParallelCpuBackend {
     }
 }
 
-/// Runs a launch over `domain_shape`, fanning contiguous domain chunks
-/// out to scoped worker threads. Output buffers are pre-split into
-/// per-chunk slices so workers never share mutable state, and each
-/// worker runs the flat IR engine over its disjoint range — bit-exact
-/// with the serial IR backend for any worker count. When the kernel
-/// carries a lane plan, each worker executes the lane engine and chunk
-/// boundaries are aligned to lane-block multiples, so workers iterate
-/// whole register slabs — only the final chunk sees a remainder block.
+/// Splits `0..total` into `LANES`-aligned pieces, about
+/// [`PIECES_PER_PARTICIPANT`] per participant of a launch capped at
+/// `workers` participants.
+fn pieces(total: usize, workers: usize) -> Vec<Range<usize>> {
+    let participants = workers.min(pool::helpers() + 1);
+    let len = total
+        .div_ceil(participants * PIECES_PER_PARTICIPANT)
+        .max(1)
+        .next_multiple_of(LANES);
+    (0..total).step_by(len).map(|s| s..(s + len).min(total)).collect()
+}
+
+/// Cuts `buf`, `width` floats per domain element, into one disjoint
+/// slice per piece.
+fn split_pieces<'a>(mut buf: &'a mut [f32], ranges: &[Range<usize>], width: usize) -> Vec<&'a mut [f32]> {
+    ranges
+        .iter()
+        .map(|r| {
+            let (head, tail) = std::mem::take(&mut buf).split_at_mut(r.len() * width);
+            buf = tail;
+            head
+        })
+        .collect()
+}
+
+/// Runs `run(i, &mut slots[i])` for every piece `i` on the caller and
+/// up to `helpers` pool helpers, each claiming the next piece from an
+/// atomic counter until none are left. Once a piece fails, later pieces
+/// are no longer claimed; every earlier one still runs, so the error
+/// returned is the lowest-index failing piece's whatever the timing.
+fn claim_pieces<T: Send>(
+    slots: Vec<T>,
+    helpers: usize,
+    run: impl Fn(usize, &mut T) -> Result<()> + Sync,
+) -> Result<()> {
+    let slots: Vec<Mutex<T>> = slots.into_iter().map(Mutex::new).collect();
+    // Both counters publish no data (each slot and the failure sit
+    // behind their own mutex), so they are Relaxed. `first_failed` only
+    // ever holds a failing piece's index, so a stale read merely runs a
+    // piece that could have been skipped.
+    let next = AtomicUsize::new(0);
+    let first_failed = AtomicUsize::new(usize::MAX);
+    let failure: Mutex<Option<(usize, BrookError)>> = Mutex::new(None);
+    pool::broadcast(helpers, &|| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= slots.len() || i > first_failed.load(Ordering::Relaxed) {
+            return;
+        }
+        let mut slot = slots[i].lock().expect("each piece is claimed once");
+        if let Err(e) = run(i, &mut slot) {
+            first_failed.fetch_min(i, Ordering::Relaxed);
+            let mut failure = failure.lock().expect("nothing panics holding the failure");
+            if failure.as_ref().is_none_or(|(j, _)| i < *j) {
+                *failure = Some((i, e));
+            }
+        }
+    })?;
+    match failure.into_inner().expect("nothing panics holding the failure") {
+        Some((_, e)) => Err(e),
+        None => Ok(()),
+    }
+}
+
+/// Runs a launch over `domain_shape` on the caller and up to
+/// `workers − 1` pool helpers. Output buffers are pre-split into
+/// per-piece slices so participants never share mutable state, and
+/// each piece runs the serial backend's engine choice
+/// (`cpu::ir_run_range`) over its disjoint range in the claiming
+/// thread's slab frame — bit-exact with the serial IR backend for any
+/// participant count. Pieces are `LANES`-aligned, so the lane engines
+/// iterate whole register slabs and only the final piece sees a
+/// remainder block.
 #[allow(clippy::too_many_arguments)]
 fn run_parallel_ir(
     kernel: &IrKernel,
@@ -160,81 +237,32 @@ fn run_parallel_ir(
 ) -> Result<()> {
     let (dx, dy, _) = ir_interp::domain_extents(domain_shape);
     let total = dx * dy;
-    let widths: Vec<usize> = outputs
-        .iter()
-        .map(|buf| {
-            debug_assert!(buf.len().is_multiple_of(total.max(1)));
-            buf.len() / total.max(1)
-        })
-        .collect();
-    let mut chunk = total.div_ceil(workers);
-    if lane.is_some() {
-        chunk = chunk.div_ceil(brook_ir::lanes::LANES) * brook_ir::lanes::LANES;
+    if total == 0 {
+        return Ok(());
     }
-    let ranges: Vec<Range<usize>> = (0..workers)
-        .map(|w| (w * chunk).min(total)..((w + 1) * chunk).min(total))
-        .filter(|r| !r.is_empty())
-        .collect();
-    let mut per_chunk: Vec<Vec<&mut [f32]>> = ranges.iter().map(|_| Vec::new()).collect();
-    for (oi, buf) in outputs.iter_mut().enumerate() {
-        let mut rest: &mut [f32] = buf;
-        for (ci, r) in ranges.iter().enumerate() {
-            let (head, tail) = rest.split_at_mut(r.len() * widths[oi]);
-            per_chunk[ci].push(head);
-            rest = tail;
+    let ranges = pieces(total, workers);
+    let mut per_piece: Vec<Vec<&mut [f32]>> = ranges.iter().map(|_| Vec::new()).collect();
+    for buf in outputs.iter_mut() {
+        debug_assert!(buf.len().is_multiple_of(total));
+        let width = buf.len() / total;
+        for (outs, slice) in per_piece.iter_mut().zip(split_pieces(buf, &ranges, width)) {
+            outs.push(slice);
         }
     }
-    let results: Vec<Result<()>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .zip(per_chunk)
-            .map(|(range, mut outs)| {
-                let range = range.clone();
-                scope.spawn(move || match (tier, lane) {
-                    // The worker's slab frame: allocated once here and
-                    // reused across every block in the chunk (`_in`
-                    // entry points), instead of rebuilt per dispatch.
-                    (Some(tk), Some(lk)) => {
-                        let mut slabs = brook_ir::lanes::LaneSlabs::new();
-                        brook_ir::tier::run_kernel_range_in(
-                            &mut slabs,
-                            tk,
-                            lk,
-                            kernel,
-                            bindings,
-                            &mut outs,
-                            domain_shape,
-                            range,
-                        )
-                        .map_err(cpu::exec_err)
-                    }
-                    (None, Some(lk)) => {
-                        let mut slabs = brook_ir::lanes::LaneSlabs::new();
-                        brook_ir::lanes::run_kernel_range_in(
-                            &mut slabs,
-                            lk,
-                            kernel,
-                            bindings,
-                            &mut outs,
-                            domain_shape,
-                            range,
-                        )
-                        .map_err(cpu::exec_err)
-                    }
-                    _ => ir_interp::run_kernel_range(kernel, bindings, &mut outs, domain_shape, range)
-                        .map_err(cpu::exec_err),
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|_| Err(BrookError::Usage("parallel CPU worker panicked".into())))
-            })
-            .collect()
-    });
-    results.into_iter().collect()
+    claim_pieces(per_piece, workers - 1, |i, outs| {
+        FRAME.with_borrow_mut(|slabs| {
+            cpu::ir_run_range(
+                slabs,
+                kernel,
+                lane,
+                tier,
+                bindings,
+                outs,
+                domain_shape,
+                ranges[i].clone(),
+            )
+        })
+    })
 }
 
 impl BackendExecutor for ParallelCpuBackend {
@@ -277,9 +305,8 @@ impl BackendExecutor for ParallelCpuBackend {
                 run_parallel_ir(k, lane, tier, bindings, outs, domain, workers)
             })
         } else {
-            let slabs = &mut self.slabs;
             cpu::dispatch_ir_on_host(&mut self.streams, launch, kernel, |k, bindings, outs, domain| {
-                cpu::ir_run_full(slabs, k, lane, tier, bindings, outs, domain)
+                FRAME.with_borrow_mut(|slabs| cpu::ir_run_full(slabs, k, lane, tier, bindings, outs, domain))
             })
         }
     }
@@ -466,10 +493,10 @@ mod tests {
         assert_eq!(totals[0].to_bits(), totals[1].to_bits());
     }
 
-    /// A zero-length domain produces zero chunks: every range is empty
-    /// and filtered out, no worker spawns, and the call succeeds with
-    /// untouched (empty) outputs. The public API rejects zero-sized
-    /// streams, so this pins the internal chunking edge directly.
+    /// A zero-length domain produces zero pieces: no pool helper is
+    /// woken, and the call succeeds with untouched (empty) outputs. The
+    /// public API rejects zero-sized streams, so this pins the internal
+    /// piece-splitting edge directly.
     #[test]
     fn zero_length_domain_spawns_no_workers() {
         let checked =
@@ -594,6 +621,47 @@ mod tests {
         );
         // The context stays usable after the failed dispatch.
         assert_eq!(ctx.read(&a).expect("read"), vec![1.0; n]);
+    }
+
+    /// Under dynamic claiming the error is still the serial backend's,
+    /// text for text: two elements in different pieces trip the
+    /// iteration budget, and the later piece reaches its fault first in
+    /// time (its other elements finish at once) but does not win.
+    #[test]
+    fn first_failing_piece_gives_the_serial_error() {
+        // Elements 300 and 3000 spin until the budget trips. Elements
+        // 290..300 share element 300's piece for any piece length and
+        // first count to four million between them, about a budget's
+        // worth, so the piece holding element 3000 (every other element
+        // costs nothing) faults first in time. A launch that kept the
+        // first error in time would report element 3000.
+        let src = "kernel void spin(float a<>, out float o<>) {
+            float s = a;
+            if (a > 0.5) { while (s > 0.0) { s += 1.0; } }
+            if (a < -0.5) { int i; for (i = 0; i < 400000; i++) { s = s + 1.0; } }
+            o = s;
+        }";
+        let n = 4096;
+        let data: Vec<f32> = (0..n)
+            .map(|i| match i {
+                300 | 3000 => 1.0,
+                290..300 => -1.0,
+                _ => 0.0,
+            })
+            .collect();
+        let error_on = |mut ctx: BrookContext| -> String {
+            ctx.enforce_certification = false;
+            let module = ctx.compile(src).expect("compile (uncertified)");
+            let a = ctx.stream(&[n]).expect("a");
+            let o = ctx.stream(&[n]).expect("o");
+            ctx.write(&a, &data).expect("write");
+            ctx.run(&module, "spin", &[Arg::Stream(&a), Arg::Stream(&o)])
+                .expect_err("must fail")
+                .to_string()
+        };
+        let serial = error_on(BrookContext::cpu());
+        assert!(serial.contains("iteration budget"), "unexpected error: {serial}");
+        assert_eq!(error_on(BrookContext::cpu_parallel()), serial);
     }
 
     /// The Tier-2 closure chain runs inside every worker with its own

@@ -72,6 +72,7 @@ pub mod cpu_parallel;
 pub mod error;
 pub(crate) mod gpu;
 pub mod graph;
+pub(crate) mod pool;
 pub mod resilience;
 pub mod stream;
 
