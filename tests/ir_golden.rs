@@ -1,22 +1,51 @@
-//! Golden BrookIR snapshots for representative applications.
+//! Golden BrookIR snapshots for the eleven suite applications.
 //!
 //! `BrookContext::emit_ir` renders the lowered, optimized and
 //! re-certified IR in its canonical textual form; these tests pin that
-//! rendering for four structurally distinct apps — a gather-driven
-//! matrix kernel (sgemm), an `indexof`-driven bounded-loop kernel
-//! (mandelbrot), a log-stepped scan pass (prefix_sum) and a 3×3
-//! convolution (image_filter) — so any change to lowering, the pass
-//! pipeline or the printer is a reviewed diff, not an accident.
+//! rendering (`<app>.ir`) and the cert-gated pass pipeline's provenance
+//! records (`<app>.passes`, the `Debug` form of `report.passes`) for
+//! every app of `brook_apps::kernel_sources()`, so any change to
+//! lowering, the pass pipeline or the printer is a reviewed diff, not
+//! an accident.
 //!
 //! Re-bless with `BROOK_BLESS=1 cargo test --test ir_golden`.
 
 use brook_auto::BrookContext;
 use std::path::PathBuf;
 
-fn check_golden(name: &str, source: &str) {
+/// Compares `actual` with the fixture `tests/golden_ir/<file>`, or
+/// writes it under `BROOK_BLESS`.
+fn check_fixture(name: &str, file: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests")
+        .join("golden_ir")
+        .join(file);
+    if std::env::var_os("BROOK_BLESS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, actual).unwrap();
+        return;
+    }
+    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden fixture {} ({e}); run with BROOK_BLESS=1 to create it",
+            path.display()
+        )
+    });
+    assert_eq!(
+        actual, expected,
+        "{name}: {file} drifted from its golden fixture; if intentional, re-bless with BROOK_BLESS=1"
+    );
+}
+
+/// Pins the optimized IR and the pass records of suite app `name`.
+fn check_golden(name: &str) {
+    let (_, source) = brook_apps::kernel_sources()
+        .into_iter()
+        .find(|(app, _)| *app == name)
+        .unwrap_or_else(|| panic!("{name}: not a suite app"));
     let mut ctx = BrookContext::cpu();
     let module = ctx
-        .compile(source)
+        .compile(&source)
         .unwrap_or_else(|e| panic!("{name}: compile: {e}"));
     let ir = ctx
         .emit_ir(&module)
@@ -27,45 +56,67 @@ fn check_golden(name: &str, source: &str) {
         ctx.emit_ir(&module).unwrap(),
         "{name}: emit_ir is nondeterministic"
     );
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden_ir")
-        .join(format!("{name}.ir"));
-    if std::env::var_os("BROOK_BLESS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &ir).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden fixture {} ({e}); run with BROOK_BLESS=1 to create it",
-            path.display()
-        )
-    });
-    assert_eq!(
-        ir, expected,
-        "{name}: IR drifted from its golden fixture; if intentional, re-bless with BROOK_BLESS=1"
+    check_fixture(name, &format!("{name}.ir"), &ir);
+    check_fixture(
+        name,
+        &format!("{name}.passes"),
+        &format!("{:#?}\n", module.report.passes),
     );
 }
 
 #[test]
 fn sgemm_ir_matches_golden() {
-    check_golden("sgemm", &brook_apps::sgemm::kernel_source(8));
+    check_golden("sgemm");
 }
 
 #[test]
 fn mandelbrot_ir_matches_golden() {
-    check_golden("mandelbrot", &brook_apps::mandelbrot::kernel_source());
+    check_golden("mandelbrot");
 }
 
 #[test]
 fn prefix_sum_ir_matches_golden() {
-    check_golden("prefix_sum", brook_apps::prefix_sum::KERNEL);
+    check_golden("prefix_sum");
 }
 
 #[test]
 fn image_filter_ir_matches_golden() {
-    check_golden("image_filter", brook_apps::image_filter::KERNEL);
+    check_golden("image_filter");
+}
+
+#[test]
+fn flops_ir_matches_golden() {
+    check_golden("flops");
+}
+
+#[test]
+fn binomial_ir_matches_golden() {
+    check_golden("binomial");
+}
+
+#[test]
+fn black_scholes_ir_matches_golden() {
+    check_golden("black_scholes");
+}
+
+#[test]
+fn spmv_ir_matches_golden() {
+    check_golden("spmv");
+}
+
+#[test]
+fn binary_search_ir_matches_golden() {
+    check_golden("binary_search");
+}
+
+#[test]
+fn bitonic_sort_ir_matches_golden() {
+    check_golden("bitonic_sort");
+}
+
+#[test]
+fn floyd_warshall_ir_matches_golden() {
+    check_golden("floyd_warshall");
 }
 
 /// The golden renderings include the structural artifacts the IR layer
