@@ -267,11 +267,32 @@ pub fn check_program(p: &IrProgram, config: &CertConfig) -> (Vec<IrKernelCheck>,
 /// Runs `passes` over every kernel under the rollback gate. Returns the
 /// provenance records (store them in `ComplianceReport::passes`).
 pub fn optimize_program(p: &mut IrProgram, config: &CertConfig, passes: &[Box<dyn Pass>]) -> Vec<PassRecord> {
-    let mut records = Vec::new();
-    for k in &mut p.kernels {
-        let baseline_ok = check_kernel(k, config).is_compliant();
-        for pass in passes {
-            let snapshot = k.clone();
+    let baseline: Vec<bool> = p
+        .kernels
+        .iter()
+        .map(|k| check_kernel(k, config).is_compliant())
+        .collect();
+    optimize_program_from(p, &baseline, config, passes)
+}
+
+/// [`optimize_program`] for a caller that has just re-checked the
+/// program: `baseline[i]` is whether `p.kernels[i]` was compliant
+/// before the passes (the verdicts of [`check_program`]), so the gate
+/// does not check the same IR a second time.
+///
+/// Each kernel is snapshotted once; the snapshot is re-taken only after
+/// an accepted change, and a rollback restores it in place.
+pub fn optimize_program_from(
+    p: &mut IrProgram,
+    baseline: &[bool],
+    config: &CertConfig,
+    passes: &[Box<dyn Pass>],
+) -> Vec<PassRecord> {
+    assert_eq!(baseline.len(), p.kernels.len(), "one baseline verdict per kernel");
+    let mut records = Vec::with_capacity(p.kernels.len() * passes.len());
+    for (k, &baseline_ok) in p.kernels.iter_mut().zip(baseline) {
+        let mut snapshot = k.clone();
+        for (i, pass) in passes.iter().enumerate() {
             // Gate on the actual diff, not the pass's self-reported
             // flag: a buggy pass that mutates but returns false is
             // exactly the threat this pipeline exists to contain.
@@ -281,7 +302,7 @@ pub fn optimize_program(p: &mut IrProgram, config: &CertConfig, passes: &[Box<dy
             } else {
                 match verify(k) {
                     Err(e) => {
-                        *k = snapshot;
+                        k.clone_from(&snapshot);
                         PassAction::RolledBack {
                             reason: e.to_string(),
                         }
@@ -296,9 +317,14 @@ pub fn optimize_program(p: &mut IrProgram, config: &CertConfig, passes: &[Box<dy
                                 .find(|f| f.severity == Severity::Error)
                                 .map(|f| format!("[{}] {} (source {})", f.rule.code(), f.message, f.span))
                                 .unwrap_or_else(|| "unspecified violation".into());
-                            *k = snapshot;
+                            k.clone_from(&snapshot);
                             PassAction::RolledBack { reason: first }
                         } else {
+                            // The next pass diffs against, and rolls
+                            // back to, the accepted kernel.
+                            if i + 1 < passes.len() {
+                                snapshot.clone_from(k);
+                            }
                             PassAction::Applied { changed: true }
                         }
                     }

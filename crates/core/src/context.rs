@@ -346,9 +346,11 @@ impl BrookContext {
             }
             return Err(BrookError::Usage(format!("internal lowering failure: {e}")));
         }
+        // Lower → re-gate: the IR-level re-check must agree that the
+        // lowered program is still certifiable. Its verdicts are the pass
+        // gate's baseline, so the lowered IR is checked once.
+        let mut baseline = None;
         if self.enforce_certification {
-            // Lower → re-gate: the IR-level re-check must agree that the
-            // lowered program is still certifiable.
             let (checks, ok) = brook_cert::ir_check::check_program(&ir, &self.cert_config);
             if !ok {
                 let first = checks
@@ -361,11 +363,12 @@ impl BrookContext {
                     "internal: lowering broke certifiability: {first}"
                 )));
             }
+            baseline = Some(checks.iter().map(|c| c.is_compliant()).collect::<Vec<_>>());
         }
         // Optimize and analyze. Abstract interpretation contributes
         // provable-fault findings (BA013/BA014) and the refined
         // admission estimate to each kernel.
-        let mut front = self.front_from_ir(Arc::new(checked), ir, report);
+        let mut front = self.front_from_ir(Arc::new(checked), ir, report, baseline.as_deref());
         let report = &mut front.report;
         for ka in &report.analysis.kernels {
             let Some(kr) = report.kernels.iter_mut().find(|r| r.kernel == ka.kernel) else {
@@ -393,20 +396,25 @@ impl BrookContext {
 
     /// The post-lowering front [`compile_artifact`](Self::compile_artifact)
     /// and graph fusion share: the cert-gated pass pipeline, then
-    /// abstract interpretation, recorded in `report`.
+    /// abstract interpretation, recorded in `report`. `baseline` holds
+    /// each kernel's IR-level verdict when the caller has just checked
+    /// `ir`; without it the pass gate checks the kernels itself.
     pub(crate) fn front_from_ir(
         &self,
         checked: Arc<CheckedProgram>,
         mut ir: IrProgram,
         mut report: ComplianceReport,
+        baseline: Option<&[bool]>,
     ) -> Front {
         // Optimize under the cert rollback gate, recording provenance.
         if self.ir_optimize {
-            report.passes = brook_cert::ir_check::optimize_program(
-                &mut ir,
-                &self.cert_config,
-                &brook_ir::passes::default_passes(),
-            );
+            let passes = brook_ir::passes::default_passes();
+            report.passes = match baseline {
+                Some(b) => {
+                    brook_cert::ir_check::optimize_program_from(&mut ir, b, &self.cert_config, &passes)
+                }
+                None => brook_cert::ir_check::optimize_program(&mut ir, &self.cert_config, &passes),
+            };
         }
         // Abstract interpretation over the optimized IR: value-range
         // facts, provable-fault findings, gather proofs for clamp

@@ -1001,6 +1001,8 @@ pub struct CpuBackend {
     use_ast_walker: bool,
     /// The slab frame every serial lane/Tier-2 launch reuses.
     slabs: LaneSlabs,
+    /// The admitted reduce's map-phase partials, reused across reduces.
+    partials: Vec<f32>,
 }
 
 impl CpuBackend {
@@ -1087,7 +1089,9 @@ impl BackendExecutor for CpuBackend {
         // fold; faults rerun the serial fold for the canonical error
         // surface.
         if let Some(rk) = simd {
-            return brook_ir::simd::run_reduce(rk, k, &self.streams[input].1).map_err(exec_err);
+            let data = &self.streams[input].1;
+            return brook_ir::simd::run_reduce_in(&mut self.slabs, &mut self.partials, rk, k, data)
+                .map_err(exec_err);
         }
         ir_interp::run_reduce(k, &self.streams[input].1).map_err(exec_err)
     }

@@ -116,16 +116,20 @@ impl ParallelCpuBackend {
     ) -> Result<f32> {
         let data = &self.streams[input].1;
         let n = data.len();
-        if n < PARALLEL_THRESHOLD || self.workers == 1 {
-            return brook_ir::simd::run_reduce(rk, kernel, data).map_err(cpu::exec_err);
-        }
         let xs = &mut self.partials;
+        if n < PARALLEL_THRESHOLD || self.workers == 1 {
+            return FRAME
+                .with_borrow_mut(|slabs| brook_ir::simd::run_reduce_in(slabs, xs, rk, kernel, data))
+                .map_err(cpu::exec_err);
+        }
         xs.clear();
         xs.resize(n, rk.op.identity());
         let ranges = pieces(n, self.workers);
         let outs = split_pieces(xs, &ranges, 1);
         let mapped = claim_pieces(outs, self.workers - 1, |i, out| {
-            rk.run_map(data, out, n, ranges[i].clone()).map_err(cpu::exec_err)
+            FRAME
+                .with_borrow_mut(|slabs| rk.run_map_in(slabs, data, out, n, ranges[i].clone()))
+                .map_err(cpu::exec_err)
         });
         if mapped.is_err() {
             // Canonical error surface: the serial fold reproduces the

@@ -683,11 +683,14 @@ impl<'ctx> BrookGraph<'ctx> {
         }
         // Fused kernels take the same post-lowering halves as `compile`
         // (passes and analysis, then lane/tier/reduce planning for this
-        // context's engine); provable faults unfuse the chain.
+        // context's engine), with the check above as the pass gate's
+        // baseline; provable faults unfuse the chain.
         let program = IrProgram {
             kernels: vec![kernel],
         };
-        let front = self.ctx.front_from_ir(checked, program, Default::default());
+        let front = self
+            .ctx
+            .front_from_ir(checked, program, Default::default(), Some(&[true]));
         if front.report.analysis.kernels.iter().any(|k| !k.faults.is_empty()) {
             return None;
         }

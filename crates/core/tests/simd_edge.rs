@@ -5,7 +5,7 @@
 //! result bit for bit (outputs, partial writes and error text alike).
 
 use brook_auto::{Arg, BrookContext};
-use brook_ir::lanes::LANES;
+use brook_ir::lanes::{LaneSlabs, LANES};
 use brook_ir::simd::{self, SimdLevel, SimdMode};
 
 /// Arithmetic kernel exercising the vectorized step repertoire:
@@ -172,7 +172,8 @@ fn reduce_zero_length_and_singleton_domains_match_scalar() {
         .unwrap_or_else(|| panic!("rmin must be admitted: {:?}", plans.decision("rmin")));
     let k = &ir.kernels[0];
     for data in [&[][..], &[7.5f32][..], &[0.25f32][..], &[f32::NAN][..]] {
-        let vectorized = brook_ir::simd::run_reduce(rk, k, data).expect("vectorized reduce");
+        let vectorized = brook_ir::simd::run_reduce_in(&mut LaneSlabs::new(), &mut Vec::new(), rk, k, data)
+            .expect("vectorized reduce");
         let serial = brook_ir::interp::run_reduce(k, data).expect("serial reduce");
         assert_eq!(
             vectorized.to_bits(),
@@ -285,4 +286,62 @@ fn public_api_fault_renders_identically_with_and_without_simd() {
     assert_eq!(scalar, render(SimdMode::Sse2));
     assert!(scalar.contains(&format!("element {bad},")), "{scalar}");
     assert!(scalar.contains("source line 3:"), "{scalar}");
+}
+
+/// Both CPU backends keep the admitted reduce's slab frame and partials
+/// buffer across reductions. A context that reduces a longer stream
+/// whose minimum sits past the end of the next, shorter one must give
+/// the shorter stream's own minimum: each result is bitwise equal to
+/// the AST oracle's, so no partial of an earlier reduce survives. The
+/// lengths cover the serial path (100, 37) and, with more than one
+/// core, the parallel map (1000, 300).
+#[test]
+fn reused_reduce_partials_hold_nothing_of_an_earlier_reduce() {
+    let data = |n: usize, dip: Option<usize>| -> Vec<f32> {
+        (0..n)
+            .map(|i| {
+                if Some(i) == dip {
+                    0.625
+                } else {
+                    1.25 + (i % 13) as f32 * 0.0625
+                }
+            })
+            .collect()
+    };
+    let runs = [
+        data(100, Some(60)),
+        data(37, None),
+        data(1000, Some(700)),
+        data(300, None),
+    ];
+    // Whether the vectorized fold was admitted, and each run's result.
+    let reduce_all = |mut ctx: BrookContext| -> (bool, Vec<f32>) {
+        let module = ctx.compile(REDUCE_MIN_SRC).expect("compile");
+        let admitted = module.report.simd_reduces.iter().any(|r| r.admitted);
+        let results = runs
+            .iter()
+            .map(|d| {
+                let s = ctx.stream(&[d.len()]).expect("stream");
+                ctx.write(&s, d).expect("write");
+                ctx.reduce(&module, "rmin", &s).expect("reduce")
+            })
+            .collect();
+        (admitted, results)
+    };
+    let (_, want) = reduce_all(BrookContext::cpu_ast_oracle());
+    assert_eq!(
+        want,
+        [0.625, 1.25, 0.625, 1.25],
+        "the oracle folds each stream alone"
+    );
+    for (name, ctx) in [
+        ("cpu", BrookContext::cpu()),
+        ("cpu-parallel", BrookContext::cpu_parallel()),
+    ] {
+        let (admitted, got) = reduce_all(ctx);
+        assert!(admitted, "{name}: the min reduce must take the vectorized path");
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.to_bits(), w.to_bits(), "{name}: {got:?} vs oracle {want:?}");
+        }
+    }
 }

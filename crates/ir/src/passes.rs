@@ -20,6 +20,8 @@ use crate::{Inst, IrKernel, Node, Reg};
 use brook_lang::ast::{AssignOp, BinOp, ScalarKind, Type, UnOp};
 use brook_lang::builtins::BUILTINS;
 use glsl_es::Value;
+use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 /// One optimization pass.
 pub trait Pass {
@@ -337,26 +339,57 @@ impl Pass for Algebraic {
 /// Local value numbering within each straight-line `Seq` region:
 /// a pure instruction recomputing an expression already available in a
 /// register becomes a `Mov` from it.
+///
+/// Every register carries a write generation, and a key names its
+/// operands as (copy root, generation) pairs, so a write makes every key
+/// and copy alias that mentions the register stale without a scan. The
+/// value table maps a key to its holders in recording order and answers
+/// with the oldest holder not written since; stale holders are dropped
+/// as lookups meet them. Keys are fixed size, so the pass costs expected
+/// linear time in the instruction count.
 pub struct Cse;
 
-/// Key identifying a pure computation (Values keyed by bit pattern so
-/// `NaN` and `-0.0` participate correctly).
-#[derive(Debug, Clone, PartialEq)]
-enum CseKey {
+/// The operation half of a key: everything but the operands (values
+/// keyed by bit pattern so `NaN` and `-0.0` participate correctly).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Op {
     Const([u32; 4], u8),
-    Bin(BinOp, Reg, Reg),
-    Un(UnOp, Reg),
-    CastInt(Reg),
-    DeclInit(Reg, Type),
-    Construct(u8, Vec<Reg>),
-    Swizzle(Reg, String),
-    Builtin(u16, Vec<Reg>),
-    Select(Reg, Reg, Reg),
+    Bin(BinOp),
+    Un(UnOp),
+    CastInt,
+    DeclInit(Type),
+    Construct(u8),
+    Swizzle([u8; 4]),
+    Builtin(u16),
+    Select,
     ReadElem(u16),
     ReadScalar(u16),
-    Gather(u16, Vec<Reg>),
+    Gather(u16),
     Indexof(u16),
-    Mov(Reg),
+}
+
+/// A register's current value: (copy root, the root's write generation).
+type Val = (Reg, u32);
+
+/// Identifies a pure computation within one `Seq` region. Unused
+/// operand slots are zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Key {
+    region: u32,
+    op: Op,
+    arity: u8,
+    args: [Val; 4],
+}
+
+impl Hash for Key {
+    /// One word per used operand: the fewer words, the cheaper the hash.
+    fn hash<H: Hasher>(&self, h: &mut H) {
+        h.write_u64(u64::from(self.region) << 8 | u64::from(self.arity));
+        self.op.hash(h);
+        for &(root, gen) in &self.args[..usize::from(self.arity)] {
+            h.write_u64(u64::from(root) | u64::from(gen) << 32);
+        }
+    }
 }
 
 fn value_bits(v: &Value) -> ([u32; 4], u8) {
@@ -373,59 +406,40 @@ fn value_bits(v: &Value) -> ([u32; 4], u8) {
     }
 }
 
-fn cse_key(inst: &Inst) -> Option<CseKey> {
-    Some(match inst {
+/// The operation and operand registers of a CSE-able instruction.
+/// `Mov` has none: a `Mov` is never rewritten, so no lookup could use
+/// its key. Operand lists longer than four (which no source lowers to)
+/// and swizzles longer than four lanes are left alone.
+fn key_parts(inst: &Inst) -> Option<(Op, [Reg; 4], u8)> {
+    fn list(rs: &[Reg]) -> Option<([Reg; 4], u8)> {
+        let mut a = [0; 4];
+        a.get_mut(..rs.len())?.copy_from_slice(rs);
+        Some((a, rs.len() as u8))
+    }
+    let (op, (regs, arity)) = match inst {
         Inst::Const { v, .. } => {
             let (bits, tag) = value_bits(v);
-            CseKey::Const(bits, tag)
+            (Op::Const(bits, tag), ([0; 4], 0))
         }
-        Inst::Bin { op, lhs, rhs, .. } => CseKey::Bin(*op, *lhs, *rhs),
-        Inst::Un { op, src, .. } => CseKey::Un(*op, *src),
-        Inst::CastInt { src, .. } => CseKey::CastInt(*src),
-        Inst::DeclInit { src, ty, .. } => CseKey::DeclInit(*src, *ty),
-        Inst::Construct { width, args, .. } => CseKey::Construct(*width, args.clone()),
-        Inst::Swizzle { src, sel, .. } => CseKey::Swizzle(*src, sel.clone()),
-        Inst::Builtin { which, args, .. } => CseKey::Builtin(*which, args.clone()),
-        Inst::Select { cond, a, b, .. } => CseKey::Select(*cond, *a, *b),
-        Inst::ReadElem { param, .. } => CseKey::ReadElem(*param),
-        Inst::ReadScalar { param, .. } => CseKey::ReadScalar(*param),
-        Inst::Gather { param, idx, .. } => CseKey::Gather(*param, idx.clone()),
-        Inst::Indexof { param, .. } => CseKey::Indexof(*param),
-        Inst::Mov { src, .. } => CseKey::Mov(*src),
+        Inst::Bin { op, lhs, rhs, .. } => (Op::Bin(*op), ([*lhs, *rhs, 0, 0], 2)),
+        Inst::Un { op, src, .. } => (Op::Un(*op), ([*src, 0, 0, 0], 1)),
+        Inst::CastInt { src, .. } => (Op::CastInt, ([*src, 0, 0, 0], 1)),
+        Inst::DeclInit { src, ty, .. } => (Op::DeclInit(*ty), ([*src, 0, 0, 0], 1)),
+        Inst::Construct { width, args, .. } => (Op::Construct(*width), list(args)?),
+        Inst::Swizzle { src, sel, .. } => {
+            let mut lanes = [0u8; 4];
+            lanes.get_mut(..sel.len())?.copy_from_slice(sel.as_bytes());
+            (Op::Swizzle(lanes), ([*src, 0, 0, 0], 1))
+        }
+        Inst::Builtin { which, args, .. } => (Op::Builtin(*which), list(args)?),
+        Inst::Select { cond, a, b, .. } => (Op::Select, ([*cond, *a, *b, 0], 3)),
+        Inst::ReadElem { param, .. } => (Op::ReadElem(*param), ([0; 4], 0)),
+        Inst::ReadScalar { param, .. } => (Op::ReadScalar(*param), ([0; 4], 0)),
+        Inst::Gather { param, idx, .. } => (Op::Gather(*param), list(idx)?),
+        Inst::Indexof { param, .. } => (Op::Indexof(*param), ([0; 4], 0)),
         _ => return None,
-    })
-}
-
-fn canonicalize(key: CseKey, f: impl Fn(Reg) -> Reg) -> CseKey {
-    match key {
-        CseKey::Bin(op, a, b) => CseKey::Bin(op, f(a), f(b)),
-        CseKey::Un(op, a) => CseKey::Un(op, f(a)),
-        CseKey::CastInt(a) => CseKey::CastInt(f(a)),
-        CseKey::DeclInit(a, t) => CseKey::DeclInit(f(a), t),
-        CseKey::Construct(w, args) => CseKey::Construct(w, args.into_iter().map(&f).collect()),
-        CseKey::Swizzle(a, s) => CseKey::Swizzle(f(a), s),
-        CseKey::Builtin(w, args) => CseKey::Builtin(w, args.into_iter().map(&f).collect()),
-        CseKey::Select(c, a, b) => CseKey::Select(f(c), f(a), f(b)),
-        CseKey::Gather(p, args) => CseKey::Gather(p, args.into_iter().map(&f).collect()),
-        CseKey::Mov(a) => CseKey::Mov(f(a)),
-        other @ (CseKey::Const(..) | CseKey::ReadElem(_) | CseKey::ReadScalar(_) | CseKey::Indexof(_)) => {
-            other
-        }
-    }
-}
-
-fn key_mentions(key: &CseKey, r: Reg) -> bool {
-    match key {
-        CseKey::Const(..) | CseKey::ReadElem(_) | CseKey::ReadScalar(_) | CseKey::Indexof(_) => false,
-        CseKey::Bin(_, a, b) => *a == r || *b == r,
-        CseKey::Un(_, a)
-        | CseKey::CastInt(a)
-        | CseKey::DeclInit(a, _)
-        | CseKey::Swizzle(a, _)
-        | CseKey::Mov(a) => *a == r,
-        CseKey::Construct(_, args) | CseKey::Builtin(_, args) | CseKey::Gather(_, args) => args.contains(&r),
-        CseKey::Select(c, a, b) => *c == r || *a == r || *b == r,
-    }
+    };
+    Some((op, regs, arity))
 }
 
 fn collect_seqs(nodes: &[Node], out: &mut Vec<(u32, u32)>) {
@@ -444,6 +458,92 @@ fn collect_seqs(nodes: &[Node], out: &mut Vec<(u32, u32)>) {
     }
 }
 
+const NONE: u32 = u32::MAX;
+
+/// One register holding a key's value, valid while the register's
+/// generation is still `gen`; `next` links the key's later holders.
+struct Holder {
+    reg: Reg,
+    gen: u32,
+    next: u32,
+}
+
+/// Key → holders in recording order, as (head, tail) links into one
+/// shared holder arena. Keys derive from source a client submits, so
+/// the map keeps the standard library's collision-resistant hasher.
+struct ValueTable {
+    heads: HashMap<Key, (u32, u32)>,
+    holders: Vec<Holder>,
+}
+
+impl ValueTable {
+    /// A table sized for `n` instructions, so it never grows.
+    fn with_capacity(n: usize) -> ValueTable {
+        ValueTable {
+            heads: HashMap::with_capacity(n),
+            holders: Vec::with_capacity(n),
+        }
+    }
+
+    /// The oldest holder of `key` whose generation has not moved,
+    /// dropping the stale holders in front of it. When that is no
+    /// holder, or `push`'s own register, `push` (a register and the
+    /// generation its write is about to give it) becomes the newest
+    /// holder: one hash serves the lookup and the recording.
+    fn first_or_push(&mut self, key: Key, gens: &[u32], push: Option<(Reg, u32)>) -> Option<Reg> {
+        let slot = match push {
+            Some(_) => self.heads.entry(key).or_insert((NONE, NONE)),
+            None => self.heads.get_mut(&key)?,
+        };
+        let mut found = None;
+        while slot.0 != NONE {
+            let h = &self.holders[slot.0 as usize];
+            if gens[h.reg as usize] == h.gen {
+                found = Some(h.reg);
+                break;
+            }
+            slot.0 = h.next;
+        }
+        if slot.0 == NONE {
+            slot.1 = NONE;
+        }
+        if let Some((reg, gen)) = push.filter(|&(reg, _)| found.is_none_or(|f| f == reg)) {
+            append(&mut self.holders, slot, reg, gen);
+        }
+        found
+    }
+
+    /// Records `reg` (at generation `gen`) as the newest holder of `key`.
+    fn push(&mut self, key: Key, reg: Reg, gen: u32) {
+        append(
+            &mut self.holders,
+            self.heads.entry(key).or_insert((NONE, NONE)),
+            reg,
+            gen,
+        );
+    }
+}
+
+/// Links a new holder at the tail of a key's `(head, tail)` list.
+fn append(holders: &mut Vec<Holder>, (head, tail): &mut (u32, u32), reg: Reg, gen: u32) {
+    let at = holders.len() as u32;
+    holders.push(Holder { reg, gen, next: NONE });
+    if *tail == NONE {
+        *head = at;
+    } else {
+        holders[*tail as usize].next = at;
+    }
+    *tail = at;
+}
+
+/// A `Mov` copy: `root` at generation `gen`, recorded in `region`.
+#[derive(Clone, Copy)]
+struct Alias {
+    root: Reg,
+    gen: u32,
+    region: u32,
+}
+
 impl Pass for Cse {
     fn name(&self) -> &'static str {
         "cse"
@@ -452,50 +552,77 @@ impl Pass for Cse {
     fn run(&self, k: &mut IrKernel) -> bool {
         let mut seqs = Vec::new();
         collect_seqs(&k.body, &mut seqs);
-        let mut changed = false;
-        for (start, end) in seqs {
-            let mut available: Vec<(CseKey, Reg)> = Vec::new();
-            // Copy aliases (`Mov` chains) resolved to a canonical root,
-            // so keys over copies of the same value still match.
-            let mut alias: Vec<Option<Reg>> = vec![None; k.regs.len()];
-            let resolve = |alias: &[Option<Reg>], mut r: Reg| {
-                while let Some(a) = alias[r as usize] {
-                    r = a;
-                }
-                r
+        let mut gens = vec![0u32; k.regs.len()];
+        // Copy aliases (`Mov` chains) resolved to a canonical root, so
+        // keys over copies of the same value still match. An alias is
+        // live while its root keeps its generation, within its region.
+        let mut alias = vec![
+            Alias {
+                root: 0,
+                gen: 0,
+                region: NONE,
             };
-            for i in start..end {
-                let inst = k.insts[i as usize].clone();
-                let key = cse_key(&inst).map(|ky| canonicalize(ky, |r| resolve(&alias, r)));
-                if let (Some(d), Some(key)) = (inst.dst(), key.clone()) {
-                    if let Some((_, prior)) = available.iter().find(|(ky, _)| *ky == key) {
-                        let prior = *prior;
-                        if prior != d && !matches!(inst, Inst::Mov { .. }) {
-                            k.insts[i as usize] = Inst::Mov { dst: d, src: prior };
+            k.regs.len()
+        ];
+        let mut table = ValueTable::with_capacity(k.insts.len());
+        let mut changed = false;
+        for (region, (start, end)) in (0u32..).zip(seqs) {
+            let val = |gens: &[u32], alias: &[Alias], r: Reg| -> Val {
+                let a = alias[r as usize];
+                if a.region == region && gens[a.root as usize] == a.gen {
+                    (a.root, a.gen)
+                } else {
+                    (r, gens[r as usize])
+                }
+            };
+            let key = |gens: &[u32], alias: &[Alias], (op, regs, arity): (Op, [Reg; 4], u8)| {
+                let mut args = [(0, 0); 4];
+                for (v, &r) in args.iter_mut().zip(&regs[..arity as usize]) {
+                    *v = val(gens, alias, r);
+                }
+                Key {
+                    region,
+                    op,
+                    arity,
+                    args,
+                }
+            };
+            for i in start as usize..end as usize {
+                let Some(d) = k.insts[i].dst() else { continue };
+                // The key a surviving instruction records names its
+                // operands' values after its own write: the lookup key,
+                // unless an operand reaches `d`. An operand that *is*
+                // `d` names the value this write destroys, so such an
+                // instruction records nothing; one that is a copy of `d`
+                // keeps the value under its own name and is re-keyed
+                // after the write.
+                let mut rekey = None;
+                if let Some(parts @ (_, regs, arity)) = key_parts(&k.insts[i]) {
+                    let pre = key(&gens, &alias, parts);
+                    let reads_d = regs[..usize::from(arity)].contains(&d);
+                    let via_d = pre.args[..usize::from(arity)].iter().any(|&(root, _)| root == d);
+                    let push = (!reads_d && !via_d).then(|| (d, gens[d as usize].wrapping_add(1)));
+                    match table.first_or_push(pre, &gens, push) {
+                        Some(prior) if prior != d => {
+                            k.insts[i] = Inst::Mov { dst: d, src: prior };
                             changed = true;
                         }
+                        _ if via_d && !reads_d => rekey = Some(parts),
+                        _ => {}
                     }
                 }
-                // Any write invalidates facts reading or producing the
-                // register, and aliases rooted at it.
-                if let Some(d) = k.insts[i as usize].dst() {
-                    let dc = resolve(&alias, d);
-                    let _ = dc;
-                    available.retain(|(ky, res)| *res != d && !key_mentions(ky, d));
-                    alias[d as usize] = None;
-                    for a in alias.iter_mut() {
-                        if *a == Some(d) {
-                            *a = None;
-                        }
+                // The write moves `d`'s generation: every key, alias and
+                // holder naming its old value goes stale.
+                gens[d as usize] = gens[d as usize].wrapping_add(1);
+                alias[d as usize].region = NONE;
+                if let Inst::Mov { src, .. } = k.insts[i] {
+                    if src != d {
+                        let (root, gen) = val(&gens, &alias, src);
+                        alias[d as usize] = Alias { root, gen, region };
                     }
                 }
-                if let Inst::Mov { dst: d, src } = k.insts[i as usize] {
-                    if d != src {
-                        alias[d as usize] = Some(resolve(&alias, src));
-                    }
-                }
-                if let (Some(d), Some(key)) = (k.insts[i as usize].dst(), cse_key(&k.insts[i as usize])) {
-                    available.push((canonicalize(key, |r| resolve(&alias, r)), d));
+                if let Some(parts) = rekey {
+                    table.push(key(&gens, &alias, parts), d, gens[d as usize]);
                 }
             }
         }
@@ -508,10 +635,16 @@ impl Pass for Cse {
 // ---------------------------------------------------------------------------
 
 /// Replaces pure instructions whose results are never read with `Nop`,
-/// iterating to a fixpoint so dead chains disappear wholesale. The
-/// accumulator register of reduce kernels is externally observed and
-/// therefore always live; instructions without destinations (stores,
-/// faults, control flow) are never touched.
+/// to a fixpoint, so dead chains disappear wholesale. The accumulator
+/// register of reduce kernels is externally observed and therefore
+/// always live; instructions without destinations (stores, faults,
+/// control flow) are never touched.
+///
+/// A worklist: reads are counted once, an instruction dies when every
+/// read of its destination is its own, and killing it uncounts its
+/// reads and re-queues the definitions of the registers it read. Dying
+/// is monotone, so this reaches the same fixpoint as repeated sweeps,
+/// in time linear in the instruction count.
 pub struct Dce;
 
 impl Pass for Dce {
@@ -520,34 +653,58 @@ impl Pass for Dce {
     }
 
     fn run(&self, k: &mut IrKernel) -> bool {
+        let n_regs = k.regs.len();
+        // reads[r]: live reads of r; own[i]: reads of instruction i's
+        // own destination; max_own[r]: the most any definition of r
+        // reads r, so r's definitions can die only once reads[r] is at
+        // most that.
+        let mut reads = vec![0u32; n_regs];
+        let mut own = vec![0u32; k.insts.len()];
+        let mut max_own = vec![0u32; n_regs];
+        // Definitions of every register, as CSR ranges over `defs`.
+        let mut def_at = vec![0u32; n_regs + 1];
+        let mut buf = Vec::new();
+        for (i, inst) in k.insts.iter().enumerate() {
+            buf.clear();
+            inst.reads(&mut buf);
+            for &r in &buf {
+                reads[r as usize] += 1;
+            }
+            if let Some(d) = inst.dst() {
+                own[i] = buf.iter().filter(|&&r| r == d).count() as u32;
+                max_own[d as usize] = max_own[d as usize].max(own[i]);
+                def_at[d as usize + 1] += 1;
+            }
+        }
+        for r in 0..n_regs {
+            def_at[r + 1] += def_at[r];
+        }
+        let mut defs = vec![0u32; def_at[n_regs] as usize];
+        let mut fill = def_at.clone();
+        for (i, inst) in k.insts.iter().enumerate() {
+            if let Some(d) = inst.dst() {
+                defs[fill[d as usize] as usize] = i as u32;
+                fill[d as usize] += 1;
+            }
+        }
+        let mut work: Vec<u32> = (0..k.insts.len() as u32).rev().collect();
         let mut changed = false;
-        loop {
-            // reads[r] = instruction indices reading r.
-            let mut read_by: Vec<Vec<usize>> = vec![Vec::new(); k.regs.len()];
-            let mut buf = Vec::new();
-            for (i, inst) in k.insts.iter().enumerate() {
-                buf.clear();
-                inst.reads(&mut buf);
-                for r in &buf {
-                    read_by[*r as usize].push(i);
-                }
+        while let Some(i) = work.pop() {
+            let i = i as usize;
+            let Some(d) = k.insts[i].dst() else { continue };
+            if Some(d) == k.acc_reg || reads[d as usize] != own[i] {
+                continue;
             }
-            let mut round = false;
-            for i in 0..k.insts.len() {
-                let Some(d) = k.insts[i].dst() else { continue };
-                if Some(d) == k.acc_reg {
-                    continue;
+            buf.clear();
+            k.insts[i].reads(&mut buf);
+            k.insts[i] = Inst::Nop;
+            changed = true;
+            for &r in &buf {
+                let r = r as usize;
+                reads[r] -= 1;
+                if reads[r] <= max_own[r] {
+                    work.extend_from_slice(&defs[def_at[r] as usize..def_at[r + 1] as usize]);
                 }
-                let readers = &read_by[d as usize];
-                let only_self = readers.iter().all(|&r| r == i);
-                if only_self && !matches!(k.insts[i], Inst::Nop) {
-                    k.insts[i] = Inst::Nop;
-                    round = true;
-                    changed = true;
-                }
-            }
-            if !round {
-                break;
             }
         }
         changed
@@ -664,6 +821,143 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "{src}");
             }
         }
+    }
+
+    /// Lowers `src` and overwrites the listed instructions: IR no source
+    /// lowers to, but which the verifier accepts.
+    fn patched(src: &str, patches: Vec<(usize, Inst)>) -> IrKernel {
+        let mut k = lower_src(src);
+        for (i, inst) in patches {
+            k.insts[i] = inst;
+        }
+        verify(&k).expect("patched IR verifies");
+        k
+    }
+
+    /// Runs `k` and its fully optimized form on two input streams and
+    /// asserts the outputs are bitwise equal; returns the optimized form.
+    fn assert_optimizes_bitwise(k: &IrKernel) -> IrKernel {
+        let mut opt = k.clone();
+        for p in default_passes() {
+            p.run(&mut opt);
+            verify(&opt).unwrap_or_else(|e| panic!("{} broke the IR: {e}", p.name()));
+        }
+        let a: Vec<f32> = (0..16).map(|i| i as f32 * 0.75 - 3.0).collect();
+        let b: Vec<f32> = (0..16).map(|i| 2.5 - i as f32 * 0.5).collect();
+        let want = run_simple(k, &[&a, &b], a.len()).expect("base run");
+        let got = run_simple(&opt, &[&a, &b], a.len()).expect("opt run");
+        for (x, y) in want.iter().zip(&got) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{:?}", opt.insts);
+        }
+        opt
+    }
+
+    fn bin(dst: Reg, op: BinOp, lhs: Reg, rhs: Reg) -> Inst {
+        Inst::Bin { dst, op, lhs, rhs }
+    }
+
+    /// An instruction that overwrites one of its operands computes a
+    /// value over the operand's *old* contents; its key must not name
+    /// the new ones. `r4 = r0 + r1` below reads the overwritten `r0`
+    /// and so computes `(a + b) + b`, not `r0`'s value again.
+    #[test]
+    fn cse_does_not_record_a_key_over_its_own_overwritten_operand() {
+        let k = patched(
+            "kernel void f(float a<>, float b<>, out float o<>) { o = (a + b) + b; }",
+            vec![(2, bin(0, BinOp::Add, 0, 1)), (4, bin(4, BinOp::Add, 0, 1))],
+        );
+        let mut cse = k.clone();
+        Cse.run(&mut cse);
+        assert!(matches!(cse.insts[4], Inst::Bin { .. }), "{:?}", cse.insts);
+        assert_optimizes_bitwise(&k);
+    }
+
+    /// A local redefined between two identical expressions over it
+    /// holds a new value: the second expression is recomputed.
+    #[test]
+    fn cse_does_not_reuse_an_expression_over_a_redefined_local() {
+        let src = "kernel void f(float a<>, float b<>, out float o<>) {
+            float x = a;
+            float p = x * b;
+            x = b;
+            float q = x * b;
+            o = p + q;
+        }";
+        let opt = assert_optimizes_bitwise(&lower_src(src));
+        let muls = opt
+            .insts
+            .iter()
+            .filter(|i| matches!(i, Inst::Bin { op: BinOp::Mul, .. }))
+            .count();
+        assert_eq!(muls, 2, "{:?}", opt.insts);
+    }
+
+    /// A copy `r2 = r0` aliases `r0` until `r0` is rewritten; after
+    /// that, `r2 * r1` and `r0 * r1` are different values.
+    #[test]
+    fn cse_drops_an_alias_when_its_root_is_rewritten() {
+        let k = patched(
+            "kernel void f(float a<>, float b<>, out float o<>) { o = (a * b) + (a * b); }",
+            vec![
+                (2, Inst::Mov { dst: 2, src: 0 }),
+                (3, bin(0, BinOp::Mul, 1, 1)),
+                (4, bin(4, BinOp::Mul, 2, 1)),
+                (5, bin(5, BinOp::Mul, 0, 1)),
+                (6, bin(6, BinOp::Add, 4, 5)),
+            ],
+        );
+        let mut cse = k.clone();
+        Cse.run(&mut cse);
+        assert_eq!(cse.insts, k.insts, "nothing is a repeat");
+        assert_optimizes_bitwise(&k);
+    }
+
+    /// A key recorded by a register that is then overwritten, and again
+    /// by a second register: the lookup skips the stale first holder and
+    /// answers with the second.
+    #[test]
+    fn cse_skips_an_overwritten_first_holder() {
+        let k = patched(
+            "kernel void f(float a<>, float b<>, out float o<>) { o = (a * b) + (a * b) + (a * b); }",
+            vec![(4, Inst::Mov { dst: 2, src: 1 }), (5, bin(5, BinOp::Mul, 3, 1))],
+        );
+        let mut cse = k.clone();
+        Cse.run(&mut cse);
+        assert!(
+            matches!(cse.insts[5], Inst::Bin { op: BinOp::Mul, .. }),
+            "the first holder was overwritten: {:?}",
+            cse.insts
+        );
+        assert_eq!(cse.insts[9], Inst::Mov { dst: 9, src: 5 }, "{:?}", cse.insts);
+        assert_optimizes_bitwise(&k);
+    }
+
+    /// A dead chain ending in a dead local with two definitions (the
+    /// second reading the first) dies wholesale, one link after another;
+    /// the output's chain survives.
+    #[test]
+    fn dce_removes_dead_chains_to_the_fixpoint() {
+        let src = "kernel void f(float a<>, float b<>, out float o<>) {
+            float t1 = a * b;
+            float t2 = t1 * b + a;
+            float t3 = t2 * t2 - b;
+            float s = a;
+            s *= t3;
+            float u = b * a;
+            o = u * u;
+        }";
+        let opt = assert_optimizes_bitwise(&lower_src(src));
+        let bins: Vec<_> = opt
+            .insts
+            .iter()
+            .filter(|i| matches!(i, Inst::Bin { .. }))
+            .collect();
+        assert_eq!(bins.len(), 2, "only `b * a` and `u * u` stay: {:?}", opt.insts);
+        assert!(
+            !opt.insts.iter().any(|i| matches!(i, Inst::AssignLocal { .. })),
+            "{:?}",
+            opt.insts
+        );
     }
 
     #[test]

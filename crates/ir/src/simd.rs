@@ -61,7 +61,7 @@
 //! `ComplianceReport` like every other plan.
 
 use crate::interp::{self, Binding, ExecError};
-use crate::lanes::{self, COp, LaneKernel, Mask, LANES};
+use crate::lanes::{self, COp, LaneKernel, LaneSlabs, Mask, LANES};
 use crate::tier::{self, TierKernel};
 use crate::{AssignOp, Inst, IrKernel, KernelFacts, Node, ParamKind, Reg};
 use brook_lang::ast::ScalarKind;
@@ -1443,11 +1443,15 @@ impl ReduceKernel {
     /// range element, already pre-filled with the fold identity so
     /// elements whose combine is branch-skipped contribute nothing).
     ///
+    /// The map runs in the caller's slab frame `slabs`, so a backend
+    /// that keeps one frame per thread allocates nothing per launch.
+    ///
     /// # Errors
     /// Exactly the scalar interpreter's faults with element
     /// attribution; callers discard the partials and fold serially.
-    pub fn run_map(
+    pub fn run_map_in(
         &self,
+        slabs: &mut LaneSlabs,
         data: &[f32],
         out: &mut [f32],
         n_total: usize,
@@ -1468,8 +1472,12 @@ impl ReduceKernel {
         }
         let mut outs: [&mut [f32]; 1] = [out];
         match &self.tier {
-            Some(t) => tier::run_kernel_range(t, &self.lane, &self.map, &bindings, &mut outs, &shape, range),
-            None => lanes::run_kernel_range(&self.lane, &self.map, &bindings, &mut outs, &shape, range),
+            Some(t) => tier::run_kernel_range_in(
+                slabs, t, &self.lane, &self.map, &bindings, &mut outs, &shape, range,
+            ),
+            None => {
+                lanes::run_kernel_range_in(slabs, &self.lane, &self.map, &bindings, &mut outs, &shape, range)
+            }
         }
     }
 }
@@ -1578,13 +1586,25 @@ fn plan_reduce(k: &IrKernel, facts: Option<&KernelFacts>, level: SimdLevel) -> R
 /// interpreter, which owns the canonical error surface (message,
 /// element attribution, source span).
 ///
+/// The map runs in the caller's slab frame and writes the caller's
+/// partials buffer, both reused across reductions; the partials are
+/// refilled with the identity on every call, so nothing of an earlier
+/// reduction stays.
+///
 /// # Errors
 /// Exactly [`crate::interp::run_reduce`]'s faults.
-pub fn run_reduce(rk: &ReduceKernel, original: &IrKernel, data: &[f32]) -> Result<f32, ExecError> {
+pub fn run_reduce_in(
+    slabs: &mut LaneSlabs,
+    partials: &mut Vec<f32>,
+    rk: &ReduceKernel,
+    original: &IrKernel,
+    data: &[f32],
+) -> Result<f32, ExecError> {
     let n = data.len();
-    let mut xs = vec![rk.op.identity(); n];
-    match rk.run_map(data, &mut xs, n, 0..n) {
-        Ok(()) => Ok(fold(rk.op, rk.level, &xs)),
+    partials.clear();
+    partials.resize(n, rk.op.identity());
+    match rk.run_map_in(slabs, data, partials, n, 0..n) {
+        Ok(()) => Ok(fold(rk.op, rk.level, partials)),
         Err(_) => interp::run_reduce(original, data),
     }
 }

@@ -66,8 +66,9 @@ pub fn verify(k: &IrKernel) -> Result<(), VerifyError> {
             )));
         }
     }
+    let mut reads = Vec::new();
     for (i, inst) in k.insts.iter().enumerate() {
-        verify_inst(k, i, inst)?;
+        verify_inst(k, i, inst, &mut reads)?;
     }
     verify_structure(k)?;
     Ok(())
@@ -96,14 +97,15 @@ fn param_of(k: &IrKernel, i: usize, p: u16) -> Result<&crate::IrParam, VerifyErr
         .ok_or_else(|| err(format!("instruction {i} references parameter {p} out of range")))
 }
 
-fn verify_inst(k: &IrKernel, i: usize, inst: &Inst) -> Result<(), VerifyError> {
+/// Checks one instruction; `reads` is scratch space for its operands.
+fn verify_inst(k: &IrKernel, i: usize, inst: &Inst, reads: &mut Vec<Reg>) -> Result<(), VerifyError> {
     // Bounds on every register mention.
     if let Some(d) = inst.dst() {
         reg_ty(k, i, d)?;
     }
-    let mut reads = Vec::new();
-    inst.reads(&mut reads);
-    for r in &reads {
+    reads.clear();
+    inst.reads(reads);
+    for r in reads.iter() {
         reg_ty(k, i, *r)?;
     }
     match inst {
