@@ -349,26 +349,23 @@ impl BrookContext {
         // Lower → re-gate: the IR-level re-check must agree that the
         // lowered program is still certifiable. Its verdicts are the pass
         // gate's baseline, so the lowered IR is checked once.
-        let mut baseline = None;
-        if self.enforce_certification {
-            let (checks, ok) = brook_cert::ir_check::check_program(&ir, &self.cert_config);
-            if !ok {
-                let first = checks
-                    .iter()
-                    .flat_map(|c| c.findings.iter())
-                    .find(|f| f.severity == brook_lang::diag::Severity::Error)
-                    .map(|f| format!("[{}] {} (source {})", f.rule.code(), f.message, f.span))
-                    .unwrap_or_else(|| "unspecified".into());
-                return Err(BrookError::Usage(format!(
-                    "internal: lowering broke certifiability: {first}"
-                )));
-            }
-            baseline = Some(checks.iter().map(|c| c.is_compliant()).collect::<Vec<_>>());
+        let (checks, ok) = brook_cert::ir_check::check_program(&ir, &self.cert_config);
+        if self.enforce_certification && !ok {
+            let first = checks
+                .iter()
+                .flat_map(|c| c.findings.iter())
+                .find(|f| f.severity == brook_lang::diag::Severity::Error)
+                .map(|f| format!("[{}] {} (source {})", f.rule.code(), f.message, f.span))
+                .unwrap_or_else(|| "unspecified".into());
+            return Err(BrookError::Usage(format!(
+                "internal: lowering broke certifiability: {first}"
+            )));
         }
+        let baseline: Vec<bool> = checks.iter().map(|c| c.is_compliant()).collect();
         // Optimize and analyze. Abstract interpretation contributes
         // provable-fault findings (BA013/BA014) and the refined
         // admission estimate to each kernel.
-        let mut front = self.front_from_ir(Arc::new(checked), ir, report, baseline.as_deref());
+        let mut front = self.front_from_ir(Arc::new(checked), ir, report, &baseline);
         let report = &mut front.report;
         for ka in &report.analysis.kernels {
             let Some(kr) = report.kernels.iter_mut().find(|r| r.kernel == ka.kernel) else {
@@ -397,24 +394,23 @@ impl BrookContext {
     /// The post-lowering front [`compile_artifact`](Self::compile_artifact)
     /// and graph fusion share: the cert-gated pass pipeline, then
     /// abstract interpretation, recorded in `report`. `baseline` holds
-    /// each kernel's IR-level verdict when the caller has just checked
-    /// `ir`; without it the pass gate checks the kernels itself.
+    /// each kernel's IR-level verdict from the caller's re-check of
+    /// `ir` (the pass gate's baseline).
     pub(crate) fn front_from_ir(
         &self,
         checked: Arc<CheckedProgram>,
         mut ir: IrProgram,
         mut report: ComplianceReport,
-        baseline: Option<&[bool]>,
+        baseline: &[bool],
     ) -> Front {
         // Optimize under the cert rollback gate, recording provenance.
         if self.ir_optimize {
-            let passes = brook_ir::passes::default_passes();
-            report.passes = match baseline {
-                Some(b) => {
-                    brook_cert::ir_check::optimize_program_from(&mut ir, b, &self.cert_config, &passes)
-                }
-                None => brook_cert::ir_check::optimize_program(&mut ir, &self.cert_config, &passes),
-            };
+            report.passes = brook_cert::ir_check::optimize_program_from(
+                &mut ir,
+                baseline,
+                &self.cert_config,
+                &brook_ir::passes::default_passes(),
+            );
         }
         // Abstract interpretation over the optimized IR: value-range
         // facts, provable-fault findings, gather proofs for clamp

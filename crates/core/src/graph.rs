@@ -690,7 +690,7 @@ impl<'ctx> BrookGraph<'ctx> {
         };
         let front = self
             .ctx
-            .front_from_ir(checked, program, Default::default(), Some(&[true]));
+            .front_from_ir(checked, program, Default::default(), &[true]);
         if front.report.analysis.kernels.iter().any(|k| !k.faults.is_empty()) {
             return None;
         }
