@@ -725,13 +725,19 @@ mod tests {
         lower_kernel(&checked, kdef).expect("lower")
     }
 
-    fn optimized(src: &str) -> (IrKernel, IrKernel) {
-        let base = lower_src(src);
-        let mut opt = base.clone();
+    /// `k` after the default pipeline, verified after every pass.
+    fn optimize(k: &IrKernel) -> IrKernel {
+        let mut opt = k.clone();
         for p in default_passes() {
             p.run(&mut opt);
             verify(&opt).unwrap_or_else(|e| panic!("{} broke the IR: {e}", p.name()));
         }
+        opt
+    }
+
+    fn optimized(src: &str) -> (IrKernel, IrKernel) {
+        let base = lower_src(src);
+        let opt = optimize(&base);
         (base, opt)
     }
 
@@ -837,11 +843,7 @@ mod tests {
     /// Runs `k` and its fully optimized form on two input streams and
     /// asserts the outputs are bitwise equal; returns the optimized form.
     fn assert_optimizes_bitwise(k: &IrKernel) -> IrKernel {
-        let mut opt = k.clone();
-        for p in default_passes() {
-            p.run(&mut opt);
-            verify(&opt).unwrap_or_else(|e| panic!("{} broke the IR: {e}", p.name()));
-        }
+        let opt = optimize(k);
         let a: Vec<f32> = (0..16).map(|i| i as f32 * 0.75 - 3.0).collect();
         let b: Vec<f32> = (0..16).map(|i| 2.5 - i as f32 * 0.5).collect();
         let want = run_simple(k, &[&a, &b], a.len()).expect("base run");
