@@ -296,7 +296,7 @@ pub fn optimize_program_from(
             // Gate on the actual diff, not the pass's self-reported
             // flag: a buggy pass that mutates but returns false is
             // exactly the threat this pipeline exists to contain.
-            let changed = pass.run(k) || *k != snapshot;
+            let changed = pass.run(k) || !same_bits(k, &snapshot);
             let action = if !changed {
                 PassAction::Applied { changed: false }
             } else {
@@ -338,6 +338,54 @@ pub fn optimize_program_from(
         }
     }
     records
+}
+
+/// Whether two kernels are identical, with `Const` values compared by
+/// their bits. The derived `PartialEq` compares floats by value, so it
+/// would miss a pass that flips `0.0` to `-0.0` and see a change in
+/// every kernel holding a NaN constant.
+fn same_bits(a: &IrKernel, b: &IrKernel) -> bool {
+    let IrKernel {
+        name,
+        is_reduce,
+        reduce_op,
+        params,
+        outputs,
+        acc_reg,
+        regs,
+        insts,
+        spans,
+        body,
+        span,
+        uses_indexof,
+    } = a;
+    let same_inst = |x: &Inst, y: &Inst| match (x, y) {
+        (Inst::Const { dst: dx, v: vx }, Inst::Const { dst: dy, v: vy }) => {
+            dx == dy
+                && std::mem::discriminant(vx) == std::mem::discriminant(vy)
+                && match vx.lanes() {
+                    [] => vx == vy,
+                    lx => lx
+                        .iter()
+                        .map(|f| f.to_bits())
+                        .eq(vy.lanes().iter().map(|f| f.to_bits())),
+                }
+        }
+        _ => x == y,
+    };
+    *name == b.name
+        && *is_reduce == b.is_reduce
+        && *reduce_op == b.reduce_op
+        && *params == b.params
+        && *outputs == b.outputs
+        && *acc_reg == b.acc_reg
+        && *regs == b.regs
+        && insts.len() == b.insts.len()
+        && insts.iter().zip(&b.insts).all(|(x, y)| same_inst(x, y))
+        && *spans == b.spans
+        && *body == b.body
+        && *span == b.span
+        && *uses_indexof == b.uses_indexof
 }
 
 #[cfg(test)]
@@ -525,6 +573,74 @@ mod tests {
             "{recs:?}"
         );
         assert_eq!(p.kernels[0], original);
+    }
+
+    /// A pass that turns the first `Const 0.0` into `-0.0` and reports
+    /// no change. `0.0 == -0.0`, so only a bitwise diff sees the flip.
+    struct ZeroSignFlipper;
+    impl Pass for ZeroSignFlipper {
+        fn name(&self) -> &'static str {
+            "zero-sign-flipper"
+        }
+        fn run(&self, k: &mut IrKernel) -> bool {
+            for inst in &mut k.insts {
+                if let Inst::Const {
+                    v: brook_ir::Value::Float(x),
+                    ..
+                } = inst
+                {
+                    if x.to_bits() == 0 {
+                        *x = -0.0;
+                        return false; // the lie
+                    }
+                }
+            }
+            false
+        }
+    }
+
+    #[test]
+    fn zero_sign_flip_reported_unchanged_is_gated_as_a_change() {
+        let mut p = lower_src("kernel void f(float a<>, out float o<>) { o = a * 0.0; }");
+        let recs = optimize_program(
+            &mut p,
+            &CertConfig::default(),
+            &[Box::new(ZeroSignFlipper) as Box<dyn Pass>],
+        );
+        assert_eq!(
+            recs[0].action,
+            PassAction::Applied { changed: true },
+            "the flip must be verified and re-checked: {recs:?}"
+        );
+        assert!(p.kernels[0]
+            .insts
+            .iter()
+            .any(|i| matches!(i, Inst::Const { v: brook_ir::Value::Float(x), .. } if x.to_bits() == (-0.0f32).to_bits())));
+    }
+
+    /// `1e39` rounds to `+inf` in `f32`, so const-fold leaves `NaN`
+    /// from `0.0 * inf`, and no duplicate constant gives CSE work.
+    /// `NaN != NaN`, so only a bitwise diff sees that `algebraic` and
+    /// `cse` change nothing.
+    #[test]
+    fn nan_constant_kernel_records_no_change_for_passes_that_change_nothing() {
+        let mut p = lower_src("kernel void f(float a<>, out float o<>) { o = a * (0.0 * 1e39); }");
+        let recs = optimize_program(&mut p, &CertConfig::default(), &default_passes());
+        assert!(
+            p.kernels[0]
+                .insts
+                .iter()
+                .any(|i| matches!(i, Inst::Const { v: brook_ir::Value::Float(x), .. } if x.is_nan())),
+            "const-fold must leave a NaN constant"
+        );
+        for name in ["algebraic", "cse"] {
+            let rec = recs.iter().find(|r| r.pass == name).expect("a record per pass");
+            assert_eq!(
+                rec.action,
+                PassAction::Applied { changed: false },
+                "{name}: {recs:?}"
+            );
+        }
     }
 
     #[test]

@@ -146,6 +146,17 @@ macro_rules! with_prim {
     };
 }
 
+impl Bin {
+    /// Applies the primitive to two scalars: its row of [`with_prim!`].
+    /// Every engine that computes a binary primitive outside a
+    /// componentwise loop (Brook's float `%`, the `min`/`max` reduce
+    /// combine) calls this, so the formula is written once.
+    #[inline]
+    pub fn apply(self, x: f32, y: f32) -> f32 {
+        with_prim!(bin self, g => g(x, y))
+    }
+}
+
 /// GLSL ES 1.00 §8.3 `sign`: 1.0 above zero, -1.0 below, and `x`
 /// itself otherwise, so ±0.0 keep their sign and NaN stays NaN.
 #[inline]

@@ -10,6 +10,7 @@
 //! [`brook_lang::builtins::Builtin::eval`]).
 
 use brook_lang::ast::{AssignOp, BinOp, ScalarKind, Type};
+use glsl_es::math::Bin;
 use glsl_es::Value;
 
 /// Builds a float value from lanes (1..=4 of them).
@@ -168,7 +169,7 @@ pub fn brook_bin_op(op: BinOp, l: Value, r: Value) -> Result<Value, String> {
         BinOp::Sub => |a: f32, b: f32| a - b,
         BinOp::Mul => |a: f32, b: f32| a * b,
         BinOp::Div => |a: f32, b: f32| a / b,
-        BinOp::Rem => |a: f32, b: f32| a - b * (a / b).floor(),
+        BinOp::Rem => |a: f32, b: f32| Bin::Fmod.apply(a, b),
         _ => unreachable!("handled above"),
     };
     l.zip(&r, f).ok_or_else(|| "operand shape mismatch".into())

@@ -122,7 +122,7 @@ pub(crate) enum FOp {
     Sub,
     Mul,
     Div,
-    /// Brook `%` on floats: `a - b * (a / b).floor()`.
+    /// Brook `%` on floats: [`Bin::Fmod`].
     Rem,
 }
 
@@ -2030,9 +2030,7 @@ impl Engine<'_, '_> {
                                 self.f[d + l] = self.f[x + l] / self.f[y + l];
                             }),
                             FOp::Rem => lanes_loop!(m, l, {
-                                let av = self.f[x + l];
-                                let bv = self.f[y + l];
-                                self.f[d + l] = av - bv * (av / bv).floor();
+                                self.f[d + l] = Bin::Fmod.apply(self.f[x + l], self.f[y + l]);
                             }),
                         }
                     }

@@ -5,9 +5,20 @@
 //! autovectorizes the 16-lane loop bodies. This module removes the
 //! hope: the hot slab operations get hand-written `core::arch::x86_64`
 //! SSE2/AVX2 kernels selected by **runtime feature detection**
-//! ([`detect`]), with the scalar loop bodies retained verbatim (see
-//! [`mod@self`]'s `scalar` submodule) as the portable fallback for
-//! non-x86_64 targets and the `BROOK_SIMD=off` override.
+//! ([`detect`]). Tier-2's own scalar closures stay the portable
+//! fallback for non-x86_64 targets and the `BROOK_SIMD=off` override.
+//!
+//! ## Binding at build time
+//!
+//! The tier compiler binds a kernel's level once ([`Isa::bind`]): an
+//! SSE2 or AVX2 level yields a zero-sized token that only exists on a
+//! host with the feature, and every step closure is built from that
+//! token with its operator as a const parameter (`VfOp::Mul as u8`).
+//! A step then makes one call into its level's body, which loops over
+//! the step's components itself; nothing matches on the level or the
+//! operator per block. Data-movement steps (`CopyF`, `CopyI`,
+//! `ConstF`, `ConstI`, `ItoF`) move whole [`LANES`]-wide blocks on a
+//! full mask at every level, `Scalar` included ([`Block`]).
 //!
 //! ## The bit-exactness rules
 //!
@@ -61,7 +72,7 @@
 //! `ComplianceReport` like every other plan.
 
 use crate::interp::{self, Binding, ExecError};
-use crate::lanes::{self, COp, LaneKernel, LaneSlabs, Mask, LANES};
+use crate::lanes::{self, COp, LaneKernel, LaneSlabs, Mask, FULL, LANES};
 use crate::tier::{self, TierKernel};
 use crate::{AssignOp, Inst, IrKernel, KernelFacts, Node, ParamKind, Reg};
 use brook_lang::ast::ScalarKind;
@@ -270,11 +281,14 @@ impl AlignedI32 {
 }
 
 // ---------------------------------------------------------------------------
-// The vector operation vocabulary the tier compiler dispatches to.
+// The vector operation vocabulary the tier compiler binds at build time.
 // ---------------------------------------------------------------------------
 
-/// Binary float slab operations with explicit vector kernels.
+/// Binary float slab operations with explicit vector kernels. A step
+/// passes one to its block body as the const parameter `OP`
+/// (`VfOp::Add as u8`), which [`VfOp::of`] maps back at compile time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub(crate) enum VfOp {
     Add,
     Sub,
@@ -287,8 +301,15 @@ pub(crate) enum VfOp {
     Max,
 }
 
+impl VfOp {
+    const fn of(op: u8) -> VfOp {
+        [VfOp::Add, VfOp::Sub, VfOp::Mul, VfOp::Div, VfOp::Min, VfOp::Max][op as usize]
+    }
+}
+
 /// Unary float slab operations with explicit vector kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub(crate) enum VuOp {
     Sqrt,
     /// Sign-bit clear — exactly `f32::abs`, NaN payloads preserved.
@@ -297,24 +318,80 @@ pub(crate) enum VuOp {
     Neg,
 }
 
+impl VuOp {
+    const fn of(op: u8) -> VuOp {
+        [VuOp::Sqrt, VuOp::Abs, VuOp::Neg][op as usize]
+    }
+}
+
 /// Binary wrapping-int slab operations with explicit vector kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub(crate) enum ViOp {
     Add,
     Sub,
-    /// `pmulld` needs SSE4.1; under plain SSE2 the scalar body runs.
+    /// `pmulld` needs SSE4.1: only levels with [`Vector::INT_MUL`].
     Mul,
 }
 
-/// Slab offsets of one fused arith→arith pair (one component block;
-/// `ta`/`tb` route op1's in-register result into op2's operands).
+impl ViOp {
+    const fn of(op: u8) -> ViOp {
+        [ViOp::Add, ViOp::Sub, ViOp::Mul][op as usize]
+    }
+}
+
+/// The comparison a const parameter `COp::Lt as u8` names.
+#[cfg(target_arch = "x86_64")]
+const fn cop(op: u8) -> COp {
+    [COp::Lt, COp::Le, COp::Gt, COp::Ge, COp::Eq, COp::Ne][op as usize]
+}
+
+/// Slab offsets of a componentwise binary float step: `w` components
+/// of `d` from `a` and `b`, which advance `sa`/`sb` floats per
+/// component (0 for a broadcast operand, [`LANES`] otherwise).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Zip {
+    pub d: usize,
+    pub w: usize,
+    pub a: usize,
+    pub sa: usize,
+    pub b: usize,
+    pub sb: usize,
+}
+
+/// Slab offsets of a componentwise unary float step.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Map {
+    pub d: usize,
+    pub s: usize,
+    pub w: usize,
+}
+
+/// Slab offsets of a componentwise select: lanes whose condition bit
+/// is set take `a`, the others `b`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sel {
+    pub d: usize,
+    pub a: usize,
+    pub b: usize,
+    pub w: usize,
+}
+
+/// Slab offsets of one fused arith→arith pair over `w` components
+/// (strides as in [`Zip`]; `ta`/`tb` route op1's in-register result
+/// into op2's operands).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FusedFF {
+    pub w: usize,
     pub x1: usize,
+    pub sx1: usize,
     pub y1: usize,
+    pub sy1: usize,
     pub d1: usize,
     pub x2: usize,
+    pub sx2: usize,
     pub y2: usize,
+    pub sy2: usize,
     pub d2: usize,
     pub ta: bool,
     pub tb: bool,
@@ -344,8 +421,8 @@ pub(crate) struct TBuf {
 }
 
 /// The tier engine's masked lane walk, replicated for the scalar
-/// reference bodies: full blocks run the unmasked loop, partial blocks
-/// walk set bits.
+/// bodies: full blocks run the unmasked loop, partial blocks walk set
+/// bits.
 macro_rules! simd_loop {
     ($m:expr, $l:ident, $body:block) => {
         if $m == FULL {
@@ -363,135 +440,302 @@ macro_rules! simd_loop {
     };
 }
 
-/// The scalar loop bodies, verbatim from the tier closures. These are
-/// the portable fallback and the reference the vector kernels are
-/// tested bit-exact against.
-pub(crate) mod scalar {
-    use super::{FusedFC, FusedFF, TBuf, VfOp, ViOp, VuOp};
-    use crate::lanes::{COp, Mask, FULL, LANES};
+// ---------------------------------------------------------------------------
+// Build-time binding: level tokens and the block-body traits.
+// ---------------------------------------------------------------------------
 
-    pub(crate) fn fop(op: VfOp) -> fn(f32, f32) -> f32 {
-        match op {
-            VfOp::Add => |a, b| a + b,
-            VfOp::Sub => |a, b| a - b,
-            VfOp::Mul => |a, b| a * b,
-            VfOp::Div => |a, b| a / b,
-            VfOp::Min => f32::min,
-            VfOp::Max => f32::max,
+/// The scalar level's token: data movement only. Its partial-mask
+/// bodies are the tier engine's verbatim lane walks.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ScalarIsa;
+
+/// Proof that the host runs SSE2. Only [`Isa::bind`] makes one.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Sse2Isa(());
+
+/// Proof that the host runs AVX2. Only [`Isa::bind`] makes one, after
+/// runtime detection found the feature.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Avx2Isa(());
+
+/// A SIMD level bound to the token of its block bodies. The tier
+/// compiler binds once per kernel and builds every step from the
+/// token, so a step's closure calls its level's body directly: no
+/// step matches on the level, or on its operator, per block.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Isa {
+    Scalar,
+    #[cfg(target_arch = "x86_64")]
+    Sse2(Sse2Isa),
+    #[cfg(target_arch = "x86_64")]
+    Avx2(Avx2Isa),
+}
+
+impl Isa {
+    /// Binds `level`, capped at what the host supports.
+    pub(crate) fn bind(level: SimdLevel) -> Isa {
+        #[cfg(target_arch = "x86_64")]
+        match level.min(detect()) {
+            SimdLevel::Avx2 => return Isa::Avx2(Avx2Isa(())),
+            SimdLevel::Sse2 => return Isa::Sse2(Sse2Isa(())),
+            SimdLevel::Scalar => {}
         }
+        let _ = level;
+        Isa::Scalar
     }
 
-    pub(crate) fn uop(op: VuOp) -> fn(f32) -> f32 {
-        match op {
-            VuOp::Sqrt => f32::sqrt,
-            VuOp::Abs => f32::abs,
-            VuOp::Neg => |x| -x,
+    /// The bound level.
+    pub(crate) fn level(self) -> SimdLevel {
+        match self {
+            Isa::Scalar => SimdLevel::Scalar,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Sse2(_) => SimdLevel::Sse2,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2(_) => SimdLevel::Avx2,
         }
-    }
-
-    pub(crate) fn iop(op: ViOp) -> fn(i32, i32) -> i32 {
-        match op {
-            ViOp::Add => i32::wrapping_add,
-            ViOp::Sub => i32::wrapping_sub,
-            ViOp::Mul => i32::wrapping_mul,
-        }
-    }
-
-    pub(crate) fn cop(op: COp) -> fn(f32, f32) -> bool {
-        match op {
-            COp::Lt => |a, b| a < b,
-            COp::Le => |a, b| a <= b,
-            COp::Gt => |a, b| a > b,
-            COp::Ge => |a, b| a >= b,
-            COp::Eq => |a, b| a == b,
-            COp::Ne => |a, b| a != b,
-        }
-    }
-
-    pub(super) fn vf_bin(op: VfOp, f: &mut [f32], d: usize, x: usize, y: usize, m: Mask) {
-        let g = fop(op);
-        simd_loop!(m, l, {
-            f[d + l] = g(f[x + l], f[y + l]);
-        });
-    }
-
-    pub(super) fn vf_un(op: VuOp, f: &mut [f32], d: usize, x: usize, m: Mask) {
-        let g = uop(op);
-        simd_loop!(m, l, {
-            f[d + l] = g(f[x + l]);
-        });
-    }
-
-    pub(super) fn vi_bin(op: ViOp, i: &mut [i32], d: usize, x: usize, y: usize, m: Mask) {
-        let g = iop(op);
-        simd_loop!(m, l, {
-            i[d + l] = g(i[x + l], i[y + l]);
-        });
-    }
-
-    /// All-lane compare bits; lanes outside the caller's mask are
-    /// unspecified (the caller blends with its mask).
-    pub(super) fn vf_cmp(op: COp, f: &[f32], x: usize, y: usize) -> Mask {
-        let g = cop(op);
-        let mut bits: Mask = 0;
-        for l in 0..LANES {
-            if g(f[x + l], f[y + l]) {
-                bits |= 1 << l;
-            }
-        }
-        bits
-    }
-
-    pub(super) fn vf_sel(f: &mut [f32], d: usize, a: usize, b: usize, cond: Mask, m: Mask) {
-        simd_loop!(m, l, {
-            f[d + l] = if cond & (1 << l) != 0 { f[a + l] } else { f[b + l] };
-        });
-    }
-
-    pub(super) fn vf_fused_ff(op1: VfOp, op2: VfOp, f: &mut [f32], p: FusedFF, m: Mask) {
-        let (g1, g2) = (fop(op1), fop(op2));
-        simd_loop!(m, l, {
-            let t = g1(f[p.x1 + l], f[p.y1 + l]);
-            f[p.d1 + l] = t;
-            let xa = if p.ta { t } else { f[p.x2 + l] };
-            let xb = if p.tb { t } else { f[p.y2 + l] };
-            f[p.d2 + l] = g2(xa, xb);
-        });
-    }
-
-    pub(super) fn vf_fused_fc(op1: VfOp, cmp: COp, f: &mut [f32], p: FusedFC, m: Mask) -> Mask {
-        let (g1, gc) = (fop(op1), cop(cmp));
-        let mut bits: Mask = 0;
-        simd_loop!(m, l, {
-            let t = g1(f[p.x1 + l], f[p.y1 + l]);
-            f[p.d1 + l] = t;
-            let xa = if p.ta { t } else { f[p.x2 + l] };
-            let xb = if p.tb { t } else { f[p.y2 + l] };
-            if gc(xa, xb) {
-                bits |= 1 << l;
-            }
-        });
-        bits
-    }
-
-    pub(super) fn vf_arith_tbuf(op: VfOp, f: &mut [f32], t: &[f32; LANES], p: TBuf, m: Mask) {
-        let g = fop(op);
-        simd_loop!(m, l, {
-            let xa = if p.ta { t[l] } else { f[p.a2 + l] };
-            let xb = if p.tb { t[l] } else { f[p.b2 + l] };
-            f[p.d2 + l] = g(xa, xb);
-        });
-    }
-
-    pub(super) fn fold_minmax(op: crate::ReduceOp, xs: &[f32]) -> f32 {
-        let g: fn(f32, f32) -> f32 = if matches!(op, crate::ReduceOp::Min) {
-            f32::min
-        } else {
-            f32::max
-        };
-        xs.iter().fold(op.identity(), |acc, &x| g(acc, x))
     }
 }
+
+/// Whole-block data movement, at every level. On a full mask each
+/// [`LANES`]-wide component block moves as one array, with one bounds
+/// check per block; on a partial mask the level's `*_masked` body
+/// writes exactly the live lanes (a masked blend store at SSE2/AVX2,
+/// the verbatim lane walk at `Scalar`), so a dead lane's slot is never
+/// written. Every offset is [`LANES`]-aligned, so a component block of
+/// the source either is the destination's or does not overlap it, and
+/// moving block by block in component order is the lane walk's order.
+pub(crate) trait Block: Copy + Send + Sync + 'static {
+    /// The level these bodies run at.
+    const LEVEL: SimdLevel;
+
+    fn copy_f_masked(self, f: &mut [f32], d: usize, s: usize, n: usize, m: Mask);
+    fn fill_f_masked(self, f: &mut [f32], d: usize, v: [f32; 4], n: usize, m: Mask);
+    fn copy_i_masked(self, i: &mut [i32], d: usize, s: usize, m: Mask);
+    fn fill_i_masked(self, i: &mut [i32], d: usize, v: i32, m: Mask);
+    fn itof_masked(self, f: &mut [f32], i: &[i32], d: usize, s: usize, m: Mask);
+
+    /// `n` float components `s` → `d` (`CopyF`).
+    #[inline(always)]
+    fn copy_f(self, f: &mut [f32], d: usize, s: usize, n: usize, m: Mask) {
+        if m != FULL {
+            return self.copy_f_masked(f, d, s, n, m);
+        }
+        let blocks = f.as_chunks_mut::<LANES>().0;
+        for c in 0..n {
+            blocks[d / LANES + c] = blocks[s / LANES + c];
+        }
+    }
+
+    /// Component `c < n` of `d` filled with `v[c]` (`ConstF`).
+    #[inline(always)]
+    fn fill_f(self, f: &mut [f32], d: usize, v: [f32; 4], n: usize, m: Mask) {
+        if m != FULL {
+            return self.fill_f_masked(f, d, v, n, m);
+        }
+        let blocks = f.as_chunks_mut::<LANES>().0;
+        for (c, x) in v.into_iter().take(n).enumerate() {
+            blocks[d / LANES + c] = [x; LANES];
+        }
+    }
+
+    /// `CopyI`.
+    #[inline(always)]
+    fn copy_i(self, i: &mut [i32], d: usize, s: usize, m: Mask) {
+        if m != FULL {
+            return self.copy_i_masked(i, d, s, m);
+        }
+        let blocks = i.as_chunks_mut::<LANES>().0;
+        blocks[d / LANES] = blocks[s / LANES];
+    }
+
+    /// `ConstI`.
+    #[inline(always)]
+    fn fill_i(self, i: &mut [i32], d: usize, v: i32, m: Mask) {
+        if m != FULL {
+            return self.fill_i_masked(i, d, v, m);
+        }
+        i.as_chunks_mut::<LANES>().0[d / LANES] = [v; LANES];
+    }
+
+    /// `ItoF`: `i32 as f32`, round-to-nearest-even like `cvtdq2ps`.
+    #[inline(always)]
+    fn itof(self, f: &mut [f32], i: &[i32], d: usize, s: usize, m: Mask) {
+        if m != FULL {
+            return self.itof_masked(f, i, d, s, m);
+        }
+        let src = i.as_chunks::<LANES>().0[s / LANES];
+        f.as_chunks_mut::<LANES>().0[d / LANES] = src.map(|x| x as f32);
+    }
+}
+
+impl Block for ScalarIsa {
+    const LEVEL: SimdLevel = SimdLevel::Scalar;
+
+    fn copy_f_masked(self, f: &mut [f32], d: usize, s: usize, n: usize, m: Mask) {
+        for c in 0..n {
+            let (d, s) = (d + c * LANES, s + c * LANES);
+            simd_loop!(m, l, {
+                f[d + l] = f[s + l];
+            });
+        }
+    }
+
+    fn fill_f_masked(self, f: &mut [f32], d: usize, v: [f32; 4], n: usize, m: Mask) {
+        for (c, val) in v.into_iter().take(n).enumerate() {
+            let d = d + c * LANES;
+            simd_loop!(m, l, {
+                f[d + l] = val;
+            });
+        }
+    }
+
+    fn copy_i_masked(self, i: &mut [i32], d: usize, s: usize, m: Mask) {
+        simd_loop!(m, l, {
+            i[d + l] = i[s + l];
+        });
+    }
+
+    fn fill_i_masked(self, i: &mut [i32], d: usize, v: i32, m: Mask) {
+        simd_loop!(m, l, {
+            i[d + l] = v;
+        });
+    }
+
+    fn itof_masked(self, f: &mut [f32], i: &[i32], d: usize, s: usize, m: Mask) {
+        simd_loop!(m, l, {
+            f[d + l] = i[s + l] as f32;
+        });
+    }
+}
+
+/// The vector steps' block bodies. Each method is one call into a
+/// body that loops over the step's components itself, with the
+/// operator a const parameter (`VfOp::Mul as u8`, `COp::Lt as u8`, …);
+/// compare methods return all-lane bits, which the caller blends with
+/// its mask.
+pub(crate) trait Vector: Block {
+    /// Whether [`Vector::int2`] implements [`ViOp::Mul`].
+    const INT_MUL: bool;
+
+    fn zip2<const OP: u8>(self, f: &mut [f32], p: Zip, m: Mask);
+    fn map1<const OP: u8>(self, f: &mut [f32], p: Map, m: Mask);
+    fn int2<const OP: u8>(self, i: &mut [i32], d: usize, x: usize, y: usize, m: Mask);
+    fn cmp<const OP: u8>(self, f: &[f32], x: usize, y: usize) -> Mask;
+    fn sel(self, f: &mut [f32], p: Sel, cond: Mask, m: Mask);
+    /// Compare `x`/`y`, then select by the result: the fused ternary.
+    fn cmp_sel<const OP: u8>(self, f: &mut [f32], x: usize, y: usize, p: Sel, m: Mask) -> Mask;
+    fn fused_ff<const OP1: u8, const OP2: u8>(self, f: &mut [f32], p: FusedFF, m: Mask);
+    fn fused_fc<const OP1: u8, const CMP: u8>(self, f: &mut [f32], p: FusedFC, m: Mask) -> Mask;
+    /// Arithmetic tail of a fused gather/elem-fetch pair: the fetched
+    /// per-lane values arrive in `t` (dead lanes zeroed by the caller).
+    fn arith_tbuf<const OP: u8>(self, f: &mut [f32], t: &[f32; LANES], p: TBuf, m: Mask);
+}
+
+/// Implements [`Block`] and [`Vector`] for an x86_64 level token by
+/// forwarding to the level's module of bodies.
+#[cfg(target_arch = "x86_64")]
+macro_rules! x86_token {
+    ($tok:ty, $isa:ident, $level:expr, $int_mul:expr) => {
+        impl Block for $tok {
+            const LEVEL: SimdLevel = $level;
+
+            #[inline(always)]
+            fn copy_f_masked(self, f: &mut [f32], d: usize, s: usize, n: usize, m: Mask) {
+                // SAFETY: the token exists only when `Isa::bind` found the ISA on this CPU.
+                unsafe { $isa::copy_f_masked(f, d, s, n, m) }
+            }
+
+            #[inline(always)]
+            fn fill_f_masked(self, f: &mut [f32], d: usize, v: [f32; 4], n: usize, m: Mask) {
+                // SAFETY: as `copy_f_masked`.
+                unsafe { $isa::fill_f_masked(f, d, v, n, m) }
+            }
+
+            #[inline(always)]
+            fn copy_i_masked(self, i: &mut [i32], d: usize, s: usize, m: Mask) {
+                // SAFETY: as `copy_f_masked`.
+                unsafe { $isa::copy_i_masked(i, d, s, m) }
+            }
+
+            #[inline(always)]
+            fn fill_i_masked(self, i: &mut [i32], d: usize, v: i32, m: Mask) {
+                // SAFETY: as `copy_f_masked`.
+                unsafe { $isa::fill_i_masked(i, d, v, m) }
+            }
+
+            #[inline(always)]
+            fn itof_masked(self, f: &mut [f32], i: &[i32], d: usize, s: usize, m: Mask) {
+                // SAFETY: as `copy_f_masked`.
+                unsafe { $isa::itof_masked(f, i, d, s, m) }
+            }
+        }
+
+        impl Vector for $tok {
+            const INT_MUL: bool = $int_mul;
+
+            #[inline(always)]
+            fn zip2<const OP: u8>(self, f: &mut [f32], p: Zip, m: Mask) {
+                // SAFETY: the token exists only when `Isa::bind` found the ISA on this CPU.
+                unsafe { $isa::zip2::<OP>(f, p, m) }
+            }
+
+            #[inline(always)]
+            fn map1<const OP: u8>(self, f: &mut [f32], p: Map, m: Mask) {
+                // SAFETY: as `zip2`.
+                unsafe { $isa::map1::<OP>(f, p, m) }
+            }
+
+            #[inline(always)]
+            fn int2<const OP: u8>(self, i: &mut [i32], d: usize, x: usize, y: usize, m: Mask) {
+                // SAFETY: as `zip2`; `ViOp::Mul` is built only where `INT_MUL` holds.
+                unsafe { $isa::int2::<OP>(i, d, x, y, m) }
+            }
+
+            #[inline(always)]
+            fn cmp<const OP: u8>(self, f: &[f32], x: usize, y: usize) -> Mask {
+                // SAFETY: as `zip2`.
+                unsafe { $isa::cmp::<OP>(f, x, y) }
+            }
+
+            #[inline(always)]
+            fn sel(self, f: &mut [f32], p: Sel, cond: Mask, m: Mask) {
+                // SAFETY: as `zip2`.
+                unsafe { $isa::sel(f, p, cond, m) }
+            }
+
+            #[inline(always)]
+            fn cmp_sel<const OP: u8>(self, f: &mut [f32], x: usize, y: usize, p: Sel, m: Mask) -> Mask {
+                // SAFETY: as `zip2`.
+                unsafe { $isa::cmp_sel::<OP>(f, x, y, p, m) }
+            }
+
+            #[inline(always)]
+            fn fused_ff<const OP1: u8, const OP2: u8>(self, f: &mut [f32], p: FusedFF, m: Mask) {
+                // SAFETY: as `zip2`.
+                unsafe { $isa::fused_ff::<OP1, OP2>(f, p, m) }
+            }
+
+            #[inline(always)]
+            fn fused_fc<const OP1: u8, const CMP: u8>(self, f: &mut [f32], p: FusedFC, m: Mask) -> Mask {
+                // SAFETY: as `zip2`.
+                unsafe { $isa::fused_fc::<OP1, CMP>(f, p, m) }
+            }
+
+            #[inline(always)]
+            fn arith_tbuf<const OP: u8>(self, f: &mut [f32], t: &[f32; LANES], p: TBuf, m: Mask) {
+                // SAFETY: as `zip2`.
+                unsafe { $isa::arith_tbuf::<OP>(f, t, p, m) }
+            }
+        }
+    };
+}
+
+#[cfg(target_arch = "x86_64")]
+x86_token!(Sse2Isa, sse2, SimdLevel::Sse2, false);
+#[cfg(target_arch = "x86_64")]
+x86_token!(Avx2Isa, avx2, SimdLevel::Avx2, true);
 
 // ---------------------------------------------------------------------------
 // x86_64 kernels.
@@ -542,13 +786,13 @@ const fn build_mask8() -> [[i32; 8]; 256] {
 /// always sound to call on this architecture.
 #[cfg(target_arch = "x86_64")]
 mod sse2 {
-    use super::{FusedFC, FusedFF, TBuf, VfOp, ViOp, VuOp, MASK4};
+    use super::{cop, FusedFC, FusedFF, Map, Sel, TBuf, VfOp, ViOp, VuOp, Zip, MASK4};
     use crate::lanes::{COp, Mask, FULL, LANES};
     use core::arch::x86_64::*;
 
     #[inline(always)]
-    unsafe fn vf(op: VfOp, a: __m128, b: __m128) -> __m128 {
-        match op {
+    unsafe fn vf<const OP: u8>(a: __m128, b: __m128) -> __m128 {
+        match VfOp::of(OP) {
             VfOp::Add => _mm_add_ps(a, b),
             VfOp::Sub => _mm_sub_ps(a, b),
             VfOp::Mul => _mm_mul_ps(a, b),
@@ -569,8 +813,8 @@ mod sse2 {
     }
 
     #[inline(always)]
-    unsafe fn vu(op: VuOp, a: __m128) -> __m128 {
-        match op {
+    unsafe fn vu<const OP: u8>(a: __m128) -> __m128 {
+        match VuOp::of(OP) {
             VuOp::Sqrt => _mm_sqrt_ps(a),
             VuOp::Abs => _mm_and_ps(a, _mm_castsi128_ps(_mm_set1_epi32(0x7fff_ffff))),
             VuOp::Neg => _mm_xor_ps(a, _mm_set1_ps(-0.0)),
@@ -578,8 +822,8 @@ mod sse2 {
     }
 
     #[inline(always)]
-    unsafe fn vc(op: COp, a: __m128, b: __m128) -> __m128 {
-        match op {
+    unsafe fn vc<const OP: u8>(a: __m128, b: __m128) -> __m128 {
+        match cop(OP) {
             COp::Lt => _mm_cmplt_ps(a, b),
             COp::Le => _mm_cmple_ps(a, b),
             COp::Gt => _mm_cmpgt_ps(a, b),
@@ -648,46 +892,49 @@ mod sse2 {
     }
 
     #[inline(always)]
-    unsafe fn zip(op: VfOp, a: [__m128; 4], b: [__m128; 4]) -> [__m128; 4] {
+    unsafe fn zip<const OP: u8>(a: [__m128; 4], b: [__m128; 4]) -> [__m128; 4] {
         [
-            vf(op, a[0], b[0]),
-            vf(op, a[1], b[1]),
-            vf(op, a[2], b[2]),
-            vf(op, a[3], b[3]),
+            vf::<OP>(a[0], b[0]),
+            vf::<OP>(a[1], b[1]),
+            vf::<OP>(a[2], b[2]),
+            vf::<OP>(a[3], b[3]),
         ]
     }
 
-    pub(super) unsafe fn vf_bin(op: VfOp, f: &mut [f32], d: usize, x: usize, y: usize, m: Mask) {
-        let r = zip(op, ld(f, x), ld(f, y));
-        st(f, d, r, m);
-    }
-
-    pub(super) unsafe fn vf_un(op: VuOp, f: &mut [f32], d: usize, x: usize, m: Mask) {
-        let a = ld(f, x);
-        let r = [vu(op, a[0]), vu(op, a[1]), vu(op, a[2]), vu(op, a[3])];
-        st(f, d, r, m);
-    }
-
-    pub(super) unsafe fn vf_cmp(op: COp, f: &[f32], x: usize, y: usize) -> Mask {
-        let a = ld(f, x);
-        let b = ld(f, y);
+    /// All-lane compare bits of one block pair.
+    #[inline(always)]
+    unsafe fn bits<const OP: u8>(a: [__m128; 4], b: [__m128; 4]) -> Mask {
         let mut bits: Mask = 0;
         for q in 0..4 {
-            bits |= (_mm_movemask_ps(vc(op, a[q], b[q])) as Mask) << (q * 4);
+            bits |= (_mm_movemask_ps(vc::<OP>(a[q], b[q])) as Mask) << (q * 4);
         }
         bits
     }
 
-    pub(super) unsafe fn vf_sel(f: &mut [f32], d: usize, a: usize, b: usize, cond: Mask, m: Mask) {
-        let va = ld(f, a);
-        let vb = ld(f, b);
-        let mut r = [_mm_setzero_ps(); 4];
-        for (q, rq) in r.iter_mut().enumerate() {
+    /// The per-quarter lane masks of condition bits `cond`.
+    #[inline(always)]
+    unsafe fn cond_masks(cond: Mask) -> [__m128; 4] {
+        let mut cm = [_mm_setzero_ps(); 4];
+        for (q, c) in cm.iter_mut().enumerate() {
             let nib = ((cond >> (q * 4)) & 0xF) as usize;
-            let cm = _mm_castsi128_ps(_mm_loadu_si128(MASK4[nib].as_ptr().cast()));
-            *rq = _mm_or_ps(_mm_and_ps(cm, va[q]), _mm_andnot_ps(cm, vb[q]));
+            *c = _mm_castsi128_ps(_mm_loadu_si128(MASK4[nib].as_ptr().cast()));
         }
-        st(f, d, r, m);
+        cm
+    }
+
+    /// Selects `p.w` components by the lane masks `cm`.
+    #[inline(always)]
+    unsafe fn select(f: &mut [f32], p: Sel, cm: [__m128; 4], m: Mask) {
+        for c in 0..p.w {
+            let cl = c * LANES;
+            let va = ld(f, p.a + cl);
+            let vb = ld(f, p.b + cl);
+            let mut r = [_mm_setzero_ps(); 4];
+            for q in 0..4 {
+                r[q] = _mm_or_ps(_mm_and_ps(cm[q], va[q]), _mm_andnot_ps(cm[q], vb[q]));
+            }
+            st(f, p.d + cl, r, m);
+        }
     }
 
     #[inline(always)]
@@ -702,30 +949,10 @@ mod sse2 {
         ]
     }
 
+    /// The int twin of [`st`].
     #[inline(always)]
-    unsafe fn gi(op: ViOp, x: __m128i, y: __m128i) -> __m128i {
-        match op {
-            ViOp::Add => _mm_add_epi32(x, y),
-            ViOp::Sub => _mm_sub_epi32(x, y),
-            ViOp::Mul => unreachable!("pmulld needs SSE4.1; handled scalar"),
-        }
-    }
-
-    pub(super) unsafe fn vi_bin(op: ViOp, i: &mut [i32], d: usize, x: usize, y: usize, m: Mask) {
-        if matches!(op, ViOp::Mul) {
-            // pmulld is SSE4.1; keep the scalar body under plain SSE2.
-            super::scalar::vi_bin(op, i, d, x, y, m);
-            return;
-        }
-        let a = ldi(i, x);
-        let b = ldi(i, y);
-        let r = [
-            gi(op, a[0], b[0]),
-            gi(op, a[1], b[1]),
-            gi(op, a[2], b[2]),
-            gi(op, a[3], b[3]),
-        ];
-        let s = &mut i[d..d + LANES];
+    unsafe fn sti(i: &mut [i32], off: usize, r: [__m128i; 4], m: Mask) {
+        let s = &mut i[off..off + LANES];
         let p = s.as_mut_ptr().cast::<__m128i>();
         if m == FULL {
             _mm_storeu_si128(p, r[0]);
@@ -753,34 +980,110 @@ mod sse2 {
         }
     }
 
-    pub(super) unsafe fn vf_fused_ff(op1: VfOp, op2: VfOp, f: &mut [f32], p: FusedFF, m: Mask) {
-        let t = zip(op1, ld(f, p.x1), ld(f, p.y1));
-        // Store op1's block before loading op2's operands: an operand
-        // aliasing `d1` must observe the freshly stored lanes, exactly
-        // as the scalar per-lane order does.
-        st(f, p.d1, t, m);
-        let xa = if p.ta { t } else { ld(f, p.x2) };
-        let xb = if p.tb { t } else { ld(f, p.y2) };
-        st(f, p.d2, zip(op2, xa, xb), m);
-    }
-
-    pub(super) unsafe fn vf_fused_fc(op1: VfOp, cmp: COp, f: &mut [f32], p: FusedFC, m: Mask) -> Mask {
-        let t = zip(op1, ld(f, p.x1), ld(f, p.y1));
-        st(f, p.d1, t, m);
-        let xa = if p.ta { t } else { ld(f, p.x2) };
-        let xb = if p.tb { t } else { ld(f, p.y2) };
-        let mut bits: Mask = 0;
-        for q in 0..4 {
-            bits |= (_mm_movemask_ps(vc(cmp, xa[q], xb[q])) as Mask) << (q * 4);
+    pub(super) unsafe fn zip2<const OP: u8>(f: &mut [f32], p: Zip, m: Mask) {
+        for c in 0..p.w {
+            let r = zip::<OP>(ld(f, p.a + c * p.sa), ld(f, p.b + c * p.sb));
+            st(f, p.d + c * LANES, r, m);
         }
-        bits
     }
 
-    pub(super) unsafe fn vf_arith_tbuf(op: VfOp, f: &mut [f32], t: &[f32; LANES], p: TBuf, m: Mask) {
+    pub(super) unsafe fn map1<const OP: u8>(f: &mut [f32], p: Map, m: Mask) {
+        for c in 0..p.w {
+            let a = ld(f, p.s + c * LANES);
+            let r = [vu::<OP>(a[0]), vu::<OP>(a[1]), vu::<OP>(a[2]), vu::<OP>(a[3])];
+            st(f, p.d + c * LANES, r, m);
+        }
+    }
+
+    /// `Add`/`Sub` only: `pmulld` is SSE4.1, so no SSE2 step binds
+    /// `Mul` (`INT_MUL` is false).
+    pub(super) unsafe fn int2<const OP: u8>(i: &mut [i32], d: usize, x: usize, y: usize, m: Mask) {
+        let a = ldi(i, x);
+        let b = ldi(i, y);
+        let mut r = [_mm_setzero_si128(); 4];
+        for q in 0..4 {
+            r[q] = match ViOp::of(OP) {
+                ViOp::Add => _mm_add_epi32(a[q], b[q]),
+                ViOp::Sub => _mm_sub_epi32(a[q], b[q]),
+                ViOp::Mul => unreachable!("pmulld needs SSE4.1; never bound at SSE2"),
+            };
+        }
+        sti(i, d, r, m);
+    }
+
+    pub(super) unsafe fn cmp<const OP: u8>(f: &[f32], x: usize, y: usize) -> Mask {
+        bits::<OP>(ld(f, x), ld(f, y))
+    }
+
+    pub(super) unsafe fn sel(f: &mut [f32], p: Sel, cond: Mask, m: Mask) {
+        select(f, p, cond_masks(cond), m);
+    }
+
+    pub(super) unsafe fn cmp_sel<const OP: u8>(f: &mut [f32], x: usize, y: usize, p: Sel, m: Mask) -> Mask {
+        let cond = bits::<OP>(ld(f, x), ld(f, y));
+        select(f, p, cond_masks(cond), m);
+        cond
+    }
+
+    pub(super) unsafe fn fused_ff<const OP1: u8, const OP2: u8>(f: &mut [f32], p: FusedFF, m: Mask) {
+        for c in 0..p.w {
+            let t = zip::<OP1>(ld(f, p.x1 + c * p.sx1), ld(f, p.y1 + c * p.sy1));
+            // Store op1's block before loading op2's operands: an
+            // operand aliasing `d1` must observe the freshly stored
+            // lanes, exactly as the scalar per-lane order does.
+            st(f, p.d1 + c * LANES, t, m);
+            let xa = if p.ta { t } else { ld(f, p.x2 + c * p.sx2) };
+            let xb = if p.tb { t } else { ld(f, p.y2 + c * p.sy2) };
+            st(f, p.d2 + c * LANES, zip::<OP2>(xa, xb), m);
+        }
+    }
+
+    pub(super) unsafe fn fused_fc<const OP1: u8, const CMP: u8>(f: &mut [f32], p: FusedFC, m: Mask) -> Mask {
+        let t = zip::<OP1>(ld(f, p.x1), ld(f, p.y1));
+        st(f, p.d1, t, m);
+        let xa = if p.ta { t } else { ld(f, p.x2) };
+        let xb = if p.tb { t } else { ld(f, p.y2) };
+        bits::<CMP>(xa, xb)
+    }
+
+    pub(super) unsafe fn arith_tbuf<const OP: u8>(f: &mut [f32], t: &[f32; LANES], p: TBuf, m: Mask) {
         let tv = ldu(t);
         let xa = if p.ta { tv } else { ld(f, p.a2) };
         let xb = if p.tb { tv } else { ld(f, p.b2) };
-        st(f, p.d2, zip(op, xa, xb), m);
+        st(f, p.d2, zip::<OP>(xa, xb), m);
+    }
+
+    pub(super) unsafe fn copy_f_masked(f: &mut [f32], d: usize, s: usize, n: usize, m: Mask) {
+        for c in 0..n {
+            let v = ld(f, s + c * LANES);
+            st(f, d + c * LANES, v, m);
+        }
+    }
+
+    pub(super) unsafe fn fill_f_masked(f: &mut [f32], d: usize, v: [f32; 4], n: usize, m: Mask) {
+        for (c, x) in v.into_iter().take(n).enumerate() {
+            st(f, d + c * LANES, [_mm_set1_ps(x); 4], m);
+        }
+    }
+
+    pub(super) unsafe fn copy_i_masked(i: &mut [i32], d: usize, s: usize, m: Mask) {
+        let v = ldi(i, s);
+        sti(i, d, v, m);
+    }
+
+    pub(super) unsafe fn fill_i_masked(i: &mut [i32], d: usize, v: i32, m: Mask) {
+        sti(i, d, [_mm_set1_epi32(v); 4], m);
+    }
+
+    pub(super) unsafe fn itof_masked(f: &mut [f32], i: &[i32], d: usize, s: usize, m: Mask) {
+        let v = ldi(i, s);
+        let r = [
+            _mm_cvtepi32_ps(v[0]),
+            _mm_cvtepi32_ps(v[1]),
+            _mm_cvtepi32_ps(v[2]),
+            _mm_cvtepi32_ps(v[3]),
+        ];
+        st(f, d, r, m);
     }
 
     /// Plain `minps`/`maxps` fold. Only sound under the reduce
@@ -810,17 +1113,18 @@ mod sse2 {
     }
 }
 
-/// 256-bit kernels, called only after `is_x86_feature_detected!("avx2")`.
+/// 256-bit kernels, called only through an [`Avx2Isa`] token, which
+/// exists only after `is_x86_feature_detected!("avx2")`.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{FusedFC, FusedFF, TBuf, VfOp, ViOp, VuOp, MASK8};
+    use super::{cop, FusedFC, FusedFF, Map, Sel, TBuf, VfOp, ViOp, VuOp, Zip, MASK8};
     use crate::lanes::{COp, Mask, FULL, LANES};
     use core::arch::x86_64::*;
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn vf(op: VfOp, a: __m256, b: __m256) -> __m256 {
-        match op {
+    unsafe fn vf<const OP: u8>(a: __m256, b: __m256) -> __m256 {
+        match VfOp::of(OP) {
             VfOp::Add => _mm256_add_ps(a, b),
             VfOp::Sub => _mm256_sub_ps(a, b),
             VfOp::Mul => _mm256_mul_ps(a, b),
@@ -839,8 +1143,8 @@ mod avx2 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn vu(op: VuOp, a: __m256) -> __m256 {
-        match op {
+    unsafe fn vu<const OP: u8>(a: __m256) -> __m256 {
+        match VuOp::of(OP) {
             VuOp::Sqrt => _mm256_sqrt_ps(a),
             VuOp::Abs => _mm256_and_ps(a, _mm256_castsi256_ps(_mm256_set1_epi32(0x7fff_ffff))),
             VuOp::Neg => _mm256_xor_ps(a, _mm256_set1_ps(-0.0)),
@@ -849,8 +1153,8 @@ mod avx2 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn vc(op: COp, a: __m256, b: __m256) -> __m256 {
-        match op {
+    unsafe fn vc<const OP: u8>(a: __m256, b: __m256) -> __m256 {
+        match cop(OP) {
             COp::Lt => _mm256_cmp_ps::<_CMP_LT_OQ>(a, b),
             COp::Le => _mm256_cmp_ps::<_CMP_LE_OQ>(a, b),
             COp::Gt => _mm256_cmp_ps::<_CMP_GT_OQ>(a, b),
@@ -903,44 +1207,36 @@ mod avx2 {
 
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn zip(op: VfOp, a: [__m256; 2], b: [__m256; 2]) -> [__m256; 2] {
-        [vf(op, a[0], b[0]), vf(op, a[1], b[1])]
+    unsafe fn zip<const OP: u8>(a: [__m256; 2], b: [__m256; 2]) -> [__m256; 2] {
+        [vf::<OP>(a[0], b[0]), vf::<OP>(a[1], b[1])]
     }
 
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn vf_bin(op: VfOp, f: &mut [f32], d: usize, x: usize, y: usize, m: Mask) {
-        let r = zip(op, ld(f, x), ld(f, y));
-        st(f, d, r, m);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn vf_un(op: VuOp, f: &mut [f32], d: usize, x: usize, m: Mask) {
-        let a = ld(f, x);
-        st(f, d, [vu(op, a[0]), vu(op, a[1])], m);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn vf_cmp(op: COp, f: &[f32], x: usize, y: usize) -> Mask {
-        let a = ld(f, x);
-        let b = ld(f, y);
-        let lo = _mm256_movemask_ps(vc(op, a[0], b[0])) as Mask & 0xFF;
-        let hi = _mm256_movemask_ps(vc(op, a[1], b[1])) as Mask & 0xFF;
+    unsafe fn bits<const OP: u8>(a: [__m256; 2], b: [__m256; 2]) -> Mask {
+        let lo = _mm256_movemask_ps(vc::<OP>(a[0], b[0])) as Mask & 0xFF;
+        let hi = _mm256_movemask_ps(vc::<OP>(a[1], b[1])) as Mask & 0xFF;
         lo | (hi << 8)
     }
 
+    /// Selects `p.w` components by condition bits `cond`.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn vf_sel(f: &mut [f32], d: usize, a: usize, b: usize, cond: Mask, m: Mask) {
-        let va = ld(f, a);
-        let vb = ld(f, b);
+    unsafe fn select(f: &mut [f32], p: Sel, cond: Mask, m: Mask) {
         let clo = _mm256_castsi256_ps(_mm256_loadu_si256(MASK8[(cond & 0xFF) as usize].as_ptr().cast()));
         let chi = _mm256_castsi256_ps(_mm256_loadu_si256(
             MASK8[((cond >> 8) & 0xFF) as usize].as_ptr().cast(),
         ));
-        let r = [
-            _mm256_blendv_ps(vb[0], va[0], clo),
-            _mm256_blendv_ps(vb[1], va[1], chi),
-        ];
-        st(f, d, r, m);
+        for c in 0..p.w {
+            let cl = c * LANES;
+            let va = ld(f, p.a + cl);
+            let vb = ld(f, p.b + cl);
+            let r = [
+                _mm256_blendv_ps(vb[0], va[0], clo),
+                _mm256_blendv_ps(vb[1], va[1], chi),
+            ];
+            st(f, p.d + cl, r, m);
+        }
     }
 
     #[inline]
@@ -950,23 +1246,11 @@ mod avx2 {
         [_mm256_loadu_si256(p), _mm256_loadu_si256(p.add(1))]
     }
 
+    /// The int twin of [`st`].
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn gi(op: ViOp, x: __m256i, y: __m256i) -> __m256i {
-        match op {
-            ViOp::Add => _mm256_add_epi32(x, y),
-            ViOp::Sub => _mm256_sub_epi32(x, y),
-            ViOp::Mul => _mm256_mullo_epi32(x, y),
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn vi_bin(op: ViOp, i: &mut [i32], d: usize, x: usize, y: usize, m: Mask) {
-        let a = ldi(i, x);
-        let b = ldi(i, y);
-        let r = [gi(op, a[0], b[0]), gi(op, a[1], b[1])];
-        let s = &mut i[d..d + LANES];
-        let p = s.as_mut_ptr();
+    unsafe fn sti(i: &mut [i32], off: usize, r: [__m256i; 2], m: Mask) {
+        let p = i[off..off + LANES].as_mut_ptr();
         if m == FULL {
             _mm256_storeu_si256(p.cast(), r[0]);
             _mm256_storeu_si256(p.cast::<__m256i>().add(1), r[1]);
@@ -983,33 +1267,115 @@ mod avx2 {
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn vf_fused_ff(op1: VfOp, op2: VfOp, f: &mut [f32], p: FusedFF, m: Mask) {
-        let t = zip(op1, ld(f, p.x1), ld(f, p.y1));
-        // Store-before-load: operands aliasing `d1` observe the fresh
-        // lanes, as in the scalar per-lane order.
-        st(f, p.d1, t, m);
-        let xa = if p.ta { t } else { ld(f, p.x2) };
-        let xb = if p.tb { t } else { ld(f, p.y2) };
-        st(f, p.d2, zip(op2, xa, xb), m);
+    pub(super) unsafe fn zip2<const OP: u8>(f: &mut [f32], p: Zip, m: Mask) {
+        for c in 0..p.w {
+            let r = zip::<OP>(ld(f, p.a + c * p.sa), ld(f, p.b + c * p.sb));
+            st(f, p.d + c * LANES, r, m);
+        }
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn vf_fused_fc(op1: VfOp, cmp: COp, f: &mut [f32], p: FusedFC, m: Mask) -> Mask {
-        let t = zip(op1, ld(f, p.x1), ld(f, p.y1));
-        st(f, p.d1, t, m);
-        let xa = if p.ta { t } else { ld(f, p.x2) };
-        let xb = if p.tb { t } else { ld(f, p.y2) };
-        let lo = _mm256_movemask_ps(vc(cmp, xa[0], xb[0])) as Mask & 0xFF;
-        let hi = _mm256_movemask_ps(vc(cmp, xa[1], xb[1])) as Mask & 0xFF;
-        lo | (hi << 8)
+    pub(super) unsafe fn map1<const OP: u8>(f: &mut [f32], p: Map, m: Mask) {
+        for c in 0..p.w {
+            let a = ld(f, p.s + c * LANES);
+            st(f, p.d + c * LANES, [vu::<OP>(a[0]), vu::<OP>(a[1])], m);
+        }
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn gi<const OP: u8>(x: __m256i, y: __m256i) -> __m256i {
+        match ViOp::of(OP) {
+            ViOp::Add => _mm256_add_epi32(x, y),
+            ViOp::Sub => _mm256_sub_epi32(x, y),
+            ViOp::Mul => _mm256_mullo_epi32(x, y),
+        }
     }
 
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn vf_arith_tbuf(op: VfOp, f: &mut [f32], t: &[f32; LANES], p: TBuf, m: Mask) {
+    pub(super) unsafe fn int2<const OP: u8>(i: &mut [i32], d: usize, x: usize, y: usize, m: Mask) {
+        let a = ldi(i, x);
+        let b = ldi(i, y);
+        sti(i, d, [gi::<OP>(a[0], b[0]), gi::<OP>(a[1], b[1])], m);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn cmp<const OP: u8>(f: &[f32], x: usize, y: usize) -> Mask {
+        bits::<OP>(ld(f, x), ld(f, y))
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn sel(f: &mut [f32], p: Sel, cond: Mask, m: Mask) {
+        select(f, p, cond, m);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn cmp_sel<const OP: u8>(f: &mut [f32], x: usize, y: usize, p: Sel, m: Mask) -> Mask {
+        let cond = bits::<OP>(ld(f, x), ld(f, y));
+        select(f, p, cond, m);
+        cond
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn fused_ff<const OP1: u8, const OP2: u8>(f: &mut [f32], p: FusedFF, m: Mask) {
+        for c in 0..p.w {
+            let t = zip::<OP1>(ld(f, p.x1 + c * p.sx1), ld(f, p.y1 + c * p.sy1));
+            // Store-before-load: operands aliasing `d1` observe the
+            // fresh lanes, as in the scalar per-lane order.
+            st(f, p.d1 + c * LANES, t, m);
+            let xa = if p.ta { t } else { ld(f, p.x2 + c * p.sx2) };
+            let xb = if p.tb { t } else { ld(f, p.y2 + c * p.sy2) };
+            st(f, p.d2 + c * LANES, zip::<OP2>(xa, xb), m);
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn fused_fc<const OP1: u8, const CMP: u8>(f: &mut [f32], p: FusedFC, m: Mask) -> Mask {
+        let t = zip::<OP1>(ld(f, p.x1), ld(f, p.y1));
+        st(f, p.d1, t, m);
+        let xa = if p.ta { t } else { ld(f, p.x2) };
+        let xb = if p.tb { t } else { ld(f, p.y2) };
+        bits::<CMP>(xa, xb)
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn arith_tbuf<const OP: u8>(f: &mut [f32], t: &[f32; LANES], p: TBuf, m: Mask) {
         let tv = ldu(t);
         let xa = if p.ta { tv } else { ld(f, p.a2) };
         let xb = if p.tb { tv } else { ld(f, p.b2) };
-        st(f, p.d2, zip(op, xa, xb), m);
+        st(f, p.d2, zip::<OP>(xa, xb), m);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn copy_f_masked(f: &mut [f32], d: usize, s: usize, n: usize, m: Mask) {
+        for c in 0..n {
+            let v = ld(f, s + c * LANES);
+            st(f, d + c * LANES, v, m);
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn fill_f_masked(f: &mut [f32], d: usize, v: [f32; 4], n: usize, m: Mask) {
+        for (c, x) in v.into_iter().take(n).enumerate() {
+            st(f, d + c * LANES, [_mm256_set1_ps(x); 2], m);
+        }
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn copy_i_masked(i: &mut [i32], d: usize, s: usize, m: Mask) {
+        let v = ldi(i, s);
+        sti(i, d, v, m);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn fill_i_masked(i: &mut [i32], d: usize, v: i32, m: Mask) {
+        sti(i, d, [_mm256_set1_epi32(v); 2], m);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn itof_masked(f: &mut [f32], i: &[i32], d: usize, s: usize, m: Mask) {
+        let v = ldi(i, s);
+        st(f, d, [_mm256_cvtepi32_ps(v[0]), _mm256_cvtepi32_ps(v[1])], m);
     }
 
     /// Two-float-index gather linearization for one block:
@@ -1090,65 +1456,6 @@ mod avx2 {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Runtime dispatch. `level` is capped at `detect()` by every planner
-// entry point, so the feature-gated kernels are sound to call.
-// ---------------------------------------------------------------------------
-
-macro_rules! dispatch {
-    ($level:expr, $($call:tt)+) => {{
-        #[cfg(target_arch = "x86_64")]
-        {
-            match $level {
-                // SAFETY: the planner caps `level` at `detect()`, so
-                // the required ISA is present on this CPU.
-                SimdLevel::Avx2 => return unsafe { avx2::$($call)+ },
-                SimdLevel::Sse2 => return unsafe { sse2::$($call)+ },
-                SimdLevel::Scalar => {}
-            }
-        }
-        let _ = $level;
-        scalar::$($call)+
-    }};
-}
-
-pub(crate) fn vf_bin(level: SimdLevel, op: VfOp, f: &mut [f32], d: usize, x: usize, y: usize, m: Mask) {
-    dispatch!(level, vf_bin(op, f, d, x, y, m))
-}
-
-pub(crate) fn vf_un(level: SimdLevel, op: VuOp, f: &mut [f32], d: usize, x: usize, m: Mask) {
-    dispatch!(level, vf_un(op, f, d, x, m))
-}
-
-/// All-lane compare bits for one block; bits outside the execution
-/// mask are unspecified and must be blended by the caller.
-pub(crate) fn vf_cmp(level: SimdLevel, op: COp, f: &[f32], x: usize, y: usize) -> Mask {
-    dispatch!(level, vf_cmp(op, f, x, y))
-}
-
-pub(crate) fn vf_sel(level: SimdLevel, f: &mut [f32], d: usize, a: usize, b: usize, cond: Mask, m: Mask) {
-    dispatch!(level, vf_sel(f, d, a, b, cond, m))
-}
-
-pub(crate) fn vi_bin(level: SimdLevel, op: ViOp, i: &mut [i32], d: usize, x: usize, y: usize, m: Mask) {
-    dispatch!(level, vi_bin(op, i, d, x, y, m))
-}
-
-pub(crate) fn vf_fused_ff(level: SimdLevel, op1: VfOp, op2: VfOp, f: &mut [f32], p: FusedFF, m: Mask) {
-    dispatch!(level, vf_fused_ff(op1, op2, f, p, m))
-}
-
-/// Fused arith→compare; returns all-lane bits (see [`vf_cmp`]).
-pub(crate) fn vf_fused_fc(level: SimdLevel, op1: VfOp, cmp: COp, f: &mut [f32], p: FusedFC, m: Mask) -> Mask {
-    dispatch!(level, vf_fused_fc(op1, cmp, f, p, m))
-}
-
-/// Arithmetic tail of a fused gather/elem-fetch pair: the fetched
-/// per-lane values arrive in `t` (dead lanes zeroed by the caller).
-pub(crate) fn vf_arith_tbuf(level: SimdLevel, op: VfOp, f: &mut [f32], t: &[f32; LANES], p: TBuf, m: Mask) {
-    dispatch!(level, vf_arith_tbuf(op, f, t, p, m))
-}
-
 /// Largest gather dimension the vectorized index computation accepts:
 /// every integer up to `2^24` is exactly representable in `f32`, so
 /// the float-domain clamp bound `dim - 1` is exact.
@@ -1181,8 +1488,8 @@ pub(crate) fn vf_gather2_idx(
         && (1..=MAX_IDX_DIM).contains(&d1)
         && d0.saturating_mul(d1) <= i32::MAX as usize
     {
-        // SAFETY: dispatch only selects Avx2 after runtime detection
-        // confirmed the ISA (see `dispatch!`).
+        // SAFETY: every caller passes a level capped at `detect()`
+        // (`Isa::bind` or `compile_simd`), so AVX2 is present.
         unsafe { avx2::gather2_idx(f, o0, o1, d0, d1, clamp, out) };
         return true;
     }
@@ -1627,8 +1934,433 @@ pub fn fold(op: ReduceOp, level: SimdLevel, xs: &[f32]) -> f32 {
                 }
             }
             let _ = level;
-            scalar::fold_minmax(op, xs)
+            let g: fn(f32, f32) -> f32 = if matches!(op, ReduceOp::Min) {
+                f32::min
+            } else {
+                f32::max
+            };
+            xs.iter().fold(op.identity(), |acc, &x| g(acc, x))
         }
         _ => xs.iter().fold(op.identity(), |acc, &x| op.apply(acc, x)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The masks every body is pinned under: full, single lanes at both
+    /// ends, each half, and scattered lanes.
+    const MASKS: [Mask; 9] = [
+        FULL, 0x0001, 0x8000, 0x00FF, 0xFF00, 0x5A5A, 0x0F0F, 0x7FFE, 0x8421,
+    ];
+
+    /// A float slab in a 32-byte-aligned arena, as the engines run on
+    /// (the vector bodies load slab blocks aligned).
+    struct Slab(AlignedF32);
+
+    impl Clone for Slab {
+        fn clone(&self) -> Slab {
+            let mut a = AlignedF32::default();
+            a.clear_resize(self.len());
+            a.as_mut_slice().copy_from_slice(self);
+            Slab(a)
+        }
+    }
+
+    impl std::ops::Deref for Slab {
+        type Target = [f32];
+        fn deref(&self) -> &[f32] {
+            self.0.as_slice()
+        }
+    }
+
+    impl std::ops::DerefMut for Slab {
+        fn deref_mut(&mut self) -> &mut [f32] {
+            self.0.as_mut_slice()
+        }
+    }
+
+    /// A float slab of `blocks` component blocks: ramps with both signs,
+    /// signed zeros, NaN payloads and infinities.
+    fn slab(blocks: usize) -> Slab {
+        let special = [
+            -0.0,
+            0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::INFINITY,
+            f32::from_bits(0x7fc0_1234),
+        ];
+        let mut a = AlignedF32::default();
+        a.clear_resize(blocks * LANES);
+        for (i, x) in a.as_mut_slice().iter_mut().enumerate() {
+            *x = match i % 7 {
+                3 => special[(i / 7) % special.len()],
+                _ => ((i * 37 % 101) as f32 - 50.0) * 0.37,
+            };
+        }
+        Slab(a)
+    }
+
+    fn int_slab(blocks: usize) -> Vec<i32> {
+        (0..blocks * LANES)
+            .map(|i| match i % 5 {
+                2 => [i32::MIN, i32::MAX, 0, -1][(i / 5) % 4],
+                _ => (i as i32 * 7919) % 20_000 - 10_000,
+            })
+            .collect()
+    }
+
+    fn bits(f: &[f32]) -> Vec<u32> {
+        f.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The verbatim lane walk every body must reproduce: `w` components,
+    /// each over the lanes of `m`.
+    fn walk(m: Mask, w: usize, mut body: impl FnMut(usize, usize)) {
+        for c in 0..w {
+            for l in 0..LANES {
+                if m & (1 << l) != 0 {
+                    body(c, l);
+                }
+            }
+        }
+    }
+
+    /// Every level this host can bind.
+    fn isas() -> Vec<Isa> {
+        let mut out = vec![Isa::Scalar];
+        for level in [SimdLevel::Sse2, SimdLevel::Avx2] {
+            let isa = Isa::bind(level);
+            if isa.level() == level {
+                out.push(isa);
+            }
+        }
+        out
+    }
+
+    fn check_moves<B: Block>(b: B) {
+        for m in MASKS {
+            for n in 1..=4 {
+                let (d, s) = (LANES, 5 * LANES);
+                let mut got = slab(10);
+                let mut want = got.clone();
+                b.copy_f(&mut got, d, s, n, m);
+                walk(m, n, |c, l| want[d + c * LANES + l] = want[s + c * LANES + l]);
+                assert_eq!(bits(&got), bits(&want), "{:?} copy_f n={n} m={m:#x}", B::LEVEL);
+
+                let v = [1.5, -0.0, f32::NAN, 7.25];
+                let mut got = slab(10);
+                let mut want = got.clone();
+                b.fill_f(&mut got, d, v, n, m);
+                walk(m, n, |c, l| want[d + c * LANES + l] = v[c]);
+                assert_eq!(bits(&got), bits(&want), "{:?} fill_f n={n} m={m:#x}", B::LEVEL);
+            }
+            let ints = int_slab(4);
+            let mut got = ints.clone();
+            let mut want = ints.clone();
+            b.copy_i(&mut got, 0, 2 * LANES, m);
+            walk(m, 1, |_, l| want[l] = want[2 * LANES + l]);
+            assert_eq!(got, want, "{:?} copy_i m={m:#x}", B::LEVEL);
+
+            let mut got = ints.clone();
+            let mut want = ints.clone();
+            b.fill_i(&mut got, 3 * LANES, -42, m);
+            walk(m, 1, |_, l| want[3 * LANES + l] = -42);
+            assert_eq!(got, want, "{:?} fill_i m={m:#x}", B::LEVEL);
+
+            let mut got = slab(3);
+            let mut want = got.clone();
+            b.itof(&mut got, &ints, 2 * LANES, LANES, m);
+            walk(m, 1, |_, l| want[2 * LANES + l] = ints[LANES + l] as f32);
+            assert_eq!(bits(&got), bits(&want), "{:?} itof m={m:#x}", B::LEVEL);
+        }
+    }
+
+    /// Data movement writes exactly the masked lanes, bit for bit, at
+    /// every level: the whole-block copy on a full mask, the masked
+    /// blend store or lane walk on a partial one.
+    #[test]
+    fn block_moves_write_exactly_the_masked_lanes() {
+        for isa in isas() {
+            match isa {
+                Isa::Scalar => check_moves(ScalarIsa),
+                #[cfg(target_arch = "x86_64")]
+                Isa::Sse2(v) => check_moves(v),
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2(v) => check_moves(v),
+            }
+        }
+    }
+
+    fn fop(op: u8) -> fn(f32, f32) -> f32 {
+        match VfOp::of(op) {
+            VfOp::Add => |a, b| a + b,
+            VfOp::Sub => |a, b| a - b,
+            VfOp::Mul => |a, b| a * b,
+            VfOp::Div => |a, b| a / b,
+            VfOp::Min => f32::min,
+            VfOp::Max => f32::max,
+        }
+    }
+
+    fn cmp_ref(op: u8) -> fn(f32, f32) -> bool {
+        match [COp::Lt, COp::Le, COp::Gt, COp::Ge, COp::Eq, COp::Ne][op as usize] {
+            COp::Lt => |a, b| a < b,
+            COp::Le => |a, b| a <= b,
+            COp::Gt => |a, b| a > b,
+            COp::Ge => |a, b| a >= b,
+            COp::Eq => |a, b| a == b,
+            COp::Ne => |a, b| a != b,
+        }
+    }
+
+    /// Lane bits of `g` over the blocks at `x` and `y`, within `m`.
+    fn cmp_bits(f: &[f32], g: fn(f32, f32) -> bool, x: usize, y: usize, m: Mask) -> Mask {
+        let mut bits = 0;
+        walk(m, 1, |_, l| {
+            if g(f[x + l], f[y + l]) {
+                bits |= 1 << l;
+            }
+        });
+        bits
+    }
+
+    fn check_zip<V: Vector, const OP: u8>(v: V) {
+        let g = fop(OP);
+        for m in MASKS {
+            for w in 1..=4 {
+                for (sa, sb) in [(LANES, LANES), (0, LANES), (LANES, 0)] {
+                    let p = Zip {
+                        d: 0,
+                        w,
+                        a: 4 * LANES,
+                        sa,
+                        b: 8 * LANES,
+                        sb,
+                    };
+                    let mut got = slab(12);
+                    let mut want = got.clone();
+                    v.zip2::<OP>(&mut got, p, m);
+                    walk(m, w, |c, l| {
+                        want[c * LANES + l] = g(want[p.a + c * sa + l], want[p.b + c * sb + l]);
+                    });
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{:?} zip2 {:?} w={w} m={m:#x}",
+                        V::LEVEL,
+                        VfOp::of(OP)
+                    );
+
+                    let q = FusedFF {
+                        w,
+                        x1: 4 * LANES,
+                        sx1: sa,
+                        y1: 8 * LANES,
+                        sy1: sb,
+                        d1: 0,
+                        x2: 0,
+                        sx2: LANES,
+                        y2: 12 * LANES,
+                        sy2: sb,
+                        d2: 16 * LANES,
+                        ta: true,
+                        tb: false,
+                    };
+                    let mut got = slab(20);
+                    let mut want = got.clone();
+                    v.fused_ff::<OP, { VfOp::Add as u8 }>(&mut got, q, m);
+                    walk(m, w, |c, l| {
+                        let t = g(want[q.x1 + c * sa + l], want[q.y1 + c * sb + l]);
+                        want[c * LANES + l] = t;
+                        want[q.d2 + c * LANES + l] = t + want[q.y2 + c * sb + l];
+                    });
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{:?} fused_ff {:?} w={w} m={m:#x}",
+                        V::LEVEL,
+                        VfOp::of(OP)
+                    );
+                }
+            }
+            let t: [f32; LANES] = std::array::from_fn(|l| l as f32 * -1.5 + 0.25);
+            let p = TBuf {
+                d2: 0,
+                a2: 2 * LANES,
+                b2: 3 * LANES,
+                ta: false,
+                tb: true,
+            };
+            let mut got = slab(4);
+            let mut want = got.clone();
+            v.arith_tbuf::<OP>(&mut got, &t, p, m);
+            walk(m, 1, |_, l| want[l] = g(want[p.a2 + l], t[l]));
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "{:?} arith_tbuf {:?} m={m:#x}",
+                V::LEVEL,
+                VfOp::of(OP)
+            );
+        }
+    }
+
+    fn check_cmp<V: Vector, const OP: u8>(v: V) {
+        let g = cmp_ref(OP);
+        for m in MASKS {
+            let f = slab(4);
+            let got = v.cmp::<OP>(&f, LANES, 2 * LANES) & m;
+            assert_eq!(
+                got,
+                cmp_bits(&f, g, LANES, 2 * LANES, m),
+                "{:?} cmp {OP} m={m:#x}",
+                V::LEVEL
+            );
+
+            for w in 1..=4 {
+                let p = Sel {
+                    d: 0,
+                    a: 4 * LANES,
+                    b: 8 * LANES,
+                    w,
+                };
+                let mut got = slab(14);
+                let mut want = got.clone();
+                let cond = v.cmp_sel::<OP>(&mut got, 12 * LANES, 13 * LANES, p, m) & m;
+                let wc = cmp_bits(&want, g, 12 * LANES, 13 * LANES, m);
+                walk(m, w, |c, l| {
+                    let src = if wc & (1 << l) != 0 { p.a } else { p.b };
+                    want[c * LANES + l] = want[src + c * LANES + l];
+                });
+                assert_eq!(cond, wc, "{:?} cmp_sel bits {OP} w={w} m={m:#x}", V::LEVEL);
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "{:?} cmp_sel {OP} w={w} m={m:#x}",
+                    V::LEVEL
+                );
+            }
+
+            let q = FusedFC {
+                x1: LANES,
+                y1: 2 * LANES,
+                d1: 0,
+                x2: 3 * LANES,
+                y2: 0,
+                ta: false,
+                tb: true,
+            };
+            let mut got = slab(4);
+            let mut want = got.clone();
+            let cond = v.fused_fc::<{ VfOp::Mul as u8 }, OP>(&mut got, q, m) & m;
+            let mut wc = 0;
+            walk(m, 1, |_, l| {
+                let t = want[q.x1 + l] * want[q.y1 + l];
+                want[l] = t;
+                if g(want[q.x2 + l], t) {
+                    wc |= 1 << l;
+                }
+            });
+            assert_eq!(cond, wc, "{:?} fused_fc bits {OP} m={m:#x}", V::LEVEL);
+            assert_eq!(bits(&got), bits(&want), "{:?} fused_fc {OP} m={m:#x}", V::LEVEL);
+        }
+    }
+
+    fn check_vector<V: Vector>(v: V) {
+        check_moves(v);
+        check_zip::<V, { VfOp::Add as u8 }>(v);
+        check_zip::<V, { VfOp::Sub as u8 }>(v);
+        check_zip::<V, { VfOp::Mul as u8 }>(v);
+        check_zip::<V, { VfOp::Div as u8 }>(v);
+        check_zip::<V, { VfOp::Min as u8 }>(v);
+        check_zip::<V, { VfOp::Max as u8 }>(v);
+        check_cmp::<V, { COp::Lt as u8 }>(v);
+        check_cmp::<V, { COp::Le as u8 }>(v);
+        check_cmp::<V, { COp::Gt as u8 }>(v);
+        check_cmp::<V, { COp::Ge as u8 }>(v);
+        check_cmp::<V, { COp::Eq as u8 }>(v);
+        check_cmp::<V, { COp::Ne as u8 }>(v);
+        for m in MASKS {
+            for w in 1..=4 {
+                for op in [VuOp::Sqrt, VuOp::Abs, VuOp::Neg] {
+                    let g: fn(f32) -> f32 = match op {
+                        VuOp::Sqrt => f32::sqrt,
+                        VuOp::Abs => f32::abs,
+                        VuOp::Neg => |x| -x,
+                    };
+                    let p = Map {
+                        d: 0,
+                        s: 4 * LANES,
+                        w,
+                    };
+                    let mut got = slab(8);
+                    let mut want = got.clone();
+                    match op {
+                        VuOp::Sqrt => v.map1::<{ VuOp::Sqrt as u8 }>(&mut got, p, m),
+                        VuOp::Abs => v.map1::<{ VuOp::Abs as u8 }>(&mut got, p, m),
+                        VuOp::Neg => v.map1::<{ VuOp::Neg as u8 }>(&mut got, p, m),
+                    }
+                    walk(m, w, |c, l| want[c * LANES + l] = g(want[p.s + c * LANES + l]));
+                    assert_eq!(
+                        bits(&got),
+                        bits(&want),
+                        "{:?} map1 {op:?} w={w} m={m:#x}",
+                        V::LEVEL
+                    );
+                }
+                let p = Sel {
+                    d: 0,
+                    a: 4 * LANES,
+                    b: 8 * LANES,
+                    w,
+                };
+                let cond = 0x3C96;
+                let mut got = slab(12);
+                let mut want = got.clone();
+                v.sel(&mut got, p, cond, m);
+                walk(m, w, |c, l| {
+                    let src = if cond & (1 << l) != 0 { p.a } else { p.b };
+                    want[c * LANES + l] = want[src + c * LANES + l];
+                });
+                assert_eq!(bits(&got), bits(&want), "{:?} sel w={w} m={m:#x}", V::LEVEL);
+            }
+            for op in [ViOp::Add, ViOp::Sub, ViOp::Mul] {
+                let g: fn(i32, i32) -> i32 = match op {
+                    ViOp::Add => i32::wrapping_add,
+                    ViOp::Sub => i32::wrapping_sub,
+                    ViOp::Mul => i32::wrapping_mul,
+                };
+                if op == ViOp::Mul && !V::INT_MUL {
+                    continue;
+                }
+                let mut got = int_slab(3);
+                let mut want = got.clone();
+                match op {
+                    ViOp::Add => v.int2::<{ ViOp::Add as u8 }>(&mut got, 0, LANES, 2 * LANES, m),
+                    ViOp::Sub => v.int2::<{ ViOp::Sub as u8 }>(&mut got, 0, LANES, 2 * LANES, m),
+                    ViOp::Mul => v.int2::<{ ViOp::Mul as u8 }>(&mut got, 0, LANES, 2 * LANES, m),
+                }
+                walk(m, 1, |_, l| want[l] = g(want[LANES + l], want[2 * LANES + l]));
+                assert_eq!(got, want, "{:?} int2 {op:?} m={m:#x}", V::LEVEL);
+            }
+        }
+    }
+
+    /// Every vector body is bit-exact with the scalar lane walk it
+    /// replaces, for every operator, width, broadcast stride and mask.
+    #[test]
+    fn vector_bodies_match_the_lane_walk() {
+        for isa in isas() {
+            match isa {
+                Isa::Scalar => {}
+                #[cfg(target_arch = "x86_64")]
+                Isa::Sse2(v) => check_vector(v),
+                #[cfg(target_arch = "x86_64")]
+                Isa::Avx2(v) => check_vector(v),
+            }
+        }
     }
 }

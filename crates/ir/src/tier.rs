@@ -84,7 +84,7 @@ use crate::interp::{domain_extents, input_index, Binding, ExecError, MAX_ITERATI
 use crate::lanes::{
     self, BOp, COp, FOp, IOp, LaneKernel, LaneProgram, LaneSlabs, LaneTy, Mask, Op, FULL, LANES,
 };
-use crate::simd::{self, SimdLevel};
+use crate::simd::{self, Block, Isa, SimdLevel, Vector, VfOp, ViOp, VuOp};
 use crate::{IrKernel, IrProgram, LoopKind, LoopNode, Node};
 use glsl_es::math::{Bin, Un};
 use glsl_es::Value;
@@ -662,7 +662,7 @@ macro_rules! with_fop {
                 $e
             }
             FOp::Rem => {
-                let $g = |a: f32, b: f32| a - b * (a / b).floor();
+                let $g = |a: f32, b: f32| Bin::Fmod.apply(a, b);
                 $e
             }
         }
@@ -1141,21 +1141,17 @@ fn gather_linear_unclamped(fr: &Frame<'_>, idx: &[(u32, bool)], shape: &[usize],
 }
 
 // ---------------------------------------------------------------------------
-// Single-op step builders.
-// ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
-// Explicit-SIMD step builders.
+// Build-time-bound step builders.
 // ---------------------------------------------------------------------------
 
 /// Maps an arith op onto its explicit vector kernel. `Rem` has no
 /// bit-exactness-preserving vector form and keeps the scalar body.
-fn vf_of(op: FOp) -> Option<simd::VfOp> {
+fn vf_of(op: FOp) -> Option<VfOp> {
     Some(match op {
-        FOp::Add => simd::VfOp::Add,
-        FOp::Sub => simd::VfOp::Sub,
-        FOp::Mul => simd::VfOp::Mul,
-        FOp::Div => simd::VfOp::Div,
+        FOp::Add => VfOp::Add,
+        FOp::Sub => VfOp::Sub,
+        FOp::Mul => VfOp::Mul,
+        FOp::Div => VfOp::Div,
         FOp::Rem => return None,
     })
 }
@@ -1164,13 +1160,13 @@ fn vf_of(op: FOp) -> Option<simd::VfOp> {
 /// bit-exact NaN/tie-preserving sequences; the synthetic fusion
 /// builtins map to plain arith. Everything else (pow, step, atan2,
 /// fmod) keeps its scalar body — libm calls have no vector form here.
-fn vf_of_bin(f: Bin) -> Option<simd::VfOp> {
+fn vf_of_bin(f: Bin) -> Option<VfOp> {
     Some(match f {
-        Bin::Min => simd::VfOp::Min,
-        Bin::Max => simd::VfOp::Max,
-        Bin::Add => simd::VfOp::Add,
-        Bin::Sub => simd::VfOp::Sub,
-        Bin::Mul => simd::VfOp::Mul,
+        Bin::Min => VfOp::Min,
+        Bin::Max => VfOp::Max,
+        Bin::Add => VfOp::Add,
+        Bin::Sub => VfOp::Sub,
+        Bin::Mul => VfOp::Mul,
         _ => return None,
     })
 }
@@ -1178,10 +1174,10 @@ fn vf_of_bin(f: Bin) -> Option<simd::VfOp> {
 /// Unary builtins with explicit vector kernels: `sqrtps` is IEEE
 /// correctly-rounded (identical to scalar `sqrt`), abs/neg are pure
 /// sign-bit ops. The transcendental family stays scalar.
-fn vu_of(f: Un) -> Option<simd::VuOp> {
+fn vu_of(f: Un) -> Option<VuOp> {
     Some(match f {
-        Un::Sqrt => simd::VuOp::Sqrt,
-        Un::Abs => simd::VuOp::Abs,
+        Un::Sqrt => VuOp::Sqrt,
+        Un::Abs => VuOp::Abs,
         _ => return None,
     })
 }
@@ -1189,58 +1185,90 @@ fn vu_of(f: Un) -> Option<simd::VuOp> {
 /// Wrapping-int ops with explicit vector kernels. Div/Rem trap on
 /// zero in scalar code (a semantic the kernel model preserves via the
 /// scalar body's fault path).
-fn vi_of(op: IOp) -> Option<simd::ViOp> {
+fn vi_of(op: IOp) -> Option<ViOp> {
     Some(match op {
-        IOp::Add => simd::ViOp::Add,
-        IOp::Sub => simd::ViOp::Sub,
-        IOp::Mul => simd::ViOp::Mul,
+        IOp::Add => ViOp::Add,
+        IOp::Sub => ViOp::Sub,
+        IOp::Mul => ViOp::Mul,
         IOp::Div | IOp::Rem => return None,
     })
 }
 
-/// A component-looped binary float step dispatching to the vector
-/// kernels: computes all [`LANES`] lanes (slabs are always
-/// initialized, so dead-lane arithmetic is unobservable) and
-/// blend-stores exactly the scalar write set.
-#[allow(clippy::too_many_arguments)]
-fn simd_zip2(
-    level: SimdLevel,
-    op: simd::VfOp,
-    dst: usize,
-    w: usize,
-    a: usize,
-    ab: bool,
-    b: usize,
-    bb: bool,
-) -> Step {
-    Box::new(move |fr| {
-        let m = fr.m;
-        for c in 0..w {
-            let d = dst + c * LANES;
-            let x = a + if ab { 0 } else { c * LANES };
-            let y = b + if bb { 0 } else { c * LANES };
-            simd::vf_bin(level, op, fr.f, d, x, y, m);
+/// Binds `$c` to the const parameter of one of the listed variants of
+/// `$op` and evaluates `$e` with it. Each arm instantiates `$e` with
+/// its own constant, so a step's body is monomorphized per operator;
+/// a variant outside the list never reaches this point.
+macro_rules! bind_op {
+    ($ty:ident, $op:expr, [$($v:ident),+], $c:ident => $e:expr) => {
+        match $op {
+            $($ty::$v => {
+                const $c: u8 = $ty::$v as u8;
+                $e
+            })+
+            #[allow(unreachable_patterns)]
+            _ => unreachable!("no block body for this operator"),
         }
+    };
+}
+
+/// Evaluates `$e` with `$v` bound to the token of a vector level, or
+/// `$scalar` at `Scalar`.
+macro_rules! on_vector {
+    ($isa:expr, $v:ident => $e:expr, $scalar:expr) => {
+        match $isa {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2($v) => $e,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Sse2($v) => $e,
+            Isa::Scalar => $scalar,
+        }
+    };
+}
+
+/// The slab stride of an operand: a broadcast stays on component 0.
+fn stride(bcast: bool) -> usize {
+    if bcast {
+        0
+    } else {
+        LANES
+    }
+}
+
+/// The whole-block data-movement step of `op` at level `b` (see
+/// [`simd::Block`]); `None` for every other op.
+fn move_step<B: Block>(op: &Op, b: B) -> Option<Step> {
+    Some(match *op {
+        Op::ConstF { dst, w, v } => {
+            let (d, n) = (dst as usize, w as usize);
+            Box::new(move |fr| b.fill_f(fr.f, d, v, n, fr.m))
+        }
+        Op::ConstI { dst, v } => {
+            let d = dst as usize;
+            Box::new(move |fr| b.fill_i(fr.i, d, v, fr.m))
+        }
+        Op::CopyF { dst, src, n } => {
+            let (d, s, n) = (dst as usize, src as usize, n as usize);
+            Box::new(move |fr| b.copy_f(fr.f, d, s, n, fr.m))
+        }
+        Op::CopyI { dst, src } => {
+            let (d, s) = (dst as usize, src as usize);
+            Box::new(move |fr| b.copy_i(fr.i, d, s, fr.m))
+        }
+        Op::ItoF { dst, src } => {
+            let (d, s) = (dst as usize, src as usize);
+            Box::new(move |fr| b.itof(fr.f, fr.i, d, s, fr.m))
+        }
+        _ => return None,
     })
 }
 
-/// A component-looped unary float step over the vector kernels.
-fn simd_map1(level: SimdLevel, op: simd::VuOp, dst: usize, src: usize, w: usize) -> Step {
-    Box::new(move |fr| {
-        let m = fr.m;
-        for c in 0..w {
-            simd::vf_un(level, op, fr.f, dst + c * LANES, src + c * LANES, m);
-        }
-    })
-}
-
-/// The vector kernel for a step, when one exists at this level. `None`
-/// keeps the scalar closure from [`step_for`]'s main match verbatim —
-/// that body *is* the semantic reference, so anything without a
-/// bit-exact vector form (transcendentals, int div, memory walks)
-/// falls through to it.
-fn simd_step_for(op: &Op, level: SimdLevel) -> Option<Step> {
-    match op {
+/// The vector step of `op` at level `v`, when one exists. `None` keeps
+/// the scalar closure from [`step_for`]'s main match verbatim — that
+/// body *is* the semantic reference, so anything without a bit-exact
+/// vector form (transcendentals, int div, memory walks) falls through
+/// to it.
+fn vector_step<V: Vector>(op: &Op, v: V) -> Option<Step> {
+    Some(match *op {
         Op::ArithF {
             op,
             dst,
@@ -1250,17 +1278,9 @@ fn simd_step_for(op: &Op, level: SimdLevel) -> Option<Step> {
             b,
             bb,
         } => {
-            let vop = vf_of(*op)?;
-            Some(simd_zip2(
-                level,
-                vop,
-                *dst as usize,
-                *w as usize,
-                *a as usize,
-                *ab,
-                *b as usize,
-                *bb,
-            ))
+            let vop = vf_of(op)?;
+            let p = zip(dst, w, a, ab, b, bb);
+            bind_op!(VfOp, vop, [Add, Sub, Mul, Div], OP => Box::new(move |fr| v.zip2::<OP>(fr.f, p, fr.m)))
         }
         Op::Map2 {
             f,
@@ -1271,93 +1291,76 @@ fn simd_step_for(op: &Op, level: SimdLevel) -> Option<Step> {
             b,
             bb,
         } => {
-            let vop = vf_of_bin(*f)?;
-            Some(simd_zip2(
-                level,
-                vop,
-                *dst as usize,
-                *w as usize,
-                *a as usize,
-                *ab,
-                *b as usize,
-                *bb,
-            ))
+            let vop = vf_of_bin(f)?;
+            let p = zip(dst, w, a, ab, b, bb);
+            bind_op!(VfOp, vop, [Add, Sub, Mul, Min, Max], OP => Box::new(move |fr| v.zip2::<OP>(fr.f, p, fr.m)))
         }
         Op::Map1 { f, dst, src, w } => {
-            let vop = vu_of(*f)?;
-            Some(simd_map1(level, vop, *dst as usize, *src as usize, *w as usize))
+            let vop = vu_of(f)?;
+            let p = map(dst, src, w);
+            bind_op!(VuOp, vop, [Sqrt, Abs], OP => Box::new(move |fr| v.map1::<OP>(fr.f, p, fr.m)))
         }
-        Op::NegF { dst, src, w } => Some(simd_map1(
-            level,
-            simd::VuOp::Neg,
-            *dst as usize,
-            *src as usize,
-            *w as usize,
-        )),
+        Op::NegF { dst, src, w } => {
+            const NEG: u8 = VuOp::Neg as u8;
+            let p = map(dst, src, w);
+            Box::new(move |fr| v.map1::<NEG>(fr.f, p, fr.m))
+        }
         Op::ArithI { op, dst, a, b } => {
-            let vop = vi_of(*op)?;
-            let (d, a, b) = (*dst as usize, *a as usize, *b as usize);
-            Some(Box::new(move |fr| {
-                simd::vi_bin(level, vop, fr.i, d, a, b, fr.m);
-            }))
+            let vop = vi_of(op)?;
+            if vop == ViOp::Mul && !V::INT_MUL {
+                return None;
+            }
+            let (d, a, b) = (dst as usize, a as usize, b as usize);
+            bind_op!(ViOp, vop, [Add, Sub, Mul], OP => Box::new(move |fr| v.int2::<OP>(fr.i, d, a, b, fr.m)))
         }
         Op::CmpF { op, dst, a, b } => {
-            let (cop, d, a, b) = (*op, *dst as usize, *a as usize, *b as usize);
-            Some(Box::new(move |fr| {
+            let (d, a, b) = (dst as usize, a as usize, b as usize);
+            bind_op!(COp, op, [Lt, Le, Gt, Ge, Eq, Ne], OP => Box::new(move |fr| {
                 let m = fr.m;
-                let bits = simd::vf_cmp(level, cop, fr.f, a, b);
+                let bits = v.cmp::<OP>(fr.f, a, b);
                 fr.b[d] = (fr.b[d] & !m) | (bits & m);
             }))
         }
         Op::SelF { dst, cond, a, b, w } => {
-            let (d, cnd, a, b, w) = (
-                *dst as usize,
-                *cond as usize,
-                *a as usize,
-                *b as usize,
-                *w as usize,
-            );
-            Some(Box::new(move |fr| {
-                let m = fr.m;
-                let cond = fr.b[cnd];
-                for c in 0..w {
-                    let cl = c * LANES;
-                    simd::vf_sel(level, fr.f, d + cl, a + cl, b + cl, cond, m);
-                }
-            }))
-        }
-        _ => None,
-    }
-}
-
-/// The SIMD form of [`fuse_ff`]: per component, op1 computes and
-/// masked-stores `d1` *before* op2's operands load (lanes are
-/// independent and `operand_ok` guarantees op2's operands are exactly
-/// `d1` or disjoint, so this reproduces the scalar per-lane order).
-fn simd_fuse_ff(level: SimdLevel, v1: simd::VfOp, v2: simd::VfOp, p: ZipZip) -> Step {
-    Box::new(move |fr| {
-        let m = fr.m;
-        for c in 0..p.w {
-            let cl = c * LANES;
-            let q = simd::FusedFF {
-                x1: p.a1 + if p.ab1 { 0 } else { cl },
-                y1: p.b1 + if p.bb1 { 0 } else { cl },
-                d1: p.d1 + cl,
-                x2: p.a2 + if p.ab2 { 0 } else { cl },
-                y2: p.b2 + if p.bb2 { 0 } else { cl },
-                d2: p.d2 + cl,
-                ta: p.ta,
-                tb: p.tb,
+            let cnd = cond as usize;
+            let p = simd::Sel {
+                d: dst as usize,
+                a: a as usize,
+                b: b as usize,
+                w: w as usize,
             };
-            simd::vf_fused_ff(level, v1, v2, fr.f, q, m);
+            Box::new(move |fr| {
+                let cond = fr.b[cnd];
+                v.sel(fr.f, p, cond, fr.m);
+            })
         }
+        _ => return None,
     })
 }
 
-/// The SIMD form of [`fuse_ra`]: the per-lane element walk stays
+fn zip(dst: u32, w: u8, a: u32, ab: bool, b: u32, bb: bool) -> simd::Zip {
+    simd::Zip {
+        d: dst as usize,
+        w: w as usize,
+        a: a as usize,
+        sa: stride(ab),
+        b: b as usize,
+        sb: stride(bb),
+    }
+}
+
+fn map(dst: u32, src: u32, w: u8) -> simd::Map {
+    simd::Map {
+        d: dst as usize,
+        s: src as usize,
+        w: w as usize,
+    }
+}
+
+/// The vector form of [`fuse_ra`]: the per-lane element walk stays
 /// scalar (it is a memory gather), landing the fetched values in a
 /// zero-padded stack buffer that feeds the vector arith tail.
-fn simd_fuse_ra(level: SimdLevel, v2: simd::VfOp, p: EZip) -> Step {
+fn simd_fuse_ra<V: Vector, const OP: u8>(v: V, p: EZip) -> Step {
     Box::new(move |fr| {
         let m = fr.m;
         let data = fr.elem(p.slot);
@@ -1381,7 +1384,7 @@ fn simd_fuse_ra(level: SimdLevel, v2: simd::VfOp, p: EZip) -> Step {
                 ta: p.ta,
                 tb: p.tb,
             };
-            simd::vf_arith_tbuf(level, v2, fr.f, t, q, m);
+            v.arith_tbuf::<OP>(fr.f, t, q, m);
             return;
         }
         let off = fr.elem_off[p.slot];
@@ -1390,9 +1393,9 @@ fn simd_fuse_ra(level: SimdLevel, v2: simd::VfOp, p: EZip) -> Step {
             let d1 = p.d1 + cl;
             let mut t = [0.0f32; LANES];
             tier_loop!(m, l, {
-                let v = data[off[l] + c];
-                t[l] = v;
-                fr.f[d1 + l] = v;
+                let x = data[off[l] + c];
+                t[l] = x;
+                fr.f[d1 + l] = x;
             });
             let q = simd::TBuf {
                 d2: p.d2 + cl,
@@ -1401,18 +1404,17 @@ fn simd_fuse_ra(level: SimdLevel, v2: simd::VfOp, p: EZip) -> Step {
                 ta: p.ta,
                 tb: p.tb,
             };
-            simd::vf_arith_tbuf(level, v2, fr.f, &t, q, m);
+            v.arith_tbuf::<OP>(fr.f, &t, q, m);
         }
     })
 }
 
-/// The SIMD form of [`fuse_ga`]: the gather's index walk (clamping,
+/// The vector form of [`fuse_ga`]: the gather's index walk (clamping,
 /// proven-elision debug asserts, dynamic index decode) is kept
 /// verbatim from the scalar closure — only live lanes may touch
 /// memory — and the fetched values feed the vector arith tail.
-fn simd_fuse_ga(
-    level: SimdLevel,
-    v2: simd::VfOp,
+fn simd_fuse_ga<V: Vector, const OP: u8>(
+    v: V,
     p: GZip,
     idx: Vec<(u32, bool)>,
     proven: Option<Vec<crate::ProvenIdx>>,
@@ -1438,16 +1440,16 @@ fn simd_fuse_ga(
                     .as_ref()
                     .is_some_and(|pr| crate::eval::proven_fits_dyn(pr, shape, fr.comp_max));
                 let mut lin = [0i32; LANES];
-                if simd::vf_gather2_idx(level, fr.f, o0, o1, d0, d1, !unclamped, &mut lin) {
+                if simd::vf_gather2_idx(V::LEVEL, fr.f, o0, o1, d0, d1, !unclamped, &mut lin) {
                     tier_loop!(m, l, {
                         debug_assert!(
                             lin[l] >= 0 && (lin[l] as usize) < d0 * d1,
                             "unsound gather index: {} outside {d0}x{d1} — analyzer bug",
                             lin[l]
                         );
-                        let v = data[lin[l] as usize * wd];
-                        t[l] = v;
-                        fr.f[p.d1 + l] = v;
+                        let x = data[lin[l] as usize * wd];
+                        t[l] = x;
+                        fr.f[p.d1 + l] = x;
                     });
                 } else if unclamped {
                     tier_loop!(m, l, {
@@ -1457,9 +1459,9 @@ fn simd_fuse_ga(
                             iy >= 0 && (iy as usize) < d0 && ix >= 0 && (ix as usize) < d1,
                             "unsound clamp elision: ({iy},{ix}) outside {d0}x{d1} — analyzer bug"
                         );
-                        let v = data[(iy as usize * d1 + ix as usize) * wd];
-                        t[l] = v;
-                        fr.f[p.d1 + l] = v;
+                        let x = data[(iy as usize * d1 + ix as usize) * wd];
+                        t[l] = x;
+                        fr.f[p.d1 + l] = x;
                     });
                 } else {
                     tier_loop!(m, l, {
@@ -1467,20 +1469,20 @@ fn simd_fuse_ga(
                         let ix = (fr.f[o1 + l] + 0.5).floor() as i64;
                         let linear =
                             iy.clamp(0, d0 as i64 - 1) as usize * d1 + ix.clamp(0, d1 as i64 - 1) as usize;
-                        let v = data[linear * wd];
-                        t[l] = v;
-                        fr.f[p.d1 + l] = v;
+                        let x = data[linear * wd];
+                        t[l] = x;
+                        fr.f[p.d1 + l] = x;
                     });
                 }
             } else {
                 let gidx = [(o0 as u32, false), (o1 as u32, false)];
                 tier_loop!(m, l, {
-                    let v = data[gather_linear(fr, &gidx, shape, l) * *width as usize];
-                    t[l] = v;
-                    fr.f[p.d1 + l] = v;
+                    let x = data[gather_linear(fr, &gidx, shape, l) * *width as usize];
+                    t[l] = x;
+                    fr.f[p.d1 + l] = x;
                 });
             }
-            simd::vf_arith_tbuf(level, v2, fr.f, &t, q, m);
+            v.arith_tbuf::<OP>(fr.f, &t, q, m);
         });
     }
     Box::new(move |fr| {
@@ -1491,73 +1493,31 @@ fn simd_fuse_ga(
         };
         let mut t = [0.0f32; LANES];
         tier_loop!(m, l, {
-            let v = data[gather_linear(fr, &idx, shape, l) * *width as usize];
-            t[l] = v;
-            fr.f[p.d1 + l] = v;
+            let x = data[gather_linear(fr, &idx, shape, l) * *width as usize];
+            t[l] = x;
+            fr.f[p.d1 + l] = x;
         });
-        simd::vf_arith_tbuf(level, v2, fr.f, &t, q, m);
+        v.arith_tbuf::<OP>(fr.f, &t, q, m);
     })
 }
 
 /// Builds the monomorphized closure for one lane op. `Ret` is handled
 /// structurally and rejected kinds never reach this point.
 #[allow(clippy::too_many_lines)]
-fn step_for(op: &Op, level: SimdLevel) -> Step {
-    if level != SimdLevel::Scalar {
-        if let Some(st) = simd_step_for(op, level) {
-            return st;
-        }
+fn step_for(op: &Op, isa: Isa) -> Step {
+    let bound =
+        on_vector!(isa, v => vector_step(op, v).or_else(|| move_step(op, v)), move_step(op, simd::ScalarIsa));
+    if let Some(st) = bound {
+        return st;
     }
+    let level = isa.level();
     match op {
-        Op::ConstF { dst, w, v } => {
-            let (dst, w, v) = (*dst as usize, *w as usize, *v);
-            Box::new(move |fr| {
-                let m = fr.m;
-                for (c, val) in v.iter().copied().take(w).enumerate() {
-                    let d = dst + c * LANES;
-                    tier_loop!(m, l, {
-                        fr.f[d + l] = val;
-                    });
-                }
-            })
-        }
-        Op::ConstI { dst, v } => {
-            let (dst, v) = (*dst as usize, *v);
-            Box::new(move |fr| {
-                let m = fr.m;
-                tier_loop!(m, l, {
-                    fr.i[dst + l] = v;
-                });
-            })
-        }
         Op::ConstB { dst, v } => {
             let (dst, v) = (*dst as usize, *v);
             Box::new(move |fr| {
                 let m = fr.m;
                 let bits = if v { m } else { 0 };
                 fr.b[dst] = (fr.b[dst] & !m) | bits;
-            })
-        }
-        Op::CopyF { dst, src, n } => {
-            let (dst, src, n) = (*dst as usize, *src as usize, *n as usize);
-            Box::new(move |fr| {
-                let m = fr.m;
-                for c in 0..n {
-                    let d = dst + c * LANES;
-                    let s = src + c * LANES;
-                    tier_loop!(m, l, {
-                        fr.f[d + l] = fr.f[s + l];
-                    });
-                }
-            })
-        }
-        Op::CopyI { dst, src } => {
-            let (d, s) = (*dst as usize, *src as usize);
-            Box::new(move |fr| {
-                let m = fr.m;
-                tier_loop!(m, l, {
-                    fr.i[d + l] = fr.i[s + l];
-                });
             })
         }
         Op::CopyB { dst, src } => {
@@ -1589,15 +1549,6 @@ fn step_for(op: &Op, level: SimdLevel) -> Step {
                         fr.f[d + l] = fr.i[s + l] as f32;
                     });
                 }
-            })
-        }
-        Op::ItoF { dst, src } => {
-            let (d, s) = (*dst as usize, *src as usize);
-            Box::new(move |fr| {
-                let m = fr.m;
-                tier_loop!(m, l, {
-                    fr.f[d + l] = fr.i[s + l] as f32;
-                });
             })
         }
         Op::FtoI { dst, src } => {
@@ -1886,6 +1837,9 @@ fn step_for(op: &Op, level: SimdLevel) -> Step {
                 });
             })
         }
+        Op::ConstF { .. } | Op::ConstI { .. } | Op::CopyF { .. } | Op::CopyI { .. } | Op::ItoF { .. } => {
+            unreachable!("data movement is bound by `move_step` at every level")
+        }
         Op::Dot { .. } | Op::Length { .. } | Op::Normalize { .. } | Op::Ret | Op::Bail => {
             unreachable!("rejected at tier admission / handled structurally")
         }
@@ -1910,12 +1864,33 @@ fn operand_ok(off: u32, bcast: bool, d1: u32, w: usize) -> bool {
     off == d1 || !overlaps(off, if bcast { 1 } else { w }, d1, w)
 }
 
+/// One fusable adjacent pair with its operand layout: the superword
+/// pass's decision, before a body is bound to it.
+enum Fusion {
+    /// arith → arith (the mul+add family).
+    Ff(FOp, FOp, ZipZip),
+    /// scalar arith → compare.
+    Fc(FOp, COp, FCmp),
+    /// compare → select (the ternary).
+    Cs(COp, CSel),
+    /// elementwise fetch → arith.
+    Ra(FOp, EZip),
+    /// gather → arith (both scalar-width).
+    Ga(FOp, GZip, Vec<(u32, bool)>, Option<Vec<crate::ProvenIdx>>),
+}
+
 /// Tries to fuse two adjacent (post-hoist) ops into one closure.
 /// Every pattern preserves the lane engine's exact evaluation order
 /// per `(component, lane)` — operand positions are kept, so even NaN
 /// payload propagation is bit-identical.
+fn try_fuse(o1: &Op, o2: &Op, isa: Isa) -> Option<Step> {
+    let f = fusion(o1, o2)?;
+    Some(on_vector!(isa, v => fused_vector(f, v), fused_scalar(f)))
+}
+
+/// The fusion decision for an adjacent pair, if any pattern applies.
 #[allow(clippy::too_many_lines)]
-fn try_fuse(o1: &Op, o2: &Op, level: SimdLevel) -> Option<Step> {
+fn fusion(o1: &Op, o2: &Op) -> Option<Fusion> {
     match (o1, o2) {
         // arith -> arith (the mul+add family).
         (
@@ -1965,12 +1940,7 @@ fn try_fuse(o1: &Op, o2: &Op, level: SimdLevel) -> Option<Step> {
                 ta: *a2 == *d1 && !*ab2,
                 tb: *b2 == *d1 && !*bb2,
             };
-            if level != SimdLevel::Scalar {
-                if let (Some(v1), Some(v2)) = (vf_of(*op1), vf_of(*op2)) {
-                    return Some(simd_fuse_ff(level, v1, v2, p));
-                }
-            }
-            Some(with_fop!(*op1, g1, with_fop!(*op2, g2, fuse_ff(g1, g2, p))))
+            Some(Fusion::Ff(*op1, *op2, p))
         }
         // scalar arith -> compare.
         (
@@ -1999,26 +1969,7 @@ fn try_fuse(o1: &Op, o2: &Op, level: SimdLevel) -> Option<Step> {
                 ta: *a2 == *d1,
                 tb: *b2 == *d1,
             };
-            if level != SimdLevel::Scalar {
-                if let Some(v1) = vf_of(*op1) {
-                    let cop = *op2;
-                    let q = simd::FusedFC {
-                        x1: p.a1,
-                        y1: p.b1,
-                        d1: p.d1,
-                        x2: p.a2,
-                        y2: p.b2,
-                        ta: p.ta,
-                        tb: p.tb,
-                    };
-                    return Some(Box::new(move |fr| {
-                        let m = fr.m;
-                        let bits = simd::vf_fused_fc(level, v1, cop, fr.f, q, m);
-                        fr.b[p.d2] = (fr.b[p.d2] & !m) | (bits & m);
-                    }));
-                }
-            }
-            Some(with_fop!(*op1, g1, with_cop!(*op2, g2, fuse_fc(g1, g2, p))))
+            Some(Fusion::Fc(*op1, *op2, p))
         }
         // compare -> select (the ternary).
         (
@@ -2045,19 +1996,7 @@ fn try_fuse(o1: &Op, o2: &Op, level: SimdLevel) -> Option<Step> {
                 d2: *d2 as usize,
                 w: *w as usize,
             };
-            if level != SimdLevel::Scalar {
-                let cop = *op1;
-                return Some(Box::new(move |fr| {
-                    let m = fr.m;
-                    let bits = simd::vf_cmp(level, cop, fr.f, p.a1, p.b1);
-                    fr.b[p.d1] = (fr.b[p.d1] & !m) | (bits & m);
-                    for c in 0..p.w {
-                        let cl = c * LANES;
-                        simd::vf_sel(level, fr.f, p.d2 + cl, p.a2 + cl, p.b2 + cl, bits, m);
-                    }
-                }));
-            }
-            Some(with_cop!(*op1, g1, fuse_cs(g1, p)))
+            Some(Fusion::Cs(*op1, p))
         }
         // elementwise fetch -> arith.
         (
@@ -2091,12 +2030,7 @@ fn try_fuse(o1: &Op, o2: &Op, level: SimdLevel) -> Option<Step> {
                 ta: *a2 == *d1 && !*ab2,
                 tb: *b2 == *d1 && !*bb2,
             };
-            if level != SimdLevel::Scalar {
-                if let Some(v2) = vf_of(*op2) {
-                    return Some(simd_fuse_ra(level, v2, p));
-                }
-            }
-            Some(with_fop!(*op2, g2, fuse_ra(g2, p)))
+            Some(Fusion::Ra(*op2, p))
         }
         // gather -> arith (both scalar-width).
         (
@@ -2125,14 +2059,96 @@ fn try_fuse(o1: &Op, o2: &Op, level: SimdLevel) -> Option<Step> {
                 ta: *a2 == *d1,
                 tb: *b2 == *d1,
             };
-            if level != SimdLevel::Scalar {
-                if let Some(v2) = vf_of(*op2) {
-                    return Some(simd_fuse_ga(level, v2, p, idx.clone(), proven.clone()));
-                }
-            }
-            Some(with_fop!(*op2, g2, fuse_ga(g2, p, idx.clone(), proven.clone())))
+            Some(Fusion::Ga(*op2, p, idx.clone(), proven.clone()))
         }
         _ => None,
+    }
+}
+
+/// The scalar closure of a fused pair: the verbatim reference body.
+fn fused_scalar(f: Fusion) -> Step {
+    match f {
+        Fusion::Ff(op1, op2, p) => with_fop!(op1, g1, with_fop!(op2, g2, fuse_ff(g1, g2, p))),
+        Fusion::Fc(op1, op2, p) => with_fop!(op1, g1, with_cop!(op2, g2, fuse_fc(g1, g2, p))),
+        Fusion::Cs(op1, p) => with_cop!(op1, g1, fuse_cs(g1, p)),
+        Fusion::Ra(op2, p) => with_fop!(op2, g2, fuse_ra(g2, p)),
+        Fusion::Ga(op2, p, idx, proven) => with_fop!(op2, g2, fuse_ga(g2, p, idx, proven)),
+    }
+}
+
+/// The vector closure of a fused pair at level `v`; pairs whose arith
+/// has no vector form (`Rem`) keep [`fused_scalar`].
+fn fused_vector<V: Vector>(f: Fusion, v: V) -> Step {
+    match f {
+        Fusion::Ff(op1, op2, p) => {
+            let (Some(v1), Some(v2)) = (vf_of(op1), vf_of(op2)) else {
+                return fused_scalar(f);
+            };
+            let q = simd::FusedFF {
+                w: p.w,
+                x1: p.a1,
+                sx1: stride(p.ab1),
+                y1: p.b1,
+                sy1: stride(p.bb1),
+                d1: p.d1,
+                x2: p.a2,
+                sx2: stride(p.ab2),
+                y2: p.b2,
+                sy2: stride(p.bb2),
+                d2: p.d2,
+                ta: p.ta,
+                tb: p.tb,
+            };
+            bind_op!(VfOp, v1, [Add, Sub, Mul, Div], O1 => {
+                bind_op!(VfOp, v2, [Add, Sub, Mul, Div], O2 => {
+                    Box::new(move |fr| v.fused_ff::<O1, O2>(fr.f, q, fr.m))
+                })
+            })
+        }
+        Fusion::Fc(op1, op2, p) => {
+            let Some(v1) = vf_of(op1) else {
+                return fused_scalar(f);
+            };
+            let q = simd::FusedFC {
+                x1: p.a1,
+                y1: p.b1,
+                d1: p.d1,
+                x2: p.a2,
+                y2: p.b2,
+                ta: p.ta,
+                tb: p.tb,
+            };
+            bind_op!(VfOp, v1, [Add, Sub, Mul, Div], O1 => {
+                bind_op!(COp, op2, [Lt, Le, Gt, Ge, Eq, Ne], CMP => Box::new(move |fr| {
+                    let m = fr.m;
+                    let bits = v.fused_fc::<O1, CMP>(fr.f, q, m);
+                    fr.b[p.d2] = (fr.b[p.d2] & !m) | (bits & m);
+                }))
+            })
+        }
+        Fusion::Cs(op1, p) => {
+            let q = simd::Sel {
+                d: p.d2,
+                a: p.a2,
+                b: p.b2,
+                w: p.w,
+            };
+            bind_op!(COp, op1, [Lt, Le, Gt, Ge, Eq, Ne], CMP => Box::new(move |fr| {
+                let m = fr.m;
+                let bits = v.cmp_sel::<CMP>(fr.f, p.a1, p.b1, q, m);
+                fr.b[p.d1] = (fr.b[p.d1] & !m) | (bits & m);
+            }))
+        }
+        Fusion::Ra(op2, p) => match vf_of(op2) {
+            Some(v2) => bind_op!(VfOp, v2, [Add, Sub, Mul, Div], OP => simd_fuse_ra::<V, OP>(v, p)),
+            None => fused_scalar(f),
+        },
+        Fusion::Ga(op2, p, idx, proven) => match vf_of(op2) {
+            Some(v2) => {
+                bind_op!(VfOp, v2, [Add, Sub, Mul, Div], OP => simd_fuse_ga::<V, OP>(v, p, idx, proven))
+            }
+            None => fused_scalar(Fusion::Ga(op2, p, idx, proven)),
+        },
     }
 }
 
@@ -2149,11 +2165,14 @@ fn try_fuse(o1: &Op, o2: &Op, level: SimdLevel) -> Option<Step> {
 /// no longer rejects the kernel — it compiles to a `debug_assert!(false)`
 /// no-op step that aborts loudly in tests if the proof was wrong.
 ///
-/// Steps whose scalar loop bodies have hand-written vector kernels
-/// dispatch into [`crate::simd`] (bit-exact by construction — no FMA
-/// contraction, operand order preserved, masked stores reproduce the
-/// scalar write set); every other step keeps its verbatim scalar
-/// closure. The level is capped at what the host actually supports.
+/// The level is bound once ([`Isa::bind`], capped at what the host
+/// supports). Steps whose scalar loop bodies have hand-written vector
+/// kernels are built from the level's token with their operator as a
+/// const parameter, so each calls its [`crate::simd`] body directly
+/// (bit-exact by construction — no FMA contraction, operand order
+/// preserved, masked stores reproduce the scalar write set). Data
+/// movement moves whole blocks at every level; every other step keeps
+/// its verbatim scalar closure.
 ///
 /// # Errors
 /// A human-readable rejection reason (recorded in the compliance
@@ -2164,7 +2183,7 @@ pub fn compile_simd(
     facts: Option<&crate::KernelFacts>,
     level: SimdLevel,
 ) -> Result<TierKernel, String> {
-    let level = level.min(simd::detect());
+    let isa = Isa::bind(level);
     for (i, op) in lane.ops.iter().enumerate() {
         match op {
             Op::Bail => {
@@ -2188,7 +2207,7 @@ pub fn compile_simd(
         }
     }
     let (hoisted, order) = hoist_plan(lane);
-    let prologue: Vec<Step> = order.iter().map(|i| step_for(&lane.ops[*i], level)).collect();
+    let prologue: Vec<Step> = order.iter().map(|i| step_for(&lane.ops[*i], isa)).collect();
     let mut uniform_i = vec![false; lane.i_len / LANES];
     let (mut reads, mut writes) = (Vec::new(), Vec::new());
     for &i in &order {
@@ -2203,7 +2222,7 @@ pub fn compile_simd(
         lane,
         hoisted: &hoisted,
         uniform_i,
-        level,
+        isa,
         fused: 0,
         steps: 0,
         counted: 0,
@@ -2219,7 +2238,7 @@ pub fn compile_simd(
         hoisted: order.len(),
         counted: b.counted,
         quiescent: b.quiescent,
-        level,
+        level: isa.level(),
     })
 }
 
@@ -2231,7 +2250,7 @@ struct Builder<'a> {
     /// Per `i32` slab: written by a hoisted op, hence uniform across
     /// the dispatch.
     uniform_i: Vec<bool>,
-    level: SimdLevel,
+    isa: Isa,
     fused: usize,
     steps: usize,
     counted: usize,
@@ -2279,7 +2298,7 @@ impl Builder<'_> {
         let mut idxs = live_ops(self.lane, self.hoisted, *start, *end);
         idxs.pop();
         self.seq(&idxs, &mut body);
-        body.push(TNode::Straight(vec![step_for(&self.lane.ops[inc], self.level)]));
+        body.push(TNode::Straight(vec![step_for(&self.lane.ops[inc], self.isa)]));
         self.steps += 1;
         self.counted += 1;
         if quiescent {
@@ -2329,14 +2348,14 @@ impl Builder<'_> {
                 continue;
             }
             if k + 1 < idxs.len() {
-                if let Some(st) = try_fuse(op, &lane.ops[idxs[k + 1]], self.level) {
+                if let Some(st) = try_fuse(op, &lane.ops[idxs[k + 1]], self.isa) {
                     cur.push(st);
                     self.fused += 1;
                     k += 2;
                     continue;
                 }
             }
-            cur.push(step_for(op, self.level));
+            cur.push(step_for(op, self.isa));
             k += 1;
         }
         if !cur.is_empty() {

@@ -9,6 +9,7 @@ use crate::ast::*;
 use crate::builtins::{builtin, builtin_arity, builtin_result_type, BuiltinSig};
 use crate::diag::{CompileError, Diagnostic};
 use crate::span::Span;
+use glsl_es::math::Bin;
 use std::collections::HashMap;
 
 /// Associative operations supported by reduction kernels.
@@ -43,8 +44,8 @@ impl ReduceOp {
         match self {
             ReduceOp::Add => a + b,
             ReduceOp::Mul => a * b,
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
+            ReduceOp::Min => Bin::Min.apply(a, b),
+            ReduceOp::Max => Bin::Max.apply(a, b),
         }
     }
 }
